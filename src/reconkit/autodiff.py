@@ -9,7 +9,8 @@ what gradient descent on the underlying real parametrization needs.
 
 The op vocabulary is the fixed set the reconstruction networks use
 (elementwise arithmetic, activations, complex pack/unpack, centered FFTs,
-2D convolution, 2x pooling/upsampling, reductions, concat/slice/reshape).
+2D convolution, 2x pooling/upsampling, reductions, concat/slice/reshape) plus
+``linear``, one node for any numpy linear operator given with its adjoint.
 There is no broadcasting beyond channel/bias expansion, no graph compiler and
 no higher-order derivatives.  Tensors are value-semantic; a tape is
 single-threaded while recording and during backward.
@@ -424,6 +425,21 @@ def ifft2c(a) -> Tensor:
         return (fourier.fft2c(g),)
 
     return _apply("ifft2c", (a,), fourier.ifft2c(a.data), vjp)
+
+
+def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
+    """One node for a linear (or affine) map: out = apply(x.data), VJP = adjoint(g).
+
+    `adjoint` is the adjoint of the linear part of `apply`.  Under the tape's
+    dL/da + i*dL/db convention a complex-linear A back-propagates as A^H g
+    with no extra conjugation.
+    """
+    x = astensor(x)
+
+    def vjp(g):
+        return (_match(adjoint(g), x),)
+
+    return _apply("linear", (x,), apply(x.data), vjp)
 
 
 # ---------------------------------------------------------------------------

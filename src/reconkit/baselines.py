@@ -141,8 +141,7 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = 0.005,
         history.append(fx)
     cand_prev = None
     for _ in range(max_iter):
-        grad = mri.adjoint_op(mri.forward_op(z, maps, mask) - y, maps, mask)
-        u = z - grad                       # unit step: ||A|| <= 1 by construction
+        u = z - mri.loglik_gradient(z, y, maps, mask)   # unit step: ||A|| <= 1 by construction
         cand = _wavelet_shrink(u, alpha, levels) if alpha > 0 else u
         f_cand = objective(cand)
         x_prev = x

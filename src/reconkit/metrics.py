@@ -9,26 +9,15 @@ denoising, and SNR relates foreground signal to k-space periphery noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import binary_dilation
 
+from . import autodiff as ad
+
 
 class MetricError(ValueError):
     """Metric preconditions violated (empty region, degenerate input, ...)."""
-
-
-@dataclass
-class MetricsReport:
-    ssim: float | None = None
-    psnr_db: float | None = None
-    cr: float | None = None
-    wmn: float | None = None
-    bgn: float | None = None
-    wa: float | None = None
-    snr: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +29,22 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def ssim(test: np.ndarray, ref: np.ndarray, window: int = SSIM_WINDOW,
-         k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
-    """Mean local SSIM over a uniform window; data range is max(ref).
+def _box_mean(a: np.ndarray, window: int) -> np.ndarray:
+    """Mean over every fully interior window x window box."""
+    return sliding_window_view(a, (window, window)).mean(axis=(-2, -1))
+
+
+def ssim_tensor(test, ref: np.ndarray, window: int = SSIM_WINDOW,
+                k1: float = SSIM_K1, k2: float = SSIM_K2) -> ad.Tensor:
+    """Mean local SSIM as an autodiff tensor, differentiable in `test`.
 
     Local means/variances use population statistics over each fully interior
-    window, so the score is the mean of the SSIM map on the valid region.
+    window, so the score is the mean of the SSIM map on the valid region;
+    the data range is max(ref).  Each box mean of `test` is one
+    ``autodiff.linear`` node whose VJP box-averages the gradient zero-padded
+    by window - 1.
     """
-    test = np.asarray(test, dtype=np.float64)
+    test = ad.astensor(test)
     ref = np.asarray(ref, dtype=np.float64)
     if test.shape != ref.shape:
         raise MetricError(f"image shapes differ: {test.shape} vs {ref.shape}")
@@ -58,17 +55,26 @@ def ssim(test: np.ndarray, ref: np.ndarray, window: int = SSIM_WINDOW,
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
 
-    wt = sliding_window_view(test, (window, window))
-    wr = sliding_window_view(ref, (window, window))
-    mu_t = wt.mean(axis=(-2, -1))
-    mu_r = wr.mean(axis=(-2, -1))
-    var_t = (wt ** 2).mean(axis=(-2, -1)) - mu_t ** 2
-    var_r = (wr ** 2).mean(axis=(-2, -1)) - mu_r ** 2
-    cov = (wt * wr).mean(axis=(-2, -1)) - mu_t * mu_r
+    def box(t: ad.Tensor) -> ad.Tensor:
+        return ad.linear(t, lambda a: _box_mean(a, window),
+                         lambda g: _box_mean(np.pad(g, window - 1), window))
+
+    # tensors stay on the left of each operator so numpy never sees them
+    mu_t = box(test)
+    mu_r = _box_mean(ref, window)
+    var_t = box(test * test) - mu_t * mu_t
+    var_r = _box_mean(ref * ref, window) - mu_r * mu_r
+    cov = box(test * ref) - mu_t * mu_r
 
     num = (2 * mu_t * mu_r + c1) * (2 * cov + c2)
-    den = (mu_t ** 2 + mu_r ** 2 + c1) * (var_t + var_r + c2)
-    return float((num / den).mean())
+    den = (mu_t * mu_t + mu_r * mu_r + c1) * (var_t + var_r + c2)
+    return ad.reduce_mean(num / den)
+
+
+def ssim(test: np.ndarray, ref: np.ndarray, window: int = SSIM_WINDOW,
+         k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
+    """Mean local SSIM over a uniform window; data range is max(ref)."""
+    return float(ssim_tensor(np.asarray(test, dtype=np.float64), ref, window, k1, k2).data)
 
 
 def psnr(test: np.ndarray, ref: np.ndarray) -> float:

@@ -8,8 +8,10 @@ a centered orthonormal FFT and a binary sampling mask:
 
 With sensitivity maps normalized so that sum_i |S_i|^2 == 1 everywhere, the
 pair is an exact adjoint pair and ``adjoint_op(forward_op(x)) == x`` under
-full sampling.  All functions are pure and operate on plain numpy arrays;
-differentiable graph-building versions live in :mod:`reconkit.networks`.
+full sampling.  ``loglik_gradient`` is the data-fidelity gradient
+A*(A(x) - y) that both the CS baseline and the networks' data consistency
+use.  All functions are pure and operate on plain numpy arrays; the networks
+put them on the autodiff tape as single ``autodiff.linear`` nodes.
 """
 
 from __future__ import annotations
@@ -135,20 +137,24 @@ def soft_dc_kspace(k: np.ndarray, y: np.ndarray, mask, d: float) -> np.ndarray:
     return k - d * (m[None, :, :] * (k - y))
 
 
+def loglik_gradient(x: np.ndarray, y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
+    """A*(A(x) - y): the gradient of 0.5 * sum_i ||A(x) - y_i||^2 with respect to x.
+
+    The 1/sigma^2 likelihood weighting is left to the caller (the networks
+    absorb it into their learned updates).
+    """
+    k = forward_op(x, maps, mask)
+    if k.shape != np.shape(y):
+        raise DimensionError(f"k-space {np.shape(y)} does not match prediction {k.shape}")
+    return adjoint_op(k - y, maps, mask)
+
+
 def soft_dc(x_hat: np.ndarray, y: np.ndarray, maps: np.ndarray, mask, d: float) -> np.ndarray:
-    """Image-space soft data consistency.
+    """Image-space soft data consistency: x_hat - d * A*(A(x_hat) - y).
 
     Interpolates the sampled k-space of x_hat toward the measurements y and
-    maps the correction back to image space.  Written in correction form,
-
-        x_hat - reduce(ifft2c(d * mask * (fft2c(expand(x_hat)) - y)))
-
-    which is identical to replacing sampled k-space and re-reducing when the
-    maps are normalized, and is an exact identity at d = 0.
+    maps the correction back to image space; with a binary mask this equals
+    replacing sampled k-space and re-reducing when the maps are normalized,
+    and it is an exact identity at d = 0.
     """
-    m = _mask_array(mask)
-    k_hat = fft2c(expand(x_hat, maps))
-    if k_hat.shape != np.asarray(y).shape:
-        raise DimensionError(f"k-space {np.asarray(y).shape} does not match prediction {k_hat.shape}")
-    delta = d * (m[None, :, :] * (k_hat - y))
-    return x_hat - reduce(ifft2c(delta), maps)
+    return x_hat - d * loglik_gradient(x_hat, y, maps, mask)

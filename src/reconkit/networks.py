@@ -12,7 +12,9 @@ regularizer with a small encoder-decoder convnet.
 
 All forward passes are built from :mod:`reconkit.autodiff` ops, so the same
 code serves seeded inference (constant parameters, no tape) and training
-(leaf parameters on a tape).
+(leaf parameters on a tape).  The forward model itself is not rebuilt here:
+the data-fidelity gradient is :func:`reconkit.mri.loglik_gradient` put on the
+tape as one ``autodiff.linear`` node whose VJP is the normal operator A*A.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import mri
-from .autodiff import ParameterStore, Tape, Tensor
+from .autodiff import ParameterStore, Tensor
 
 
 class DivergedError(RuntimeError):
@@ -73,59 +75,30 @@ class UnetConfig:
 
 
 # ---------------------------------------------------------------------------
-# numpy-facing data-fidelity gradient
-# ---------------------------------------------------------------------------
-
-def loglik_gradient(x: np.ndarray, y: np.ndarray, maps: np.ndarray, mask,
-                    scale: float = 1.0) -> np.ndarray:
-    """Gradient of 0.5 * sum_i ||A(x) - y_i||^2 with respect to x.
-
-    The 1/sigma^2 likelihood weighting is absorbed into the learned update;
-    pass `scale` to reinstate it.
-    """
-    return scale * mri.adjoint_op(mri.forward_op(x, maps, mask) - y, maps, mask)
-
-
-# ---------------------------------------------------------------------------
 # graph-building helpers
 # ---------------------------------------------------------------------------
 
 class _Operators:
-    """Constant tensors for one forward pass (measurements, maps, mask)."""
+    """Measurements, maps and mask of one forward pass, cast to its dtype."""
 
     def __init__(self, y: np.ndarray, maps: np.ndarray, mask, cdtype=np.complex128):
         rdtype = np.float32 if cdtype == np.complex64 else np.float64
-        m = mri._mask_array(mask).astype(rdtype)
-        self.h, self.w = m.shape
-        self.y = ad.constant(np.asarray(y).astype(cdtype))
-        self.maps = ad.constant(np.asarray(maps).astype(cdtype))
-        self.maps_conj = ad.constant(np.conjugate(np.asarray(maps).astype(cdtype)))
-        self.mask = ad.constant(m[None, :, :])
-
-    def expand(self, x: Tensor) -> Tensor:
-        return ad.mul(ad.reshape(x, (1, self.h, self.w)), self.maps)
-
-    def reduce(self, stack: Tensor) -> Tensor:
-        return ad.reduce_sum(ad.mul(self.maps_conj, stack), axis=0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ad.mul(self.mask, ad.fft2c(self.expand(x)))
-
-    def adjoint(self, y: Tensor) -> Tensor:
-        return self.reduce(ad.ifft2c(ad.mul(self.mask, y)))
+        self.y = np.asarray(y).astype(cdtype)
+        self.maps = np.asarray(maps).astype(cdtype)
+        self.mask = mri._mask_array(mask).astype(rdtype)
+        self.h, self.w = self.mask.shape
 
     def zero_filled(self) -> Tensor:
-        return self.adjoint(self.y)
+        return ad.constant(mri.adjoint_op(self.y, self.maps, self.mask))
 
     def loglik_gradient(self, x: Tensor) -> Tensor:
-        return self.adjoint(ad.sub(self.forward(x), self.y))
+        return ad.linear(x, lambda v: mri.loglik_gradient(v, self.y, self.maps, self.mask),
+                         lambda g: mri.adjoint_op(mri.forward_op(g, self.maps, self.mask),
+                                                  self.maps, self.mask))
 
     def soft_dc(self, x: Tensor, d: Tensor) -> Tensor:
-        """x - reduce(ifft2c(d * mask * (fft2c(expand(x)) - y))); exact no-op at d=0."""
-        k_hat = ad.fft2c(self.expand(x))
-        resid = ad.mul(self.mask, ad.sub(k_hat, self.y))
-        delta = ad.mul(ad.reshape(d, (1, 1, 1)), resid)
-        return ad.sub(x, self.reduce(ad.ifft2c(delta)))
+        """x - d * A*(A(x) - y); an exact no-op at d = 0."""
+        return ad.sub(x, ad.mul(d, self.loglik_gradient(x)))
 
 
 def _init_conv(store: ParameterStore, rng, name: str, c_in: int, c_out: int, k: int,
@@ -255,8 +228,7 @@ class CirimModel:
             out.append((f"{p}unit2.recurrent", -1.0, 1.0))
         return out
 
-    def forward(self, y, maps, mask, params, tape: Tape | None = None,
-                cdtype=np.complex128):
+    def forward(self, y, maps, mask, params, cdtype=np.complex128):
         ops = _Operators(y, maps, mask, cdtype=cdtype)
         rdtype = np.float32 if cdtype == np.complex64 else np.float64
         x = ops.zero_filled()
@@ -348,8 +320,7 @@ class VarnetModel:
     def constraints(self) -> list[tuple[str, float, float]]:
         return []
 
-    def forward(self, y, maps, mask, params, tape: Tape | None = None,
-                cdtype=np.complex128):
+    def forward(self, y, maps, mask, params, cdtype=np.complex128):
         ops = _Operators(y, maps, mask, cdtype=cdtype)
         h, w = ops.h, ops.w
         x = ops.zero_filled()
@@ -401,19 +372,8 @@ def model_from_config(config: dict):
     return build_model(kind, cell=cell, cascade=cascade, unet=unet)
 
 
-def cirim_forward(y, maps, mask, model: CirimModel, params, tape=None, cdtype=np.complex128):
-    """Full cascaded forward pass; returns (image, per-cascade estimate lists)."""
-    return model.forward(y, maps, mask, params, tape=tape, cdtype=cdtype)
-
-
-def varnet_forward(y, maps, mask, model: VarnetModel, params, tape=None, cdtype=np.complex128):
-    """Variational-cascade forward pass; returns the final image tensor."""
-    x, _ = model.forward(y, maps, mask, params, tape=tape, cdtype=cdtype)
-    return x
-
-
 def reconstruct(model, store: ParameterStore, record, cdtype=np.complex128) -> np.ndarray:
     """Seeded inference on a dataset record with frozen parameters."""
     params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
-    x, _ = model.forward(record.kspace, record.maps, record.mask, params, tape=None, cdtype=cdtype)
+    x, _ = model.forward(record.kspace, record.maps, record.mask, params, cdtype=cdtype)
     return x.data

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines, containers, metrics
 from .autodiff import ParameterStore, Tape, Tensor
-from .networks import reconstruct
+from .networks import DivergedError, reconstruct
 from .phantom import DatasetRecord
 
 
@@ -79,42 +79,12 @@ def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late"):
     return total if tensor_in else float(total.data)
 
 
-def _ssim_graph(mag_hat: Tensor, ref_mag: np.ndarray, window: int = metrics.SSIM_WINDOW,
-                k1: float = metrics.SSIM_K1, k2: float = metrics.SSIM_K2) -> Tensor:
-    h, w = ref_mag.shape
-    if min(h, w) < window:
-        raise TrainingError(f"image smaller than the {window}x{window} SSIM window")
-    p = (window - 1) // 2
-    data_range = float(ref_mag.max())
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    kernel = np.full((1, 1, window, window), 1.0 / (window * window))
-
-    def local_mean(t: Tensor) -> Tensor:
-        m = ad.conv2d(t, ad.constant(kernel), ad.constant(np.zeros(1)))
-        return m[:, p:h - p, p:w - p]
-
-    a = ad.reshape(mag_hat, (1, h, w))
-    b = ref_mag[None, :, :]
-    mu_a = local_mean(a)
-    mu_b = local_mean(ad.constant(b))
-    var_a = ad.sub(local_mean(ad.mul(a, a)), ad.mul(mu_a, mu_a))
-    var_b = ad.sub(local_mean(ad.constant(b * b)), ad.mul(mu_b, mu_b))
-    cov = ad.sub(local_mean(ad.mul(a, ad.constant(b))), ad.mul(mu_a, mu_b))
-
-    num = ad.mul(ad.add(ad.mul(2.0, ad.mul(mu_a, mu_b)), c1), ad.add(ad.mul(2.0, cov), c2))
-    den = ad.mul(ad.add(ad.add(ad.mul(mu_a, mu_a), ad.mul(mu_b, mu_b)), c1),
-                 ad.add(ad.add(var_a, var_b), c2))
-    return ad.reduce_mean(ad.div(num, den))
-
-
 def ssim_loss(x_hat, x_ref):
     """1 - SSIM of magnitude images, differentiable; bounded in [0, 2]."""
     th, tr, tensor_in = _as_tensor_pair(x_hat, x_ref)
     if th.shape != tr.shape:
         raise TrainingError(f"image shapes differ: {th.shape} vs {tr.shape}")
-    ref_mag = np.abs(tr.data).astype(np.float64)
-    out = ad.sub(1.0, _ssim_graph(ad.absolute(th), ref_mag))
+    out = ad.sub(1.0, metrics.ssim_tensor(ad.absolute(th), np.abs(tr.data)))
     return out if tensor_in else float(out.data)
 
 
@@ -182,10 +152,12 @@ def _loss_for(x, estimates, record, cfg: TrainConfig):
 def _train_step(model, record: DatasetRecord, store: ParameterStore, cfg: TrainConfig,
                 cdtype) -> tuple[float, float]:
     rdtype = np.float32 if cdtype == np.complex64 else np.float64
-    tape = Tape()
-    leaves = store.leaves(tape, dtype=rdtype)
-    x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves,
-                                 tape=tape, cdtype=cdtype)
+    leaves = store.leaves(Tape(), dtype=rdtype)
+    try:
+        x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves,
+                                     cdtype=cdtype)
+    except DivergedError:
+        return float("nan"), float("nan")
     loss = _loss_for(x, estimates, record, cfg)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
@@ -205,8 +177,7 @@ def validation_score(model, records: Sequence[DatasetRecord], store: ParameterSt
     losses, ssims = [], []
     for rec in records:
         params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
-        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params, tape=None,
-                                     cdtype=cdtype)
+        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params, cdtype=cdtype)
         loss = _loss_for(x, estimates, rec, cfg)
         losses.append(float(loss.data) if isinstance(loss, Tensor) else float(loss))
         ssims.append(metrics.ssim(np.abs(x.data), np.abs(rec.reference)))
@@ -219,8 +190,9 @@ def train(model, train_records: Sequence[DatasetRecord],
     """Batch-size-1 training, deterministic per seed.
 
     Logs one training and one validation row per epoch; keeps the parameter
-    snapshot with the best validation loss.  A non-finite loss aborts the run
-    and the last good parameters are retained.
+    snapshot with the best validation loss.  A non-finite loss or
+    reconstruction aborts the run before its optimizer step, and
+    `best_values` keeps the last good parameters.
     """
     cfg = cfg or TrainConfig()
     if len(train_records) < 1:
@@ -238,10 +210,8 @@ def train(model, train_records: Sequence[DatasetRecord],
         order = rng.permutation(len(train_records))
         losses, ssims = [], []
         for idx in order:
-            snapshot = store.copy_values()
             loss_val, ssim_val = _train_step(model, train_records[idx], store, cfg, cdtype)
             if not np.isfinite(loss_val):
-                store.load_values(snapshot)
                 result.diverged = True
                 stop = True
                 break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reconkit import phantom, sampling
+from reconkit import phantom, sampling, training
 
 
 def finite_diff(f, arrays, eps=1e-6):
@@ -17,6 +17,18 @@ def finite_diff(f, arrays, eps=1e-6):
             g[idx] = (f(*plus) - f(*minus)) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+def poison_adam_step(monkeypatch, step):
+    """Make training's optimizer leave one weight at inf after step `step`."""
+    inner = training.adam_step
+
+    def poisoned(store, **kwargs):
+        inner(store, **kwargs)
+        if store.step_count == step:
+            store["cascade0.conv1.weight"].value[0] = np.inf
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
 
 
 def rel_error(a, b):

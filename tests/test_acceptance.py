@@ -95,7 +95,7 @@ def test_criterion_2_gradient_oracle(small_record):
 
     tape = ad.Tape()
     leaves = store.leaves(tape)
-    x, ests = model.forward(record.kspace, record.maps, record.mask, leaves, tape=tape)
+    x, ests = model.forward(record.kspace, record.maps, record.mask, leaves)
     loss = cirim_loss(ests, ad.constant(record.reference))
     ad.backward(loss)
     store.zero_grad()

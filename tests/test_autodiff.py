@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconkit import autodiff as ad
-from reconkit import fourier
+from reconkit import fourier, networks, phantom
 
 from conftest import finite_diff, rel_error, random_complex
 
@@ -215,6 +215,18 @@ def _r(*shape):
     return _RNG.standard_normal(shape)
 
 
+def _loglik_case():
+    """The networks' data-fidelity node on a 2-coil 4x4 random-mask problem."""
+    keep = (_RNG.random((4, 4)) < 0.5).astype(float)
+    keep[2, 2] = 1.0
+    ops = networks._Operators(random_complex(_RNG, (2, 4, 4)), phantom.make_coils(2, 4, 4), keep)
+
+    def build(a, b):
+        return ad.reduce_sum(ad.absolute(ad.add(ops.loglik_gradient(ad.make_complex(a, b)), 2.0)))
+
+    return build, [_r(4, 4), _r(4, 4)]
+
+
 OP_CASES = {
     "add": (lambda a, b: ad.reduce_sum(ad.mul(ad.add(a, b), ad.add(a, b))), [_r(4, 4), _r(4, 4)]),
     "sub": (lambda a, b: ad.reduce_sum(ad.mul(ad.sub(a, b), ad.sub(a, b))), [_r(4, 4), _r(4, 4)]),
@@ -250,6 +262,7 @@ OP_CASES = {
                [_r(2, 5, 5), _r(3, 2, 3, 3), _r(3)]),
     "avg_pool2": (lambda a: ad.reduce_sum(ad.mul(ad.avg_pool2(a), ad.avg_pool2(a))), [_r(2, 4, 4)]),
     "upsample2": (lambda a: ad.reduce_sum(ad.mul(ad.upsample2(a), ad.upsample2(a))), [_r(2, 3, 3)]),
+    "linear": _loglik_case(),
 }
 
 

@@ -8,6 +8,8 @@ import pytest
 from reconkit import containers
 from reconkit.cli import main
 
+from conftest import poison_adam_step
+
 
 def run(argv):
     return main(argv)
@@ -99,6 +101,20 @@ class TestPipeline:
         text = report.read_bytes().decode()
         assert text.startswith("id,method,dataset,acc,ssim,psnr_db,cr,wmn,bgn,wa,snr,wall_ms")
         assert "zerofill" in text and "cs" in text and "cirim" in text
+
+    def test_train_divergence_writes_checkpoint(self, workspace, monkeypatch):
+        base, ph, recs, mask = workspace
+        poison_adam_step(monkeypatch, 2)
+        ckpt = base / "diverged.cks"
+        with np.errstate(invalid="ignore", over="ignore"):
+            rc = run(["train", "--model", "cirim", "--data", str(recs), "--epochs", "1",
+                      "--seed", "11", "--out", str(ckpt), "--channels", "4",
+                      "--iterations", "2", "--cascades", "1", "--dtype", "float32"])
+        assert rc == 0
+        _config, values, extra = containers.load_checkpoint(ckpt)
+        assert extra["diverged"] is True
+        assert extra["steps"] == 2
+        assert all(np.isfinite(v).all() for v in values.values())
 
     def test_eval_determinism_and_jobs(self, workspace, tmp_path):
         base, ph, recs, mask = workspace

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from reconkit import autodiff as ad
 from reconkit import mri, networks
 from reconkit.networks import (CascadeConfig, CirimModel, RimCellConfig, UnetConfig,
-                               VarnetModel, build_model, gru_step, indrnn_step,
-                               loglik_gradient, rim_block)
+                               VarnetModel, build_model, gru_step, indrnn_step, rim_block)
 
-from conftest import finite_diff, random_complex, rel_error
+from conftest import finite_diff, rel_error
 
 
 def _gru_params(c_in, channels, fill=0.0):
@@ -85,12 +84,12 @@ class TestLoglikGradient:
         rec = small_record
         x = mri.adjoint_op(rec.kspace, rec.maps, rec.mask)
         y = mri.forward_op(x, rec.maps, rec.mask)
-        g = loglik_gradient(x, y, rec.maps, rec.mask)
+        g = mri.loglik_gradient(x, y, rec.maps, rec.mask)
         assert np.abs(g).max() < 1e-12
 
     def test_zero_image_gives_negative_adjoint(self, small_record):
         rec = small_record
-        g = loglik_gradient(np.zeros(rec.shape, dtype=complex), rec.kspace, rec.maps, rec.mask)
+        g = mri.loglik_gradient(np.zeros(rec.shape, dtype=complex), rec.kspace, rec.maps, rec.mask)
         assert rel_error(g, -mri.adjoint_op(rec.kspace, rec.maps, rec.mask)) < 1e-12
 
     def test_matches_finite_difference_of_half_squared_residual(self, small_record):
@@ -104,16 +103,10 @@ class TestLoglikGradient:
             r = mri.forward_op(x, rec.maps, rec.mask) - rec.kspace
             return 0.5 * float(np.sum(np.abs(r) ** 2))
 
-        g = loglik_gradient(xr + 1j * xi, rec.kspace, rec.maps, rec.mask)
+        g = mri.loglik_gradient(xr + 1j * xi, rec.kspace, rec.maps, rec.mask)
         fd_re, fd_im = finite_diff(objective, [xr, xi], eps=1e-6)
         assert rel_error(g.real, fd_re) < 1e-6
         assert rel_error(g.imag, fd_im) < 1e-6
-
-    def test_scale_passthrough(self, small_record):
-        rec = small_record
-        x = random_complex(np.random.default_rng(5), rec.shape)
-        assert np.allclose(loglik_gradient(x, rec.kspace, rec.maps, rec.mask, scale=2.5),
-                           2.5 * loglik_gradient(x, rec.kspace, rec.maps, rec.mask))
 
 
 def _tiny_cell(unit="indrnn", iterations=2, channels=4):
@@ -196,6 +189,21 @@ class TestCirim:
         assert len(ests) == 3
         assert np.isfinite(x.data).all()
 
+    def test_complex64_pass_stays_single_precision(self, small_record):
+        # SamplingMask.keep is float64: an uncast mask would upcast the whole pass
+        rec = small_record
+        model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, explicit_dc=True,
+                                                       dc_weight_init=0.5), kind="cirim")
+        store = ad.ParameterStore()
+        model.init_params(store, 6)
+        tape = ad.Tape()
+        leaves = store.leaves(tape, dtype=np.float32)
+        x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves, cdtype=np.complex64)
+        dtypes = {out.data.dtype for _op, out, _inputs, _vjp in tape._records}
+        assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
+        assert "linear" in {op for op, *_ in tape._records}
+        assert x.dtype == np.complex64
+
     def test_explicit_dc_trains_dc_weight(self, small_record):
         rec = small_record
         model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=1, explicit_dc=True,
@@ -204,7 +212,7 @@ class TestCirim:
         model.init_params(store, 4)
         tape = ad.Tape()
         leaves = store.leaves(tape)
-        x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves, tape=tape)
+        x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
         ref = ad.constant(rec.reference)
         loss = ad.reduce_mean(ad.absolute(ad.sub(ad.absolute(x), ad.absolute(ref))))
         ad.backward(loss)

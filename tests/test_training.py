@@ -9,7 +9,7 @@ from reconkit.networks import CascadeConfig, RimCellConfig, UnetConfig, build_mo
 from reconkit.training import (TrainConfig, adam_step, cirim_loss, evaluate,
                                iteration_loss_weights, l1_loss, ssim_loss, train)
 
-from conftest import finite_diff, rel_error
+from conftest import finite_diff, poison_adam_step, rel_error
 
 
 def _tiny_records(n, size=16, coils=2, seed=0, sigma=0.02, acc=2.0):
@@ -227,6 +227,15 @@ class TestTrainLoop:
         vals = [row["loss"] for row in result.log if row["split"] == "val"]
         assert min(vals) == pytest.approx(vals[int(np.argmin(vals))])
         assert set(result.best_values) == set(result.store.names())
+
+    def test_divergence_stops_with_last_good_parameters(self, monkeypatch):
+        records = _tiny_records(4, seed=80)
+        poison_adam_step(monkeypatch, 2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = train(_tiny_model(), records, [], epochs=1, seed=6)
+        assert result.diverged
+        assert result.steps == 2
+        assert all(np.isfinite(v).all() for v in result.best_values.values())
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(training.TrainingError):
