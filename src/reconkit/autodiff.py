@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fourier
 
@@ -446,26 +445,14 @@ def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
 # convolution and resampling (real tensors, channels-first)
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    c_in, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))  # (c_in, h, w, k, k)
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c_in * k * k)
-
-
-def _col2im(gcol: np.ndarray, c_in: int, h: int, w: int, k: int, pad: int) -> np.ndarray:
-    gcol = gcol.reshape(h, w, c_in, k, k)
-    gx = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=gcol.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            gx[:, dy:dy + h, dx:dx + w] += gcol[:, :, :, dy, dx].transpose(2, 0, 1)
-    return gx[:, pad:pad + h, pad:pad + w]
-
-
 def conv2d(x, kernel, bias) -> Tensor:
     """Same-size 2D cross-correlation with zero padding.
 
     x: (c_in, h, w), kernel: (c_out, c_in, k, k) with k odd, bias: (c_out,).
+    A sum of k*k GEMMs, one per tap: in the padded image flattened to rows of
+    width wp, tap (dy, dx) reads the slice at dy*wp + dx, and the 2*pad
+    wrap-around columns of each output row are cropped.  An extra zero row
+    at the bottom keeps the last slice in bounds.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -479,21 +466,31 @@ def conv2d(x, kernel, bias) -> Tensor:
         raise GraphError(f"bias must have shape ({c_out},), got {bias.shape}")
     _, h, w = x.shape
     pad = (k - 1) // 2
+    wp = w + 2 * pad
+    n = h * wp
+    xp = np.pad(x.data, ((0, 0), (pad, pad + 1), (pad, pad))).reshape(c_in, -1)
+    wk = kernel.data
+    taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
 
-    col = _im2col(x.data, k, pad)                       # (h*w, c_in*k*k)
-    wmat = kernel.data.reshape(c_out, c_in * k * k)
-    out = col @ wmat.T + bias.data                      # (h*w, c_out)
-    out = out.T.reshape(c_out, h, w)
+    acc = np.broadcast_to(bias.data[:, None], (c_out, n)).astype(np.result_type(xp, wk, bias.data))
+    for dy, dx, o in taps:
+        acc += wk[:, :, dy, dx] @ xp[:, o:o + n]
+    out = acc.reshape(c_out, h, wp)[:, :, :w]
 
     nx, nk, nb = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
     def vjp(g):
-        gmat = g.reshape(c_out, h * w).T                # (h*w, c_out)
+        gfull = np.pad(g, ((0, 0), (0, 0), (0, 2 * pad))).reshape(c_out, n)
         gx = gk = gb = None
         if nx:
-            gx = _col2im(gmat @ wmat, c_in, h, w, k, pad)
+            gxp = np.zeros(xp.shape, dtype=np.result_type(g, wk))
+            for dy, dx, o in taps:
+                gxp[:, o:o + n] += wk[:, :, dy, dx].T @ gfull
+            gx = gxp.reshape(c_in, h + 2 * pad + 1, wp)[:, pad:pad + h, pad:pad + w]
         if nk:
-            gk = (gmat.T @ col).reshape(c_out, c_in, k, k)
+            gk = np.empty(wk.shape, dtype=np.result_type(g, xp))
+            for dy, dx, o in taps:
+                gk[:, :, dy, dx] = gfull @ xp[:, o:o + n].T
         if nb:
             gb = g.sum(axis=(1, 2))
         return (gx, gk, gb)

@@ -168,6 +168,8 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore, cfg: TrainC
     adam_step(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     for name, lo, hi in model.constraints():
         store.clamp(name, lo, hi)
+    if not all(np.isfinite(p.value).all() for _name, p in store.items()):
+        return float("nan"), float("nan")
     ssim_val = metrics.ssim(np.abs(x.data), np.abs(record.reference))
     return loss_val, ssim_val
 
@@ -175,8 +177,8 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore, cfg: TrainC
 def validation_score(model, records: Sequence[DatasetRecord], store: ParameterStore,
                      cfg: TrainConfig, cdtype) -> tuple[float, float]:
     losses, ssims = [], []
+    params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
     for rec in records:
-        params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
         x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params, cdtype=cdtype)
         loss = _loss_for(x, estimates, rec, cfg)
         losses.append(float(loss.data) if isinstance(loss, Tensor) else float(loss))
@@ -190,9 +192,9 @@ def train(model, train_records: Sequence[DatasetRecord],
     """Batch-size-1 training, deterministic per seed.
 
     Logs one training and one validation row per epoch; keeps the parameter
-    snapshot with the best validation loss.  A non-finite loss or
-    reconstruction aborts the run before its optimizer step, and
-    `best_values` keeps the last good parameters.
+    snapshot with the best validation loss.  A non-finite loss,
+    reconstruction or updated parameter ends the run without counting that
+    step, and `best_values` keeps the last good parameters.
     """
     cfg = cfg or TrainConfig()
     if len(train_records) < 1:

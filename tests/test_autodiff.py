@@ -117,18 +117,31 @@ class TestConv2d:
                       ad.constant(np.zeros((1, 1, 2, 2))), ad.constant(np.zeros(1)))
 
     def test_adjoint_identity_via_vjp(self):
+        # conv is linear in x and in the kernel: <conv(x, k), b> = <x, gx> = <k, gk>
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 5, 5))
-        k = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal((3, 5, 5))
+        for ksize, h, w in [(3, 5, 5), (1, 4, 6), (5, 4, 6)]:
+            x = rng.standard_normal((2, h, w))
+            k = rng.standard_normal((3, 2, ksize, ksize))
+            b = rng.standard_normal((3, h, w))
+            tape = ad.Tape()
+            xt, kt = ad.leaf(x, tape), ad.leaf(k, tape)
+            out = ad.conv2d(xt, kt, ad.constant(np.zeros(3)))
+            loss = ad.reduce_sum(ad.mul(out, ad.constant(b)))
+            ad.backward(loss)
+            lhs = np.vdot(out.data, b)
+            assert abs(lhs - np.vdot(x, xt.grad)) / (np.linalg.norm(x) * np.linalg.norm(b)) < 1e-8
+            assert abs(lhs - np.vdot(k, kt.grad)) / (np.linalg.norm(k) * np.linalg.norm(b)) < 1e-8
+
+    def test_float32_stays_single_precision(self):
+        rng = np.random.default_rng(6)
         tape = ad.Tape()
-        xt = ad.leaf(x, tape)
-        out = ad.conv2d(xt, ad.constant(k), ad.constant(np.zeros(3)))
-        loss = ad.reduce_sum(ad.mul(out, ad.constant(b)))
-        ad.backward(loss)
-        lhs = np.vdot(out.data, b)
-        rhs = np.vdot(x, xt.grad)
-        assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(b)) < 1e-8
+        x = ad.leaf(rng.standard_normal((2, 4, 6)).astype(np.float32), tape)
+        k = ad.leaf(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), tape)
+        b = ad.leaf(rng.standard_normal(3).astype(np.float32), tape)
+        out = ad.conv2d(x, k, b)
+        ad.backward(ad.reduce_sum(ad.mul(out, out)))
+        assert out.dtype == np.float32
+        assert x.grad.dtype == k.grad.dtype == b.grad.dtype == np.float32
 
 
 class TestBackwardContracts:
@@ -263,6 +276,12 @@ OP_CASES = {
     "avg_pool2": (lambda a: ad.reduce_sum(ad.mul(ad.avg_pool2(a), ad.avg_pool2(a))), [_r(2, 4, 4)]),
     "upsample2": (lambda a: ad.reduce_sum(ad.mul(ad.upsample2(a), ad.upsample2(a))), [_r(2, 3, 3)]),
     "linear": _loglik_case(),
+    # the 1x1 gates and 5x5 input convolutions the networks run, on a
+    # rectangular image so a wrong row stride cannot cancel out
+    "conv2d_k1": (lambda x, k, b: ad.reduce_sum(ad.mul(ad.conv2d(x, k, b), ad.conv2d(x, k, b))),
+                  [_r(2, 4, 6), _r(3, 2, 1, 1), _r(3)]),
+    "conv2d_k5": (lambda x, k, b: ad.reduce_sum(ad.mul(ad.conv2d(x, k, b), ad.conv2d(x, k, b))),
+                  [_r(2, 4, 6), _r(3, 2, 5, 5), _r(3)]),
 }
 
 

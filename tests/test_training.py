@@ -234,6 +234,16 @@ class TestTrainLoop:
         with np.errstate(invalid="ignore", over="ignore"):
             result = train(_tiny_model(), records, [], epochs=1, seed=6)
         assert result.diverged
+        assert result.steps == 1  # the step that left the inf weight is not counted
+        assert all(np.isfinite(v).all() for v in result.best_values.values())
+
+    @pytest.mark.parametrize("n_val", [0, 1])
+    def test_divergence_on_last_step_of_epoch(self, monkeypatch, n_val):
+        records = _tiny_records(3 + n_val, seed=81)
+        poison_adam_step(monkeypatch, 3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = train(_tiny_model(), records[:3], records[3:], epochs=2, seed=6)
+        assert result.diverged
         assert result.steps == 2
         assert all(np.isfinite(v).all() for v in result.best_values.values())
 
