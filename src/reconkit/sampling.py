@@ -24,6 +24,10 @@ import numpy as np
 from .mri import SamplingMask
 
 _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
+# candidate-offset pairs one Poisson-disc window tests at once, which bounds
+# its memory; larger windows test more candidates an earlier window would
+# have rejected, smaller ones take more Python steps
+_PAIRS_PER_WINDOW = 1 << 15
 
 
 class MaskBudgetError(ValueError):
@@ -126,40 +130,92 @@ def equidistant1d_mask(h: int, w: int, acceleration: int = 4, center_frac: float
 
 def _poisson_disc_select(h: int, w: int, scale: float, radius_offset: float,
                          acs: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Greedy dart throwing over a fixed candidate order.
+    """Greedy dart throwing over a fixed candidate order, decided in rounds.
 
-    A candidate p is kept when every already-kept point q (outside the ACS)
-    satisfies dist(p, q) >= min(r(p), r(q)) with r(p) = scale*(offset + d(p))
-    and d the distance to the k-space center normalized by half the diagonal.
+    Points p and q outside the ACS conflict when their squared distance is
+    below min(r(p), r(q))**2, with r(p) = scale*(offset + d(p)) and d the
+    distance to the k-space center normalized by half the diagonal. Dart
+    throwing visits the candidates in ``order`` and keeps p unless an earlier
+    kept point conflicts with it, so its result is the lexicographically
+    first maximal independent set of this fixed, symmetric conflict graph.
+
+    The same set is computed here without a step per candidate. The order is
+    cut into windows of consecutive candidates. Within a window, every open
+    (not yet rejected) candidate tests all grid offsets at once for
+    conflicts with earlier open candidates, which all lie in that window.
+    Then, in rounds, an undecided candidate with no undecided or kept
+    earlier neighbour is kept, and a candidate with a kept earlier
+    neighbour is rejected. Decisions are final and match the greedy ones:
+    a point is kept exactly when all its earlier neighbours were rejected.
+    Last, the window's kept points reject their neighbours in later windows.
+    Small windows bound the memory, and in a sparse mask most candidates are
+    rejected before their window tests them.
+
+    Radii must be non-negative: a conflict then implies |dy|, |dx| < r, so
+    offsets up to int(max r) per axis find every one, as the greedy
+    window of int(r(p)) + 1 around p does.
     """
     dy, dx = _center_offsets(h, w)
     half_diag = 0.5 * np.hypot(h, w)
-    dist_norm = np.hypot(dy, dx) / half_diag
-    radius = scale * (radius_offset + dist_norm)
+    radius = scale * (radius_offset + np.hypot(dy, dx) / half_diag)
+    rmax = radius[~acs].max(initial=0.0)
 
-    placed = np.zeros((h, w), dtype=bool)       # kept points outside the ACS
-    kept_r = np.zeros((h, w))
-    ys, xs = np.divmod(order, w)
-    acs_flat = acs.ravel()
-    rad_flat = radius.ravel()
-    for idx, py, px in zip(order, ys, xs):
-        if acs_flat[idx]:
+    # the offsets a conflict can span, as index shifts on a grid padded by
+    # as much; padding has radius 0 and so conflicts with nothing
+    my, mx = min(int(rmax), h - 1), min(int(rmax), w - 1)
+    oy, ox = np.mgrid[-my:my + 1, -mx:mx + 1]
+    d2 = oy * oy + ox * ox
+    near = (d2 > 0) & (d2 < rmax * rmax)
+    wp = w + 2 * mx
+    shift, d2 = (oy * wp + ox)[near], d2[near]
+    inner = np.s_[my:my + h, mx:mx + w]
+    rad = np.zeros((h + 2 * my, wp))
+    rad[inner] = radius
+    at = np.arange(rad.size).reshape(rad.shape)[inner].ravel()[order]    # by rank
+    # rank of each open candidate; h*w, above every rank, once decided
+    closed = h * w
+    open_rank = np.full(rad.size, closed)
+    open_rank[at] = np.arange(h * w)
+    open_rank[at[acs.ravel()[order]]] = closed
+    rad = rad.ravel()
+
+    def conflicts(p):
+        q = p[:, None] + shift
+        rmin = np.minimum(rad[p][:, None], rad[q])
+        return q, d2 < rmin * rmin
+
+    kept = np.zeros(h * w, dtype=bool)        # by rank
+    step = max(1, _PAIRS_PER_WINDOW // max(1, shift.size))
+    for lo in range(0, h * w, step):
+        p = at[lo:lo + step]
+        decided = open_rank[p] == closed
+        if decided.all():
             continue
-        rp = rad_flat[idx]
-        win = int(rp) + 1
-        y0, y1 = max(0, py - win), min(h, py + win + 1)
-        x0, x1 = max(0, px - win), min(w, px + win + 1)
-        sub = placed[y0:y1, x0:x1]
-        if sub.any():
-            qy, qx = np.nonzero(sub)
-            d2 = (qy + y0 - py) ** 2 + (qx + x0 - px) ** 2
-            rq = kept_r[y0:y1, x0:x1][qy, qx]
-            rmin = np.minimum(rp, rq)
-            if np.any(d2 < rmin * rmin):
-                continue
-        placed[py, px] = True
-        kept_r[py, px] = rp
-    return placed | acs
+        cand = np.flatnonzero(~decided)
+        q, hit = conflicts(p[cand])
+        rq = open_rank[q]
+        hit &= rq < (lo + cand)[:, None]          # q open and earlier than p
+        # edges from earlier to later open candidate, as window positions
+        src, dst = rq[hit] - lo, np.repeat(cand, hit.sum(axis=1))
+        keep = np.zeros(p.size, dtype=bool)
+        while src.size:
+            blocked = np.zeros(p.size, dtype=bool)
+            blocked[dst] = True
+            new = ~decided & ~blocked
+            keep |= new
+            decided |= new
+            decided[dst[new[src]]] = True
+            live = ~(decided[src] | decided[dst])
+            src, dst = src[live], dst[live]
+        keep |= ~decided
+        kept[lo:lo + step] = keep
+        open_rank[p] = closed
+        q, hit = conflicts(p[keep])
+        open_rank[q[hit]] = closed
+
+    out = np.zeros(h * w, dtype=bool)
+    out[order] = kept
+    return out.reshape(h, w) | acs
 
 
 def _poisson_scale_estimate(h: int, w: int, radius_offset: float, target: float) -> float:
@@ -174,8 +230,16 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
                    seed: int = 0, radius_offset: float = 0.05, tol: float = 0.05,
                    max_bisections: int = 50) -> SamplingMask:
     """Variable-density Poisson-disc mask calibrated to the target density."""
+    if h < 1 or w < 1:
+        raise ValueError(f"h and w must be at least 1, got size {h}x{w}")
     if acceleration <= 1:
         raise ValueError(f"acceleration must exceed 1, got {acceleration}")
+    if not 0 <= acs_frac < 1:
+        raise ValueError(f"acs_frac must be in [0, 1), got {acs_frac}")
+    if not radius_offset > 0:
+        raise ValueError(f"radius_offset must be positive, got {radius_offset}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     acs = acs_ellipse(h, w, acs_frac)
     target = h * w / acceleration

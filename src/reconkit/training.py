@@ -194,7 +194,8 @@ def train(model, train_records: Sequence[DatasetRecord],
     Logs one training and one validation row per epoch; keeps the parameter
     snapshot with the best validation loss.  A non-finite loss,
     reconstruction or updated parameter ends the run without counting that
-    step, and `best_values` keeps the last good parameters.
+    step; `best_values` keeps the last good parameters, and `store` is reset
+    to them.
     """
     cfg = cfg or TrainConfig()
     if len(train_records) < 1:
@@ -237,6 +238,8 @@ def train(model, train_records: Sequence[DatasetRecord],
             result.best_values = store.copy_values()
         if stop:
             break
+    if result.diverged:
+        store.load_values(result.best_values)
     return result
 
 

@@ -59,6 +59,14 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_empty_poisson_grid_names_size(self, tmp_path, capsys):
+        rc = run(["mask", "gen", "--kind", "poisson2d", "--size", "0x64",
+                  "--out", str(tmp_path / "m.cks")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        assert "size 0x64" in err
+
 
 class TestPipeline:
     @pytest.fixture()

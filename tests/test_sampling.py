@@ -89,6 +89,38 @@ class TestEquidistant1d:
             sampling.equidistant1d_mask(8, 16, center_frac=1.0)
 
 
+def _reference_select(h, w, scale, radius_offset, acs, order):
+    """Per-candidate dart throwing: the plain loop `_poisson_disc_select` must match."""
+    dy, dx = sampling._center_offsets(h, w)
+    half_diag = 0.5 * np.hypot(h, w)
+    dist_norm = np.hypot(dy, dx) / half_diag
+    radius = scale * (radius_offset + dist_norm)
+
+    placed = np.zeros((h, w), dtype=bool)       # kept points outside the ACS
+    kept_r = np.zeros((h, w))
+    ys, xs = np.divmod(order, w)
+    acs_flat = acs.ravel()
+    rad_flat = radius.ravel()
+    for idx, py, px in zip(order, ys, xs):
+        if acs_flat[idx]:
+            continue
+        rp = rad_flat[idx]
+        win = int(rp) + 1
+        y0, y1 = max(0, py - win), min(h, py + win + 1)
+        x0, x1 = max(0, px - win), min(w, px + win + 1)
+        sub = placed[y0:y1, x0:x1]
+        if sub.any():
+            qy, qx = np.nonzero(sub)
+            d2 = (qy + y0 - py) ** 2 + (qx + x0 - px) ** 2
+            rq = kept_r[y0:y1, x0:x1][qy, qx]
+            rmin = np.minimum(rp, rq)
+            if np.any(d2 < rmin * rmin):
+                continue
+        placed[py, px] = True
+        kept_r[py, px] = rp
+    return placed | acs
+
+
 @pytest.fixture(scope="module")
 def mask224():
     return sampling.poisson2d_mask(224, 224, acceleration=7.5, seed=0)
@@ -138,6 +170,57 @@ class TestPoisson2d:
     def test_invalid_acceleration(self):
         with pytest.raises(ValueError):
             sampling.poisson2d_mask(32, 32, acceleration=1.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"h": 0}, "h and w"),
+        ({"w": 0}, "h and w"),
+        ({"h": -3}, "h and w"),
+        ({"acs_frac": -0.5}, "acs_frac"),
+        ({"acs_frac": 1.0}, "acs_frac"),
+        ({"radius_offset": 0.0}, "radius_offset"),
+        ({"radius_offset": -0.5}, "radius_offset"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1.0}, "tol"),
+    ])
+    def test_invalid_arguments_named(self, kwargs, name):
+        args = {"h": 32, "w": 32, "acceleration": 4.0, **kwargs}
+        with pytest.raises(ValueError, match=name) as err:
+            sampling.poisson2d_mask(**args)
+        assert not isinstance(err.value, sampling.MaskBudgetError)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 2.0, "beyond_grid"])
+    @pytest.mark.parametrize("acs_frac", [0.0, 0.02])
+    @pytest.mark.parametrize("h, w", [(64, 64), (48, 80), (31, 17)])
+    def test_select_matches_reference_loop(self, h, w, acs_frac, scale, seed):
+        # scales relative to the packing estimate at 4x, and one whose radius
+        # exceeds the grid, so every offset the grid can hold is in reach
+        est = sampling._poisson_scale_estimate(h, w, 0.05, h * w / 4.0)
+        s = 2.0 * max(h, w) if scale == "beyond_grid" else scale * est
+        acs = sampling.acs_ellipse(h, w, acs_frac)
+        order = np.random.default_rng(seed).permutation(h * w)
+        got = sampling._poisson_disc_select(h, w, s, 0.05, acs, order)
+        want = _reference_select(h, w, s, 0.05, acs, order)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pairs", [1, 50, 2**40])
+    def test_select_independent_of_window_size(self, pairs, monkeypatch):
+        # one candidate per window, a few, and the whole order in one window
+        h, w = 48, 80
+        acs = sampling.acs_ellipse(h, w, 0.02)
+        order = np.random.default_rng(4).permutation(h * w)
+        s = sampling._poisson_scale_estimate(h, w, 0.05, h * w / 4.0)
+        want = _reference_select(h, w, s, 0.05, acs, order)
+        monkeypatch.setattr(sampling, "_PAIRS_PER_WINDOW", pairs)
+        assert np.array_equal(sampling._poisson_disc_select(h, w, s, 0.05, acs, order), want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mask_matches_reference_loop(self, seed, monkeypatch):
+        got = sampling.poisson2d_mask(64, 64, 4.0, seed=seed)
+        monkeypatch.setattr(sampling, "_poisson_disc_select", _reference_select)
+        want = sampling.poisson2d_mask(64, 64, 4.0, seed=seed)
+        assert np.array_equal(got.keep, want.keep)
+        assert got.extra == want.extra
 
 
 class TestMaskReport:

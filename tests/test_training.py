@@ -183,6 +183,15 @@ class TestAdam:
         assert np.abs(store["p"].value - target).max() < 1e-3
 
 
+def _assert_store_holds_best_values(result):
+    """After a divergence both the snapshot and the store are the last good values."""
+    assert all(np.isfinite(v).all() for v in result.best_values.values())
+    assert set(result.store.names()) == set(result.best_values)
+    for name, p in result.store.items():
+        assert np.isfinite(p.value).all(), name
+        assert np.array_equal(p.value, result.best_values[name]), name
+
+
 class TestTrainLoop:
     def test_zero_epochs_initial_checkpoint_empty_log(self):
         records = _tiny_records(2)
@@ -235,7 +244,7 @@ class TestTrainLoop:
             result = train(_tiny_model(), records, [], epochs=1, seed=6)
         assert result.diverged
         assert result.steps == 1  # the step that left the inf weight is not counted
-        assert all(np.isfinite(v).all() for v in result.best_values.values())
+        _assert_store_holds_best_values(result)
 
     @pytest.mark.parametrize("n_val", [0, 1])
     def test_divergence_on_last_step_of_epoch(self, monkeypatch, n_val):
@@ -245,7 +254,7 @@ class TestTrainLoop:
             result = train(_tiny_model(), records[:3], records[3:], epochs=2, seed=6)
         assert result.diverged
         assert result.steps == 2
-        assert all(np.isfinite(v).all() for v in result.best_values.values())
+        _assert_store_holds_best_values(result)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(training.TrainingError):
