@@ -8,9 +8,10 @@ node z = a + ib the accumulated gradient is dL/da + i*dL/db, which is exactly
 what gradient descent on the underlying real parametrization needs.
 
 The op vocabulary is the fixed set the reconstruction networks use
-(elementwise arithmetic, activations, complex pack/unpack, centered FFTs,
-2D convolution, 2x pooling/upsampling, reductions, concat/slice/reshape) plus
-``linear``, one node for any numpy linear operator given with its adjoint.
+(elementwise arithmetic, activations, complex pack/unpack, 2D convolution,
+2x pooling/upsampling, reductions, concat/slice/reshape) plus ``linear``, one
+node for any numpy linear operator given with its adjoint; the Fourier
+transforms reach the tape only inside ``linear``.
 There is no broadcasting beyond channel/bias expansion, no graph compiler and
 no higher-order derivatives.  Tensors are value-semantic; a tape is
 single-threaded while recording and during backward.
@@ -21,8 +22,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from . import fourier
 
 
 class GraphError(ValueError):
@@ -73,9 +72,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return self.data.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -111,10 +107,8 @@ class Tensor:
         return getitem(self, idx)
 
 
-def astensor(x, tape: Tape | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x), tape=None, requires_grad=False)
+def astensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def constant(x) -> Tensor:
@@ -275,15 +269,6 @@ def make_complex(re, im) -> Tensor:
     return _apply("make_complex", (re, im), re.data + 1j * im.data, vjp)
 
 
-def conjugate(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        return (np.conjugate(g),)
-
-    return _apply("conj", (a,), np.conjugate(a.data), vjp)
-
-
 def absolute(a) -> Tensor:
     a = astensor(a)
     ad = a.data
@@ -404,27 +389,8 @@ def reshape(a, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# spectral ops
+# linear operators
 # ---------------------------------------------------------------------------
-
-def fft2c(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        # unitary operator: adjoint is the inverse transform
-        return (fourier.ifft2c(g),)
-
-    return _apply("fft2c", (a,), fourier.fft2c(a.data), vjp)
-
-
-def ifft2c(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        return (fourier.fft2c(g),)
-
-    return _apply("ifft2c", (a,), fourier.ifft2c(a.data), vjp)
-
 
 def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
     """One node for a linear (or affine) map: out = apply(x.data), VJP = adjoint(g).
@@ -530,14 +496,13 @@ def upsample2(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class Parameter:
-    """One named trainable array plus its gradient and optimizer state."""
+    """One named trainable array plus its optimizer state."""
 
-    __slots__ = ("name", "value", "grad", "m", "v")
+    __slots__ = ("name", "value", "m", "v")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.array(value)
-        self.grad = np.zeros_like(self.value)
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
@@ -548,7 +513,6 @@ class ParameterStore:
     def __init__(self) -> None:
         self._entries: dict[str, Parameter] = {}
         self.step_count = 0
-        self._grads_ready = False
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._entries:
@@ -577,11 +541,6 @@ class ParameterStore:
     def n_parameters(self) -> int:
         return sum(p.value.size for p in self._entries.values())
 
-    def zero_grad(self) -> None:
-        for p in self._entries.values():
-            p.grad = np.zeros_like(p.value)
-        self._grads_ready = False
-
     def leaves(self, tape: Tape, dtype=None) -> dict[str, Tensor]:
         """Fresh leaf tensors for one forward/backward pass."""
         out = {}
@@ -597,18 +556,6 @@ class ParameterStore:
             v = p.value if dtype is None else p.value.astype(dtype, copy=False)
             out[name] = constant(v)
         return out
-
-    def collect(self, leaves: dict[str, Tensor]) -> None:
-        """Accumulate leaf gradients (after backward) into the store."""
-        for name, t in leaves.items():
-            if t.grad is not None:
-                self._entries[name].grad = self._entries[name].grad + t.grad.astype(
-                    self._entries[name].grad.dtype, copy=False
-                )
-        self._grads_ready = True
-
-    def grads_ready(self) -> bool:
-        return self._grads_ready
 
     def clamp(self, name: str, lo: float, hi: float) -> None:
         p = self._entries[name]

@@ -62,8 +62,6 @@ def _canonical(arr: np.ndarray) -> tuple[np.ndarray, str]:
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         return arr.astype("<c8"), "complex64"
-    if arr.dtype == np.bool_:
-        return arr.astype("<f4"), "float32"
     return arr.astype("<f4"), "float32"
 
 
@@ -129,14 +127,28 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
 # typed wrappers
 # ---------------------------------------------------------------------------
 
+def _mask_meta(mask: SamplingMask) -> dict:
+    return {
+        "kind": mask.kind,
+        "requested_acceleration": mask.requested_acceleration,
+        "seed": mask.seed,
+        "extra": mask.extra,
+    }
+
+
+def _mask_from(keep: np.ndarray, meta: dict) -> SamplingMask:
+    return SamplingMask(
+        keep.astype(np.float64),
+        kind=meta.get("kind", "full"),
+        requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
+        seed=int(meta.get("seed", 0)),
+        extra=meta.get("extra", {}),
+    )
+
+
 def write_record(path, record: DatasetRecord) -> None:
     meta = dict(record.meta)
-    meta["mask"] = {
-        "kind": record.mask.kind,
-        "requested_acceleration": record.mask.requested_acceleration,
-        "seed": record.mask.seed,
-        "extra": record.mask.extra,
-    }
+    meta["mask"] = _mask_meta(record.mask)
     arrays = {
         "reference": record.reference,
         "maps": record.maps,
@@ -152,14 +164,7 @@ def read_record(path) -> DatasetRecord:
     kind, meta, arrays = read_container(path)
     if kind != "record":
         raise FormatError(f"expected a record container, got kind {kind!r}")
-    mmeta = meta.pop("mask", {})
-    mask = SamplingMask(
-        arrays["mask_keep"].astype(np.float64),
-        kind=mmeta.get("kind", "full"),
-        requested_acceleration=float(mmeta.get("requested_acceleration", 1.0)),
-        seed=int(mmeta.get("seed", 0)),
-        extra=mmeta.get("extra", {}),
-    )
+    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}))
     return DatasetRecord(
         reference=arrays["reference"].astype(np.complex128),
         maps=arrays["maps"].astype(np.complex128),
@@ -172,26 +177,14 @@ def read_record(path) -> DatasetRecord:
 
 
 def write_mask(path, mask: SamplingMask) -> None:
-    meta = {
-        "kind": mask.kind,
-        "requested_acceleration": mask.requested_acceleration,
-        "seed": mask.seed,
-        "extra": mask.extra,
-    }
-    write_container(path, "mask", meta, {"keep": mask.keep})
+    write_container(path, "mask", _mask_meta(mask), {"keep": mask.keep})
 
 
 def read_mask(path) -> SamplingMask:
     kind, meta, arrays = read_container(path)
     if kind != "mask":
         raise FormatError(f"expected a mask container, got kind {kind!r}")
-    return SamplingMask(
-        arrays["keep"].astype(np.float64),
-        kind=meta.get("kind", "full"),
-        requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
-        seed=int(meta.get("seed", 0)),
-        extra=meta.get("extra", {}),
-    )
+    return _mask_from(arrays["keep"], meta)
 
 
 def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray,

@@ -56,9 +56,6 @@ class SamplingMask:
     def achieved_acceleration(self) -> float:
         return self.keep.size / self.n_kept
 
-    def as_float(self, dtype=np.float64) -> np.ndarray:
-        return self.keep.astype(dtype)
-
 
 def _mask_array(mask) -> np.ndarray:
     if isinstance(mask, SamplingMask):

@@ -29,7 +29,7 @@ from .autodiff import ParameterStore, Tensor
 
 
 class DivergedError(RuntimeError):
-    """The unrolled reconstruction produced non-finite values."""
+    """The unrolled reconstruction or a training step produced non-finite values."""
 
 
 class ConfigError(ValueError):
@@ -78,14 +78,19 @@ class UnetConfig:
 # graph-building helpers
 # ---------------------------------------------------------------------------
 
+def _real_dtype(params) -> np.dtype:
+    """A forward pass runs in the real dtype of the parameters it is given."""
+    return np.result_type(*(t.dtype for t in params.values()))
+
+
 class _Operators:
     """Measurements, maps and mask of one forward pass, cast to its dtype."""
 
-    def __init__(self, y: np.ndarray, maps: np.ndarray, mask, cdtype=np.complex128):
-        rdtype = np.float32 if cdtype == np.complex64 else np.float64
-        self.y = np.asarray(y).astype(cdtype)
-        self.maps = np.asarray(maps).astype(cdtype)
-        self.mask = mri._mask_array(mask).astype(rdtype)
+    def __init__(self, y: np.ndarray, maps: np.ndarray, mask, rdtype=np.float64):
+        self.rdtype = np.dtype(rdtype)
+        self.y = np.asarray(y).astype(np.result_type(self.rdtype, np.complex64))
+        self.maps = np.asarray(maps).astype(self.y.dtype)
+        self.mask = mri._mask_array(mask).astype(self.rdtype)
         self.h, self.w = self.mask.shape
 
     def zero_filled(self) -> Tensor:
@@ -228,13 +233,12 @@ class CirimModel:
             out.append((f"{p}unit2.recurrent", -1.0, 1.0))
         return out
 
-    def forward(self, y, maps, mask, params, cdtype=np.complex128):
-        ops = _Operators(y, maps, mask, cdtype=cdtype)
-        rdtype = np.float32 if cdtype == np.complex64 else np.float64
+    def forward(self, y, maps, mask, params):
+        ops = _Operators(y, maps, mask, _real_dtype(params))
         x = ops.zero_filled()
         all_estimates = []
         for k in range(self.cascade.n_cascades):
-            hidden = zero_hidden(self.cell, ops.h, ops.w, rdtype)
+            hidden = zero_hidden(self.cell, ops.h, ops.w, ops.rdtype)
             x, _, estimates = rim_block(x, hidden, ops, params, self.cell, self._prefix(k))
             if self.cascade.explicit_dc:
                 x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
@@ -320,8 +324,8 @@ class VarnetModel:
     def constraints(self) -> list[tuple[str, float, float]]:
         return []
 
-    def forward(self, y, maps, mask, params, cdtype=np.complex128):
-        ops = _Operators(y, maps, mask, cdtype=cdtype)
+    def forward(self, y, maps, mask, params):
+        ops = _Operators(y, maps, mask, _real_dtype(params))
         h, w = ops.h, ops.w
         x = ops.zero_filled()
         for k in range(self.cascade.n_cascades):
@@ -372,8 +376,7 @@ def model_from_config(config: dict):
     return build_model(kind, cell=cell, cascade=cascade, unet=unet)
 
 
-def reconstruct(model, store: ParameterStore, record, cdtype=np.complex128) -> np.ndarray:
+def reconstruct(model, store: ParameterStore, record) -> np.ndarray:
     """Seeded inference on a dataset record with frozen parameters."""
-    params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
-    x, _ = model.forward(record.kspace, record.maps, record.mask, params, cdtype=cdtype)
+    x, _ = model.forward(record.kspace, record.maps, record.mask, store.frozen())
     return x.data

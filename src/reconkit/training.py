@@ -92,20 +92,26 @@ def ssim_loss(x_hat, x_ref):
 # ADAM
 # ---------------------------------------------------------------------------
 
-def adam_step(store: ParameterStore, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected ADAM update over every parameter in the store."""
-    if not store.grads_ready():
-        raise TrainingError("gradients not populated; run backward and collect first")
+def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float = 1e-3,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected ADAM update over every parameter in the store.
+
+    `grads` maps every parameter name to the leaf tensor whose gradient
+    `backward` filled; a leaf with no gradient counts as a zero gradient.
+    """
+    missing = [name for name in store.names() if name not in grads]
+    if missing:
+        raise TrainingError(f"no gradient leaf for parameter(s) {missing}")
     store.step_count += 1
     t = store.step_count
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for _name, p in store.items():
+    for name, p in store.items():
         if p.m is None:
             p.m = np.zeros_like(p.value)
             p.v = np.zeros_like(p.value)
-        g = p.grad
+        g = grads[name].grad
+        g = np.zeros_like(p.value) if g is None else g.astype(p.value.dtype, copy=False)
         p.m = beta1 * p.m + (1.0 - beta1) * g
         p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
         m_hat = p.m / bc1
@@ -124,9 +130,24 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     loss: str = "cirim"              # "l1" | "cirim" | "ssim"
-    weight_orientation: str = "late"
+    weight_orientation: str = "late"  # "late" | "early"
     dtype: str = "float64"           # "float32" trains faster at desk scale
     max_steps: int | None = None
+
+
+_CONFIG_CHOICES = {"loss": ("l1", "cirim", "ssim"),
+                   "weight_orientation": ("late", "early"),
+                   "dtype": ("float32", "float64")}
+
+
+def _check_config(cfg: TrainConfig) -> None:
+    for name, choices in _CONFIG_CHOICES.items():
+        value = getattr(cfg, name)
+        if value not in choices:
+            raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
+    if cfg.max_steps is not None and cfg.max_steps < 1:
+        raise TrainingError(
+            f"TrainConfig.max_steps must be None or at least 1, got {cfg.max_steps}")
 
 
 @dataclass
@@ -144,44 +165,36 @@ def _loss_for(x, estimates, record, cfg: TrainConfig):
         return l1_loss(x, ref)
     if cfg.loss == "ssim":
         return ssim_loss(x, ref)
-    if cfg.loss == "cirim":
-        return cirim_loss(estimates, ref, orientation=cfg.weight_orientation)
-    raise TrainingError(f"unknown loss {cfg.loss!r}")
+    return cirim_loss(estimates, ref, orientation=cfg.weight_orientation)
 
 
-def _train_step(model, record: DatasetRecord, store: ParameterStore, cfg: TrainConfig,
-                cdtype) -> tuple[float, float]:
-    rdtype = np.float32 if cdtype == np.complex64 else np.float64
-    leaves = store.leaves(Tape(), dtype=rdtype)
-    try:
-        x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves,
-                                     cdtype=cdtype)
-    except DivergedError:
-        return float("nan"), float("nan")
+def _train_step(model, record: DatasetRecord, store: ParameterStore,
+                cfg: TrainConfig) -> tuple[float, float]:
+    """One forward/backward/ADAM step; raises DivergedError instead of taking a bad one."""
+    leaves = store.leaves(Tape(), dtype=cfg.dtype)
+    x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves)
     loss = _loss_for(x, estimates, record, cfg)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
-        return loss_val, float("nan")
+        raise DivergedError(f"non-finite loss {loss_val}")
     ad.backward(loss)
-    store.zero_grad()
-    store.collect(leaves)
-    adam_step(store, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam_step(store, grads=leaves, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     for name, lo, hi in model.constraints():
         store.clamp(name, lo, hi)
-    if not all(np.isfinite(p.value).all() for _name, p in store.items()):
-        return float("nan"), float("nan")
+    for name, p in store.items():
+        if not np.isfinite(p.value).all():
+            raise DivergedError(f"parameter {name} is non-finite after the optimizer step")
     ssim_val = metrics.ssim(np.abs(x.data), np.abs(record.reference))
     return loss_val, ssim_val
 
 
 def validation_score(model, records: Sequence[DatasetRecord], store: ParameterStore,
-                     cfg: TrainConfig, cdtype) -> tuple[float, float]:
+                     cfg: TrainConfig) -> tuple[float, float]:
     losses, ssims = [], []
-    params = store.frozen(dtype=np.float32 if cdtype == np.complex64 else np.float64)
+    params = store.frozen(dtype=cfg.dtype)
     for rec in records:
-        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params, cdtype=cdtype)
-        loss = _loss_for(x, estimates, rec, cfg)
-        losses.append(float(loss.data) if isinstance(loss, Tensor) else float(loss))
+        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params)
+        losses.append(float(_loss_for(x, estimates, rec, cfg).data))
         ssims.append(metrics.ssim(np.abs(x.data), np.abs(rec.reference)))
     return float(np.mean(losses)), float(np.mean(ssims))
 
@@ -192,53 +205,52 @@ def train(model, train_records: Sequence[DatasetRecord],
     """Batch-size-1 training, deterministic per seed.
 
     Logs one training and one validation row per epoch; keeps the parameter
-    snapshot with the best validation loss.  A non-finite loss,
-    reconstruction or updated parameter ends the run without counting that
-    step; `best_values` keeps the last good parameters, and `store` is reset
-    to them.
+    snapshot with the best validation loss.  A DivergedError ends the run:
+    from a step (non-finite reconstruction, loss or updated parameter; that
+    step is not counted) or from the validation pass.  `best_values` keeps
+    the last good parameters, and `store` is reset to them.
     """
     cfg = cfg or TrainConfig()
+    _check_config(cfg)
     if len(train_records) < 1:
         raise TrainingError("need at least one training record")
-    cdtype = np.complex64 if cfg.dtype == "float32" else np.complex128
 
     store = ParameterStore()
     model.init_params(store, seed)
     result = TrainResult(store=store, best_values=store.copy_values())
     best_val = np.inf
     rng = np.random.default_rng(seed)
-    stop = False
 
-    for epoch in range(epochs):
-        order = rng.permutation(len(train_records))
-        losses, ssims = [], []
-        for idx in order:
-            loss_val, ssim_val = _train_step(model, train_records[idx], store, cfg, cdtype)
-            if not np.isfinite(loss_val):
-                result.diverged = True
-                stop = True
-                break
-            losses.append(loss_val)
-            ssims.append(ssim_val)
-            result.steps += 1
-            if cfg.max_steps is not None and result.steps >= cfg.max_steps:
-                stop = True
-                break
-        if losses:
-            result.log.append({"epoch": epoch, "split": "train",
-                               "loss": float(np.mean(losses)), "ssim": float(np.mean(ssims))})
-        if val_records and not result.diverged:
-            val_loss, val_ssim = validation_score(model, val_records, store, cfg, cdtype)
-            result.log.append({"epoch": epoch, "split": "val",
-                               "loss": val_loss, "ssim": val_ssim})
-            if val_loss < best_val:
-                best_val = val_loss
+    try:
+        for epoch in range(epochs):
+            order = rng.permutation(len(train_records))
+            if cfg.max_steps is not None:
+                order = order[:cfg.max_steps - result.steps]
+            losses, ssims = [], []
+            try:
+                for idx in order:
+                    loss_val, ssim_val = _train_step(model, train_records[idx], store, cfg)
+                    losses.append(loss_val)
+                    ssims.append(ssim_val)
+                    result.steps += 1
+            finally:  # a diverged epoch still logs the steps it took
+                if losses:
+                    result.log.append({"epoch": epoch, "split": "train",
+                                       "loss": float(np.mean(losses)),
+                                       "ssim": float(np.mean(ssims))})
+            if val_records:
+                val_loss, val_ssim = validation_score(model, val_records, store, cfg)
+                result.log.append({"epoch": epoch, "split": "val",
+                                   "loss": val_loss, "ssim": val_ssim})
+                if val_loss < best_val:
+                    best_val = val_loss
+                    result.best_values = store.copy_values()
+            else:
                 result.best_values = store.copy_values()
-        elif not result.diverged:
-            result.best_values = store.copy_values()
-        if stop:
-            break
-    if result.diverged:
+            if cfg.max_steps is not None and result.steps >= cfg.max_steps:
+                break
+    except DivergedError:
+        result.diverged = True
         store.load_values(result.best_values)
     return result
 

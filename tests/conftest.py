@@ -19,14 +19,14 @@ def finite_diff(f, arrays, eps=1e-6):
     return grads
 
 
-def poison_adam_step(monkeypatch, step):
-    """Make training's optimizer leave one weight at inf after step `step`."""
+def poison_adam_step(monkeypatch, step, value=np.inf):
+    """Make training's optimizer leave one weight at `value` after step `step`."""
     inner = training.adam_step
 
     def poisoned(store, **kwargs):
         inner(store, **kwargs)
         if store.step_count == step:
-            store["cascade0.conv1.weight"].value[0] = np.inf
+            store["cascade0.conv1.weight"].value[0] = value
 
     monkeypatch.setattr(training, "adam_step", poisoned)
 

@@ -249,10 +249,9 @@ OP_CASES = {
                       [_r(3, 1, 1), _r(3, 4, 4)]),
     "div": (lambda a, b: ad.reduce_sum(ad.div(a, ad.add(ad.mul(b, b), 1.0))), [_r(4, 4), _r(4, 4)]),
     "real_imag_complex": (lambda a, b: ad.reduce_sum(ad.add(
-        ad.mul(ad.real(ad.fft2c(ad.make_complex(a, b))), 2.0),
-        ad.imag(ad.fft2c(ad.make_complex(a, b))))), [_r(4, 4), _r(4, 4)]),
-    "conjugate": (lambda a, b: ad.reduce_sum(ad.real(
-        ad.mul(ad.conjugate(ad.make_complex(a, b)), ad.make_complex(a, b)))), [_r(3, 3), _r(3, 3)]),
+        ad.mul(ad.real(ad.linear(ad.make_complex(a, b), fourier.fft2c, fourier.ifft2c)), 2.0),
+        ad.imag(ad.linear(ad.make_complex(a, b), fourier.fft2c, fourier.ifft2c)))),
+        [_r(4, 4), _r(4, 4)]),
     "absolute_complex": (lambda a, b: ad.reduce_sum(ad.absolute(
         ad.add(ad.make_complex(a, b), 3.0))), [_r(4, 4), _r(4, 4)]),
     "absolute_real": (lambda a: ad.reduce_sum(ad.absolute(ad.add(a, 4.0))), [_r(4, 4)]),
@@ -267,10 +266,6 @@ OP_CASES = {
                                                  ad.concat([b, a], axis=0))), [_r(2, 3), _r(2, 3)]),
     "getitem": (lambda a: ad.reduce_sum(ad.mul(a[1:3, :2], a[1:3, :2])), [_r(4, 4)]),
     "reshape": (lambda a: ad.reduce_sum(ad.mul(ad.reshape(a, (2, 8)), ad.reshape(a, (2, 8)))), [_r(4, 4)]),
-    "fft2c": (lambda a, b: ad.reduce_sum(ad.absolute(
-        ad.add(ad.fft2c(ad.make_complex(a, b)), 2.0))), [_r(4, 4), _r(4, 4)]),
-    "ifft2c": (lambda a, b: ad.reduce_sum(ad.absolute(
-        ad.add(ad.ifft2c(ad.make_complex(a, b)), 2.0))), [_r(4, 4), _r(4, 4)]),
     "conv2d": (lambda x, k, b: ad.reduce_sum(ad.mul(ad.conv2d(x, k, b), ad.conv2d(x, k, b))),
                [_r(2, 5, 5), _r(3, 2, 3, 3), _r(3)]),
     "avg_pool2": (lambda a: ad.reduce_sum(ad.mul(ad.avg_pool2(a), ad.avg_pool2(a))), [_r(2, 4, 4)]),
@@ -303,11 +298,6 @@ class TestParameterStore:
         with pytest.raises(ad.GraphError):
             store.add("w", np.zeros(3, dtype=complex))
 
-    def test_grad_shape_matches_value_shape(self):
-        store = ad.ParameterStore()
-        p = store.add("w", np.zeros((2, 3)))
-        assert p.grad.shape == p.value.shape
-
     def test_leaves_collect_roundtrip(self):
         store = ad.ParameterStore()
         store.add("w", np.array([1.0, 2.0]))
@@ -315,9 +305,7 @@ class TestParameterStore:
         leaves = store.leaves(tape)
         loss = ad.reduce_sum(ad.mul(leaves["w"], leaves["w"]))
         ad.backward(loss)
-        store.zero_grad()
-        store.collect(leaves)
-        assert np.allclose(store["w"].grad, [2.0, 4.0])
+        assert np.allclose(leaves["w"].grad, [2.0, 4.0])
 
     def test_load_values_shape_check(self):
         store = ad.ParameterStore()

@@ -124,6 +124,20 @@ class TestPipeline:
         assert extra["steps"] == 1  # the step that left the inf weight is not counted
         assert all(np.isfinite(v).all() for v in values.values())
 
+    def test_train_divergence_in_validation_writes_checkpoint(self, workspace, monkeypatch):
+        base, ph, recs, mask = workspace
+        # the last step of the first epoch leaves a weight that overflows in float32
+        poison_adam_step(monkeypatch, 3, value=1e30)
+        ckpt = base / "diverged_val.cks"
+        with np.errstate(invalid="ignore", over="ignore"):
+            rc = run(["train", "--model", "cirim", "--data", str(recs), "--epochs", "2",
+                      "--seed", "11", "--out", str(ckpt), "--channels", "4",
+                      "--iterations", "2", "--cascades", "1", "--dtype", "float32"])
+        assert rc == 0
+        _config, values, extra = containers.load_checkpoint(ckpt)
+        assert extra["diverged"] is True
+        assert all(np.isfinite(v).all() for v in values.values())
+
     def test_eval_determinism_and_jobs(self, workspace, tmp_path):
         base, ph, recs, mask = workspace
         r1, r2, r4 = base / "r1.csv", base / "r2.csv", base / "r4.csv"

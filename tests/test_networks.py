@@ -114,6 +114,23 @@ def _tiny_cell(unit="indrnn", iterations=2, channels=4):
                          iterations=iterations)
 
 
+def _assert_single_precision_pass(model, rec):
+    """float32 leaves give a complex64/float32 tape: the pass takes its dtype from them.
+
+    SamplingMask.keep and the record's arrays are float64/complex128, so any
+    uncast input would upcast the whole pass.
+    """
+    store = ad.ParameterStore()
+    model.init_params(store, 6)
+    tape = ad.Tape()
+    leaves = store.leaves(tape, dtype=np.float32)
+    x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
+    dtypes = {out.data.dtype for _op, out, _inputs, _vjp in tape._records}
+    assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
+    assert "linear" in {op for op, *_ in tape._records}
+    assert x.dtype == np.complex64
+
+
 class TestRimBlock:
     def test_zero_weights_identity_and_estimate_count(self, small_record):
         rec = small_record
@@ -190,19 +207,9 @@ class TestCirim:
         assert np.isfinite(x.data).all()
 
     def test_complex64_pass_stays_single_precision(self, small_record):
-        # SamplingMask.keep is float64: an uncast mask would upcast the whole pass
-        rec = small_record
         model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, explicit_dc=True,
                                                        dc_weight_init=0.5), kind="cirim")
-        store = ad.ParameterStore()
-        model.init_params(store, 6)
-        tape = ad.Tape()
-        leaves = store.leaves(tape, dtype=np.float32)
-        x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves, cdtype=np.complex64)
-        dtypes = {out.data.dtype for _op, out, _inputs, _vjp in tape._records}
-        assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
-        assert "linear" in {op for op, *_ in tape._records}
-        assert x.dtype == np.complex64
+        _assert_single_precision_pass(model, small_record)
 
     def test_explicit_dc_trains_dc_weight(self, small_record):
         rec = small_record
@@ -225,6 +232,9 @@ class TestVarnet:
         return VarnetModel(UnetConfig(pools=2, channels=4),
                            CascadeConfig(n_cascades=2, explicit_dc=explicit_dc,
                                          dc_weight_init=d_init))
+
+    def test_complex64_pass_stays_single_precision(self, small_record):
+        _assert_single_precision_pass(self._model(True, d_init=0.5), small_record)
 
     def test_zero_weights_dc_off_returns_zero_filled(self, small_record):
         rec = small_record

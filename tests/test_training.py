@@ -140,44 +140,45 @@ class TestSsimLoss:
         assert rel_error(im.grad, fd_im) < 1e-4
 
 
+def _grad_leaf(g):
+    """A leaf tensor carrying gradient `g`, as backward leaves it."""
+    t = ad.leaf(np.zeros_like(g), ad.Tape())
+    t.grad = g
+    return t
+
+
 class TestAdam:
     def test_zero_gradients_leave_parameters(self):
         store = ad.ParameterStore()
         store.add("w", np.array([1.0, -2.0]))
-        store.zero_grad()
-        store._grads_ready = True
         before = store["w"].value.copy()
-        adam_step(store)
+        # a leaf that backward never reached counts as a zero gradient
+        adam_step(store, grads={"w": ad.leaf(before, ad.Tape())})
         assert np.array_equal(store["w"].value, before)
 
     def test_first_step_bounded_by_lr(self):
         store = ad.ParameterStore()
         store.add("w", np.array([0.3, -0.7, 2.0]))
-        store.zero_grad()
-        store["w"].grad = np.array([5.0, -0.01, 300.0])
-        store._grads_ready = True
+        g = np.array([5.0, -0.01, 300.0])
         before = store["w"].value.copy()
-        adam_step(store, lr=1e-3)
+        adam_step(store, grads={"w": _grad_leaf(g)}, lr=1e-3)
         step = store["w"].value - before
         # bias-corrected first step is lr * g/(|g| + eps'): magnitude <= lr
         assert (np.abs(step) <= 1e-3 * (1 + 1e-6)).all()
-        assert np.allclose(np.sign(step), -np.sign(store["w"].grad))
+        assert np.allclose(np.sign(step), -np.sign(g))
 
     def test_missing_gradients_rejected(self):
         store = ad.ParameterStore()
         store.add("w", np.zeros(2))
-        with pytest.raises(training.TrainingError):
-            adam_step(store)
+        with pytest.raises(training.TrainingError, match="w"):
+            adam_step(store, grads={})
 
     def test_quadratic_bowl_convergence(self):
         store = ad.ParameterStore()
         target = np.array([0.7, -1.3, 0.2])
         store.add("p", np.zeros(3))
         for _ in range(2000):
-            store.zero_grad()
-            store["p"].grad = 2.0 * (store["p"].value - target)
-            store._grads_ready = True
-            adam_step(store, lr=1e-2)
+            adam_step(store, grads={"p": _grad_leaf(2.0 * (store["p"].value - target))}, lr=1e-2)
             if np.abs(store["p"].value - target).max() < 1e-3:
                 break
         assert np.abs(store["p"].value - target).max() < 1e-3
@@ -255,6 +256,29 @@ class TestTrainLoop:
         assert result.diverged
         assert result.steps == 2
         _assert_store_holds_best_values(result)
+
+    def test_divergence_in_validation_keeps_last_good_parameters(self, monkeypatch):
+        # 1e30 is finite, so the step is taken; the float32 validation pass overflows
+        records = _tiny_records(4, seed=81)
+        poison_adam_step(monkeypatch, 3, value=1e30)
+        cfg = TrainConfig(dtype="float32")
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = train(_tiny_model(), records[:3], records[3:], epochs=2, seed=6, cfg=cfg)
+        assert result.diverged
+        assert [row["split"] for row in result.log] == ["train"]
+        _assert_store_holds_best_values(result)
+
+    @pytest.mark.parametrize("field, value", [("dtype", "float16"), ("loss", "l2"),
+                                              ("weight_orientation", "middle"),
+                                              ("max_steps", 0)])
+    def test_unknown_config_value_rejected_before_any_step(self, monkeypatch, field, value):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_train_step", no_step)
+        cfg = TrainConfig(**{field: value})
+        with pytest.raises(training.TrainingError, match=f"TrainConfig.{field}"):
+            train(_tiny_model(), _tiny_records(1), [], epochs=1, seed=0, cfg=cfg)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(training.TrainingError):
