@@ -2,16 +2,19 @@
 
 A :class:`Tape` records every differentiable operation in execution order and
 ``backward`` replays the records in reverse, accumulating vector-Jacobian
-products into each tensor's ``grad``.  Complex tensors are differentiated
-through their real and imaginary parts: for a real-valued loss L and a complex
-node z = a + ib the accumulated gradient is dL/da + i*dL/db, which is exactly
-what gradient descent on the underlying real parametrization needs.
+products into each tensor's ``grad``, stored in that tensor's dtype.
+
+The tape is real-only.  A complex image is a real ``(2, h, w)`` tensor,
+channel 0 the real part and channel 1 the imaginary part;
+:func:`complex_to_channels` and :func:`channels_to_complex` own that format.
+Complex arrays live only inside ``linear`` (one node for any numpy linear
+operator given with its adjoint, which is how the Fourier transforms and the
+forward model reach the tape) and inside ``magnitude``.
 
 The op vocabulary is the fixed set the reconstruction networks use
-(elementwise arithmetic, activations, complex pack/unpack, 2D convolution,
-2x pooling/upsampling, reductions, concat/slice/reshape) plus ``linear``, one
-node for any numpy linear operator given with its adjoint; the Fourier
-transforms reach the tape only inside ``linear``.
+(elementwise arithmetic, activations, the magnitude of a two-channel image,
+2D convolution, 2x pooling/upsampling, reductions, concat/reshape) plus
+``linear``.
 There is no broadcasting beyond channel/bias expansion, no graph compiler and
 no higher-order derivatives.  Tensors are value-semantic; a tape is
 single-threaded while recording and during backward.
@@ -103,9 +106,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
@@ -137,20 +137,15 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Calla
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad, kept in t's dtype (a float32 tensor gets a float32 gradient)."""
     if t.grad is None:
-        t.grad = np.array(g, copy=True)
+        t.grad = np.array(g, dtype=t.dtype)
     else:
-        t.grad = t.grad + g
-
-
-def _match(g: np.ndarray, t: Tensor) -> np.ndarray:
-    """Cast a gradient to the target tensor's domain (real targets get Re g)."""
-    if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
-        g = g.real
-    return _unbroadcast(g, t.data.shape)
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g over the axes that broadcasting expanded to reach it from `shape`."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -187,7 +182,7 @@ def add(a, b) -> Tensor:
     na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_match(g, a) if na else None, _match(g, b) if nb else None)
+        return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(g, b.shape) if nb else None)
 
     return _apply("add", (a, b), a.data + b.data, vjp)
 
@@ -197,7 +192,7 @@ def sub(a, b) -> Tensor:
     na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return (_match(g, a) if na else None, _match(-g, b) if nb else None)
+        return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(-g, b.shape) if nb else None)
 
     return _apply("sub", (a, b), a.data - b.data, vjp)
 
@@ -206,7 +201,7 @@ def neg(a) -> Tensor:
     a = astensor(a)
 
     def vjp(g):
-        return (_match(-g, a),)
+        return (-g,)
 
     return _apply("neg", (a,), -a.data, vjp)
 
@@ -217,8 +212,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = _match(g * np.conjugate(bd), a) if na else None
-        gb = _match(g * np.conjugate(ad), b) if nb else None
+        ga = _unbroadcast(g * bd, a.shape) if na else None
+        gb = _unbroadcast(g * ad, b.shape) if nb else None
         return (ga, gb)
 
     return _apply("mul", (a, b), ad * bd, vjp)
@@ -230,56 +225,49 @@ def div(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = _match(g * np.conjugate(1.0 / bd), a) if na else None
-        gb = _match(-g * np.conjugate(ad / (bd * bd)), b) if nb else None
+        ga = _unbroadcast(g * (1.0 / bd), a.shape) if na else None
+        gb = _unbroadcast(-g * (ad / (bd * bd)), b.shape) if nb else None
         return (ga, gb)
 
     return _apply("div", (a, b), ad / bd, vjp)
 
 
 # ---------------------------------------------------------------------------
-# complex structure
+# two-channel images and magnitudes
 # ---------------------------------------------------------------------------
 
-def real(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        return (g.astype(a.data.dtype, copy=False) if np.iscomplexobj(a.data) else g,)
-
-    return _apply("real", (a,), a.data.real.copy(), vjp)
+def complex_to_channels(z: np.ndarray) -> np.ndarray:
+    """Complex (h, w) image -> real (2, h, w): real part, imaginary part."""
+    return np.stack([z.real, z.imag])
 
 
-def imag(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        return (1j * g if np.iscomplexobj(a.data) else np.zeros_like(g),)
-
-    return _apply("imag", (a,), a.data.imag.copy(), vjp)
-
-
-def make_complex(re, im) -> Tensor:
-    re, im = astensor(re), astensor(im)
-    nr, ni = re.requires_grad, im.requires_grad
-
-    def vjp(g):
-        return (g.real if nr else None, g.imag if ni else None)
-
-    return _apply("make_complex", (re, im), re.data + 1j * im.data, vjp)
+def channels_to_complex(x: np.ndarray) -> np.ndarray:
+    """Real (2, h, w) image -> complex (h, w) image x[0] + i x[1]."""
+    return x[0] + 1j * x[1]
 
 
 def absolute(a) -> Tensor:
     a = astensor(a)
     ad = a.data
-    out = np.abs(ad)
 
     def vjp(g):
-        # d|z| in the (Re, Im) parametrization is z/|z|; zero-safe at the origin
-        denom = np.where(out == 0, 1.0, out)
-        return (g * (ad / denom),)
+        return (g * np.sign(ad),)
 
-    return _apply("abs", (a,), out, vjp)
+    return _apply("abs", (a,), np.abs(ad), vjp)
+
+
+def magnitude(x) -> Tensor:
+    """|x[0] + i x[1]| of a two-channel image, shape (h, w)."""
+    x = astensor(x)
+    xd = x.data
+    out = np.abs(channels_to_complex(xd))
+
+    def vjp(g):
+        # d|z| with respect to (Re z, Im z) is z/|z|, zero-safe at the origin;
+        # times the reciprocal, as numpy's complex division by a real computes it
+        return (g * (xd * (1.0 / np.where(out == 0, 1.0, out))),)
+
+    return _apply("magnitude", (x,), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +349,10 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
                 continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(int(o0), int(o1))
-            out.append(_match(g[tuple(sl)], t))
+            out.append(g[tuple(sl)])
         return tuple(out)
 
     return _apply("concat", ts, np.concatenate([t.data for t in ts], axis=axis), vjp)
-
-
-def getitem(a, idx) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[idx] = g
-        return (ga,)
-
-    return _apply("getitem", (a,), a.data[idx].copy(), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -395,14 +372,16 @@ def reshape(a, shape) -> Tensor:
 def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
     """One node for a linear (or affine) map: out = apply(x.data), VJP = adjoint(g).
 
-    `adjoint` is the adjoint of the linear part of `apply`.  Under the tape's
-    dL/da + i*dL/db convention a complex-linear A back-propagates as A^H g
-    with no extra conjugation.
+    `adjoint` is the adjoint of the linear part of `apply`.  A complex-linear
+    A acting on two-channel images back-propagates as A^H with no extra
+    conjugation: for a real loss L and z = a + ib, the pair of channel
+    gradients read as dL/da + i*dL/db is the gradient with respect to z, and
+    A^H maps the output's gradient to the input's.
     """
     x = astensor(x)
 
     def vjp(g):
-        return (_match(adjoint(g), x),)
+        return (adjoint(g),)
 
     return _apply("linear", (x,), apply(x.data), vjp)
 

@@ -170,6 +170,7 @@ def cmd_train(args) -> int:
     result = training.train(model, train_records, val_records, args.epochs, args.seed, cfg)
     training.save_trained(args.out, model, result.best_values,
                           extra_meta={"seed": args.seed, "steps": result.steps,
+                                      "best_step": result.best_step,
                                       "diverged": result.diverged})
     log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
     Path(log_path).write_bytes(training.training_log_csv(result.log))

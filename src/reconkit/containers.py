@@ -55,7 +55,7 @@ class ChecksumError(ContainerError):
 
 
 class CheckpointMismatchError(ContainerError):
-    """Checkpoint config does not match the requesting model."""
+    """Checkpoint parameters do not match the model its config builds."""
 
 
 def _canonical(arr: np.ndarray) -> tuple[np.ndarray, str]:

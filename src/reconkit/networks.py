@@ -3,8 +3,8 @@
 The recurrent reconstructor family runs a fixed number of unrolled update
 iterations.  Each iteration feeds the data-fidelity gradient A*(A(x) - y)
 together with the current estimate into a small convolutional recurrent cell
-(GRU or IndRNN) that emits an additive complex image update, so data
-consistency is enforced implicitly through the gradient input.  Cascading
+(GRU or IndRNN) that emits an additive image update, so data consistency is
+enforced implicitly through the gradient input.  Cascading
 stacks several independently parametrized blocks; an optional explicit soft
 data-consistency step interpolates sampled k-space toward the measurements
 between cascades.  The variational-cascade baseline replaces the recurrent
@@ -12,9 +12,13 @@ regularizer with a small encoder-decoder convnet.
 
 All forward passes are built from :mod:`reconkit.autodiff` ops, so the same
 code serves seeded inference (constant parameters, no tape) and training
-(leaf parameters on a tape).  The forward model itself is not rebuilt here:
-the data-fidelity gradient is :func:`reconkit.mri.loglik_gradient` put on the
-tape as one ``autodiff.linear`` node whose VJP is the normal operator A*A.
+(leaf parameters on a tape).  The running image is a real two-channel
+``(2, h, w)`` tensor (real part, imaginary part) from the zero-filled start
+to the output, so it feeds the convolutions as it is.  The forward model
+itself is not rebuilt here: the data-fidelity gradient is
+:func:`reconkit.mri.loglik_gradient` put on the tape as one
+``autodiff.linear`` node whose VJP is the normal operator A*A; it is the one
+place the image is complex.
 """
 
 from __future__ import annotations
@@ -94,12 +98,17 @@ class _Operators:
         self.h, self.w = self.mask.shape
 
     def zero_filled(self) -> Tensor:
-        return ad.constant(mri.adjoint_op(self.y, self.maps, self.mask))
+        return ad.constant(ad.complex_to_channels(mri.adjoint_op(self.y, self.maps, self.mask)))
 
     def loglik_gradient(self, x: Tensor) -> Tensor:
-        return ad.linear(x, lambda v: mri.loglik_gradient(v, self.y, self.maps, self.mask),
-                         lambda g: mri.adjoint_op(mri.forward_op(g, self.maps, self.mask),
-                                                  self.maps, self.mask))
+        """A*(A(x) - y) of a two-channel image, complex only inside the node."""
+        def on_channels(f):
+            return lambda v: ad.complex_to_channels(f(ad.channels_to_complex(v)))
+
+        return ad.linear(
+            x, on_channels(lambda z: mri.loglik_gradient(z, self.y, self.maps, self.mask)),
+            on_channels(lambda z: mri.adjoint_op(mri.forward_op(z, self.maps, self.mask),
+                                                 self.maps, self.mask)))
 
     def soft_dc(self, x: Tensor, d: Tensor) -> Tensor:
         """x - d * A*(A(x) - y); an exact no-op at d = 0."""
@@ -128,13 +137,17 @@ def init_gru(store: ParameterStore, rng, prefix: str, c_in: int, channels: int) 
 
 
 def gru_step(x, s_prev, params, prefix: str = ""):
-    """Gated recurrent update: s = (1 - z) * s_prev + z * tanh-candidate."""
+    """Gated recurrent update: s = (1 - z) * s_prev + z * tanh-candidate.
+
+    Written as s_prev + z * (candidate - s_prev), which needs no constant
+    (a float64 1.0 would turn a float32 pass into float64).
+    """
     cat = ad.concat([s_prev, x], axis=0)
     r = ad.sigmoid(_conv(cat, params, f"{prefix}reset"))
     z = ad.sigmoid(_conv(cat, params, f"{prefix}update"))
     cat_r = ad.concat([ad.mul(r, s_prev), x], axis=0)
     s_tilde = ad.tanh(_conv(cat_r, params, f"{prefix}cand"))
-    return ad.add(ad.mul(ad.sub(1.0, z), s_prev), ad.mul(z, s_tilde))
+    return ad.add(s_prev, ad.mul(z, ad.sub(s_tilde, s_prev)))
 
 
 def init_indrnn(store: ParameterStore, rng, prefix: str, c_in: int, channels: int) -> None:
@@ -163,28 +176,20 @@ def zero_hidden(cfg: RimCellConfig, h: int, w: int, rdtype=np.float64):
 
 
 def rim_block(x, hidden, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
-    """One unrolled run of cfg.iterations update steps.
+    """One unrolled run of cfg.iterations update steps on a two-channel image.
 
     Returns (final image, final hidden pair, per-iteration estimates).
     """
     s0, s1 = hidden
     step = _UNIT_STEPS[cfg.unit]
-    h, w = ops.h, ops.w
     estimates = []
     for tau in range(cfg.iterations):
-        grad = ops.loglik_gradient(x)
-        feat = ad.concat([
-            ad.reshape(ad.real(grad), (1, h, w)),
-            ad.reshape(ad.imag(grad), (1, h, w)),
-            ad.reshape(ad.real(x), (1, h, w)),
-            ad.reshape(ad.imag(x), (1, h, w)),
-        ], axis=0)
+        feat = ad.concat([ops.loglik_gradient(x), x], axis=0)
         a1 = _conv(feat, params, f"{prefix}conv1")
         s0 = step(a1, s0, params, f"{prefix}unit1.")
         a2 = _conv(s0, params, f"{prefix}conv2")
         s1 = step(a2, s1, params, f"{prefix}unit2.")
-        dx = _conv(s1, params, f"{prefix}conv3")
-        x = ad.add(x, ad.make_complex(dx[0], dx[1]))
+        x = ad.add(x, _conv(s1, params, f"{prefix}conv3"))
         if not np.all(np.isfinite(x.data)):
             raise DivergedError(f"non-finite reconstruction at unroll iteration {tau}")
         estimates.append(x)
@@ -326,15 +331,9 @@ class VarnetModel:
 
     def forward(self, y, maps, mask, params):
         ops = _Operators(y, maps, mask, _real_dtype(params))
-        h, w = ops.h, ops.w
         x = ops.zero_filled()
         for k in range(self.cascade.n_cascades):
-            feat = ad.concat([
-                ad.reshape(ad.real(x), (1, h, w)),
-                ad.reshape(ad.imag(x), (1, h, w)),
-            ], axis=0)
-            upd = unet_forward(feat, params, self._prefix(k), self.unet)
-            x = ad.add(x, ad.make_complex(upd[0], upd[1]))
+            x = ad.add(x, unet_forward(x, params, self._prefix(k), self.unet))
             if self.cascade.explicit_dc:
                 x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
             if not np.all(np.isfinite(x.data)):
@@ -377,6 +376,6 @@ def model_from_config(config: dict):
 
 
 def reconstruct(model, store: ParameterStore, record) -> np.ndarray:
-    """Seeded inference on a dataset record with frozen parameters."""
+    """Seeded inference on a dataset record with frozen parameters; a complex image."""
     x, _ = model.forward(record.kspace, record.maps, record.mask, store.frozen())
-    return x.data
+    return ad.channels_to_complex(x.data)

@@ -29,11 +29,11 @@ def _as_tensor_pair(x_hat, x_ref):
 
 
 def l1_loss(x_hat, x_ref):
-    """Mean absolute difference of magnitude images."""
+    """Mean absolute difference of the magnitudes of two two-channel images."""
     th, tr, tensor_in = _as_tensor_pair(x_hat, x_ref)
     if th.shape != tr.shape:
         raise TrainingError(f"image shapes differ: {th.shape} vs {tr.shape}")
-    out = ad.reduce_mean(ad.absolute(ad.sub(ad.absolute(th), ad.absolute(tr))))
+    out = ad.reduce_mean(ad.absolute(ad.sub(ad.magnitude(th), ad.magnitude(tr))))
     return out if tensor_in else float(out.data)
 
 
@@ -61,8 +61,9 @@ def iteration_loss_weights(n_iterations: int, orientation: str = "late") -> np.n
 def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late"):
     """Iteration-weighted magnitude l1, averaged over cascades.
 
-    `estimates` is a list per cascade of the per-iteration images; later
-    iterations weigh more so the final prediction dominates.
+    `estimates` is a list per cascade of the per-iteration two-channel
+    images; later iterations weigh more so the final prediction dominates.
+    The weights take the loss terms' dtype, so a float32 pass stays float32.
     """
     if not estimates or not estimates[0]:
         raise TrainingError("no estimates provided")
@@ -74,17 +75,18 @@ def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late"):
         if len(ests) != n_iter:
             raise TrainingError(f"cascade with {len(ests)} estimates, expected {n_iter}")
         for w, e in zip(weights, ests):
-            term = ad.mul(float(w / (n_iter * len(estimates))), l1_loss(ad.astensor(e), ad.astensor(x_ref)))
+            l1 = l1_loss(ad.astensor(e), ad.astensor(x_ref))
+            term = ad.mul(np.asarray(w / (n_iter * len(estimates)), dtype=l1.dtype), l1)
             total = term if total is None else ad.add(total, term)
     return total if tensor_in else float(total.data)
 
 
 def ssim_loss(x_hat, x_ref):
-    """1 - SSIM of magnitude images, differentiable; bounded in [0, 2]."""
+    """1 - SSIM of the magnitudes of two two-channel images, differentiable; in [0, 2]."""
     th, tr, tensor_in = _as_tensor_pair(x_hat, x_ref)
     if th.shape != tr.shape:
         raise TrainingError(f"image shapes differ: {th.shape} vs {tr.shape}")
-    out = ad.sub(1.0, metrics.ssim_tensor(ad.absolute(th), np.abs(tr.data)))
+    out = ad.sub(1.0, metrics.ssim_tensor(ad.magnitude(th), ad.magnitude(tr).data))
     return out if tensor_in else float(out.data)
 
 
@@ -156,11 +158,17 @@ class TrainResult:
     best_values: dict
     log: list = field(default_factory=list)
     steps: int = 0
+    best_step: int = 0      # optimizer steps behind best_values
     diverged: bool = False
 
 
+def _magnitude(x: Tensor) -> np.ndarray:
+    return np.abs(ad.channels_to_complex(x.data))
+
+
 def _loss_for(x, estimates, record, cfg: TrainConfig):
-    ref = ad.constant(record.reference.astype(x.dtype))
+    # the reference in the pass's complex dtype, as two channels
+    ref = ad.complex_to_channels(record.reference.astype(np.result_type(x.dtype, np.complex64)))
     if cfg.loss == "l1":
         return l1_loss(x, ref)
     if cfg.loss == "ssim":
@@ -184,7 +192,7 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
     for name, p in store.items():
         if not np.isfinite(p.value).all():
             raise DivergedError(f"parameter {name} is non-finite after the optimizer step")
-    ssim_val = metrics.ssim(np.abs(x.data), np.abs(record.reference))
+    ssim_val = metrics.ssim(_magnitude(x), np.abs(record.reference))
     return loss_val, ssim_val
 
 
@@ -195,7 +203,7 @@ def validation_score(model, records: Sequence[DatasetRecord], store: ParameterSt
     for rec in records:
         x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params)
         losses.append(float(_loss_for(x, estimates, rec, cfg).data))
-        ssims.append(metrics.ssim(np.abs(x.data), np.abs(rec.reference)))
+        ssims.append(metrics.ssim(_magnitude(x), np.abs(rec.reference)))
     return float(np.mean(losses)), float(np.mean(ssims))
 
 
@@ -244,9 +252,9 @@ def train(model, train_records: Sequence[DatasetRecord],
                                    "loss": val_loss, "ssim": val_ssim})
                 if val_loss < best_val:
                     best_val = val_loss
-                    result.best_values = store.copy_values()
+                    result.best_values, result.best_step = store.copy_values(), result.steps
             else:
-                result.best_values = store.copy_values()
+                result.best_values, result.best_step = store.copy_values(), result.steps
             if cfg.max_steps is not None and result.steps >= cfg.max_steps:
                 break
     except DivergedError:
@@ -296,6 +304,16 @@ def method_checkpoint(path, name: str | None = None) -> MethodSpec:
     model = model_from_config(config)
     store = ParameterStore()
     model.init_params(store, seed=0)
+    for key in sorted(set(store.names()) | set(values)):
+        if key not in values:
+            problem = "is missing from the checkpoint"
+        elif key not in store:
+            problem = "is not a parameter of the model"
+        elif values[key].shape != store[key].value.shape:
+            problem = f"has shape {values[key].shape}, the model's is {store[key].value.shape}"
+        else:
+            continue
+        raise containers.CheckpointMismatchError(f"parameter {key} {problem}")
     store.load_values({k: v.astype(np.float64) for k, v in values.items()})
     return method_model(name or config.get("kind", "model"), model, store)
 

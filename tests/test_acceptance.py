@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reconkit import autodiff as ad
-from reconkit import baselines, metrics, mri, phantom, sampling
+from reconkit import baselines, metrics, mri, networks, phantom, sampling
 from reconkit.experiments import desk_pipeline
 from reconkit.mri import SamplingMask
 from reconkit.networks import CascadeConfig, CirimModel, RimCellConfig, UnetConfig, VarnetModel
@@ -88,15 +88,16 @@ def test_criterion_2_gradient_oracle(small_record):
     store = ad.ParameterStore()
     model.init_params(store, seed=7)
 
+    ref = ad.constant(ad.complex_to_channels(record.reference))
+
     def loss_value() -> float:
         x, ests = model.forward(record.kspace, record.maps, record.mask, store.frozen())
-        ref = ad.constant(record.reference)
         return float(cirim_loss(ests, ref).data)
 
     tape = ad.Tape()
     leaves = store.leaves(tape)
     x, ests = model.forward(record.kspace, record.maps, record.mask, leaves)
-    loss = cirim_loss(ests, ad.constant(record.reference))
+    loss = cirim_loss(ests, ref)
     ad.backward(loss)
 
     eps = 1e-5
@@ -140,7 +141,7 @@ def test_criterion_3_zero_network_neutrality(small_record):
         for _, p in store.items():
             p.value[:] = 0.0
         x, _ = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
-        assert np.array_equal(x.data, zero_filled), kind
+        assert np.array_equal(ad.channels_to_complex(x.data), zero_filled), kind
 
 
 @criterion(4, "DC toggle: d=0 equals implicit path exactly; d=1 hard-replaces")
@@ -171,10 +172,16 @@ def test_criterion_4_dc_toggle(small_record):
 
     # d = 1: one cascade's DC step pins the sampled k-space to the data
     x_hat, _ = implicit.forward(rec.kspace, rec.maps, rec.mask, params)
-    k_hat = mri.fft2c(mri.expand(x_hat.data, rec.maps))
+    k_hat = mri.fft2c(mri.expand(ad.channels_to_complex(x_hat.data), rec.maps))
     k_dc = mri.soft_dc_kspace(k_hat, rec.kspace, rec.mask, 1.0)
     on = rec.mask.keep.astype(bool)
     assert np.abs(k_dc[:, on] - rec.kspace[:, on]).max() < 1e-10
+    # and the soft DC the networks run equals, at d = 1, the hard-replaced
+    # k-space reduced back to an image
+    ops = networks._Operators(rec.kspace, rec.maps, rec.mask)
+    x_dc = ops.soft_dc(ad.constant(x_hat.data), ad.constant(np.ones(1)))
+    x_replaced = mri.reduce(mri.ifft2c(k_dc), rec.maps)
+    assert np.abs(ad.channels_to_complex(x_dc.data) - x_replaced).max() < 1e-10
 
 
 @criterion(5, "cohort weighted-average fixture reproduces the published column")

@@ -154,17 +154,26 @@ class TestBackwardContracts:
         assert np.allclose(p.grad, 2 * p0, atol=1e-12)
 
     def test_complex_magnitude_squared_gradient(self):
-        # |z|^2 with z = a + ib built from real leaves: gradients (2a, 2b)
+        # |z|^2 with z = a + ib as a two-channel leaf (a, b): gradients (2a, 2b)
         rng = np.random.default_rng(7)
         a0, b0 = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         tape = ad.Tape()
-        a, b = ad.leaf(a0, tape), ad.leaf(b0, tape)
-        z = ad.make_complex(a, b)
-        m = ad.absolute(z)
+        z = ad.leaf(ad.complex_to_channels(a0 + 1j * b0), tape)
+        m = ad.magnitude(z)
         loss = ad.reduce_sum(ad.mul(m, m))
         ad.backward(loss)
-        assert np.allclose(a.grad, 2 * a0, atol=1e-10)
-        assert np.allclose(b.grad, 2 * b0, atol=1e-10)
+        assert np.allclose(z.grad[0], 2 * a0, atol=1e-10)
+        assert np.allclose(z.grad[1], 2 * b0, atol=1e-10)
+
+    def test_gradient_kept_in_tensor_dtype(self):
+        # a float64 constant makes the VJP float64; the float32 leaf still gets float32
+        tape = ad.Tape()
+        x = ad.leaf(np.array([1.5, -2.0], dtype=np.float32), tape)
+        y = ad.mul(x, np.array([3.0, 0.5]))
+        ad.backward(ad.reduce_sum(ad.add(y, ad.mul(x, x))))
+        assert y.dtype == y.grad.dtype == np.float64
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, np.array([6.0, -3.5], dtype=np.float32))
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
@@ -175,7 +184,7 @@ class TestBackwardContracts:
     def test_complex_loss_rejected(self):
         tape = ad.Tape()
         p = ad.leaf(np.ones(2), tape)
-        z = ad.make_complex(p, p)
+        z = ad.add(p, 1j)
         with pytest.raises(ad.GraphError):
             ad.backward(ad.reduce_sum(z))
 
@@ -234,10 +243,14 @@ def _loglik_case():
     keep[2, 2] = 1.0
     ops = networks._Operators(random_complex(_RNG, (2, 4, 4)), phantom.make_coils(2, 4, 4), keep)
 
-    def build(a, b):
-        return ad.reduce_sum(ad.absolute(ad.add(ops.loglik_gradient(ad.make_complex(a, b)), 2.0)))
+    def build(x):
+        return ad.reduce_sum(ad.absolute(ad.add(ops.loglik_gradient(x), 2.0)))
 
-    return build, [_r(4, 4), _r(4, 4)]
+    return build, [_r(2, 4, 4)]
+
+
+def _on_channels(f):
+    return lambda v: ad.complex_to_channels(f(ad.channels_to_complex(v)))
 
 
 OP_CASES = {
@@ -248,12 +261,11 @@ OP_CASES = {
     "mul_broadcast": (lambda a, b: ad.reduce_sum(ad.mul(ad.mul(a, b), ad.mul(a, b))),
                       [_r(3, 1, 1), _r(3, 4, 4)]),
     "div": (lambda a, b: ad.reduce_sum(ad.div(a, ad.add(ad.mul(b, b), 1.0))), [_r(4, 4), _r(4, 4)]),
-    "real_imag_complex": (lambda a, b: ad.reduce_sum(ad.add(
-        ad.mul(ad.real(ad.linear(ad.make_complex(a, b), fourier.fft2c, fourier.ifft2c)), 2.0),
-        ad.imag(ad.linear(ad.make_complex(a, b), fourier.fft2c, fourier.ifft2c)))),
-        [_r(4, 4), _r(4, 4)]),
-    "absolute_complex": (lambda a, b: ad.reduce_sum(ad.absolute(
-        ad.add(ad.make_complex(a, b), 3.0))), [_r(4, 4), _r(4, 4)]),
+    # the FFT is not self-adjoint, so a swapped apply/adjoint pair fails here
+    "linear_fft": (lambda x: ad.reduce_sum(ad.mul(
+        ad.linear(x, _on_channels(fourier.fft2c), _on_channels(fourier.ifft2c)),
+        np.array([2.0, 1.0])[:, None, None])), [_r(2, 4, 4)]),
+    "magnitude": (lambda x: ad.reduce_sum(ad.magnitude(ad.add(x, 3.0))), [_r(2, 4, 4)]),
     "absolute_real": (lambda a: ad.reduce_sum(ad.absolute(ad.add(a, 4.0))), [_r(4, 4)]),
     "relu": (lambda a: ad.reduce_sum(ad.relu(ad.add(a, 0.7))), [0.3 * _r(4, 4)]),
     "tanh": (lambda a: ad.reduce_sum(ad.tanh(a)), [_r(4, 4)]),
@@ -264,7 +276,6 @@ OP_CASES = {
     "reduce_mean_axis": (lambda a: ad.reduce_sum(ad.mul(ad.reduce_mean(a, axis=1), 3.0)), [_r(3, 4)]),
     "concat": (lambda a, b: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=0),
                                                  ad.concat([b, a], axis=0))), [_r(2, 3), _r(2, 3)]),
-    "getitem": (lambda a: ad.reduce_sum(ad.mul(a[1:3, :2], a[1:3, :2])), [_r(4, 4)]),
     "reshape": (lambda a: ad.reduce_sum(ad.mul(ad.reshape(a, (2, 8)), ad.reshape(a, (2, 8)))), [_r(4, 4)]),
     "conv2d": (lambda x, k, b: ad.reduce_sum(ad.mul(ad.conv2d(x, k, b), ad.conv2d(x, k, b))),
                [_r(2, 5, 5), _r(3, 2, 3, 3), _r(3)]),

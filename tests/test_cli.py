@@ -137,6 +137,7 @@ class TestPipeline:
         _config, values, extra = containers.load_checkpoint(ckpt)
         assert extra["diverged"] is True
         assert all(np.isfinite(v).all() for v in values.values())
+        assert extra["best_step"] == 0  # the initial parameters, not those of step 3
 
     def test_eval_determinism_and_jobs(self, workspace, tmp_path):
         base, ph, recs, mask = workspace

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconkit import autodiff as ad
-from reconkit import mri, networks
+from reconkit import mri, networks, training
 from reconkit.networks import (CascadeConfig, CirimModel, RimCellConfig, UnetConfig,
                                VarnetModel, build_model, gru_step, indrnn_step, rim_block)
 
@@ -115,20 +115,26 @@ def _tiny_cell(unit="indrnn", iterations=2, channels=4):
 
 
 def _assert_single_precision_pass(model, rec):
-    """float32 leaves give a complex64/float32 tape: the pass takes its dtype from them.
+    """float32 leaves give a float32 training step: the pass takes its dtype from them.
 
-    SamplingMask.keep and the record's arrays are float64/complex128, so any
-    uncast input would upcast the whole pass.
+    SamplingMask.keep and the record's arrays are float64/complex128, and a
+    Python constant on the tape is a float64 array, so any of them would
+    upcast the pass; a gradient is kept in its tensor's dtype.  Every tape
+    output and every gradient of the forward pass and its loss is float32
+    (complex64 lives only inside ``linear``).
     """
     store = ad.ParameterStore()
     model.init_params(store, 6)
     tape = ad.Tape()
     leaves = store.leaves(tape, dtype=np.float32)
-    x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
-    dtypes = {out.data.dtype for _op, out, _inputs, _vjp in tape._records}
-    assert dtypes == {np.dtype(np.complex64), np.dtype(np.float32)}
+    x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
+    ad.backward(training._loss_for(x, estimates, rec, training.TrainConfig(loss="cirim")))
+    assert {out.dtype for _op, out, _inputs, _vjp in tape._records} == {np.dtype(np.float32)}
+    grads = [out.grad for _op, out, _inputs, _vjp in tape._records] + \
+        [t.grad for t in leaves.values()]
+    assert {g.dtype for g in grads if g is not None} == {np.dtype(np.float32)}
     assert "linear" in {op for op, *_ in tape._records}
-    assert x.dtype == np.complex64
+    assert x.dtype == np.float32
 
 
 class TestRimBlock:
@@ -179,7 +185,7 @@ class TestCirim:
             p.value[:] = 0.0
         x, ests = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
         zf = mri.adjoint_op(rec.kspace, rec.maps, rec.mask)
-        assert np.array_equal(x.data, zf)
+        assert np.array_equal(ad.channels_to_complex(x.data), zf)
         assert len(ests) == 3
 
     def test_dc_weight_zero_equals_implicit_path(self, small_record):
@@ -211,6 +217,10 @@ class TestCirim:
                                                        dc_weight_init=0.5), kind="cirim")
         _assert_single_precision_pass(model, small_record)
 
+    def test_gru_rim_pass_stays_single_precision(self, small_record):
+        model = CirimModel(_tiny_cell("gru"), CascadeConfig(n_cascades=1), kind="rim")
+        _assert_single_precision_pass(model, small_record)
+
     def test_explicit_dc_trains_dc_weight(self, small_record):
         rec = small_record
         model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=1, explicit_dc=True,
@@ -220,8 +230,8 @@ class TestCirim:
         tape = ad.Tape()
         leaves = store.leaves(tape)
         x, _ = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
-        ref = ad.constant(rec.reference)
-        loss = ad.reduce_mean(ad.absolute(ad.sub(ad.absolute(x), ad.absolute(ref))))
+        ref = ad.constant(ad.complex_to_channels(rec.reference))
+        loss = ad.reduce_mean(ad.absolute(ad.sub(ad.magnitude(x), ad.magnitude(ref))))
         ad.backward(loss)
         assert leaves["cascade0.dc_weight"].grad is not None
         assert np.abs(leaves["cascade0.dc_weight"].grad).max() > 0
@@ -244,7 +254,8 @@ class TestVarnet:
         for _, p in store.items():
             p.value[:] = 0.0
         x, _ = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
-        assert np.array_equal(x.data, mri.adjoint_op(rec.kspace, rec.maps, rec.mask))
+        assert np.array_equal(ad.channels_to_complex(x.data),
+                              mri.adjoint_op(rec.kspace, rec.maps, rec.mask))
 
     def test_dc_weight_zero_equals_dc_off(self, small_record):
         rec = small_record
@@ -265,10 +276,10 @@ class TestVarnet:
         model.init_params(store, 7)
         x, _ = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
         zf = mri.adjoint_op(rec.kspace, rec.maps, rec.mask)
-        feat = np.stack([zf.real, zf.imag])
+        feat = ad.complex_to_channels(zf)
         upd = networks.unet_forward(ad.constant(feat), store.frozen(), "cascade0.",
                                     model.unet).data
-        assert rel_error(x.data, zf + upd[0] + 1j * upd[1]) < 1e-12
+        assert rel_error(ad.channels_to_complex(x.data), zf + upd[0] + 1j * upd[1]) < 1e-12
 
     def test_sampled_kspace_approaches_measurements_as_d_grows(self, small_record):
         rec = small_record
@@ -279,7 +290,7 @@ class TestVarnet:
             store = ad.ParameterStore()
             model.init_params(store, 8)      # same nets each time, only d changes
             x, _ = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
-            k = mri.forward_op(x.data, rec.maps, rec.mask)
+            k = mri.forward_op(ad.channels_to_complex(x.data), rec.maps, rec.mask)
             dists.append(np.linalg.norm(k[:, on] - rec.kspace[:, on]))
         assert all(b < a for a, b in zip(dists, dists[1:]))
 

@@ -11,6 +11,8 @@ from reconkit.training import (TrainConfig, adam_step, cirim_loss, evaluate,
 
 from conftest import finite_diff, poison_adam_step, rel_error
 
+C = ad.complex_to_channels
+
 
 def _tiny_records(n, size=16, coils=2, seed=0, sigma=0.02, acc=2.0):
     maps = phantom.make_coils(coils, size, size)
@@ -37,19 +39,19 @@ def _tiny_model(kind="cirim", iterations=2, channels=4, cascades=1):
 class TestL1Loss:
     def test_identical_is_zero(self):
         x = np.random.default_rng(0).standard_normal((8, 8)) + 1j
-        assert l1_loss(x, x) == 0.0
+        assert l1_loss(C(x), C(x)) == 0.0
 
     def test_constant_magnitude_offset(self):
         rng = np.random.default_rng(1)
         ref = np.abs(rng.standard_normal((8, 8))) + 0.5
         test = (ref + 0.1) * np.exp(1j * rng.standard_normal((8, 8)))
-        assert l1_loss(test, ref.astype(complex)) == pytest.approx(0.1, abs=1e-12)
+        assert l1_loss(C(test), C(ref.astype(complex))) == pytest.approx(0.1, abs=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert l1_loss(a, b) >= 0.0
+        assert l1_loss(C(a), C(b)) >= 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(training.TrainingError):
@@ -84,20 +86,20 @@ class TestIterationWeights:
 class TestCirimLoss:
     def test_perfect_estimates_zero_loss(self):
         ref = np.abs(np.random.default_rng(3).standard_normal((6, 6))) + 0.2
-        ests = [[ref.astype(complex)] * 3, [ref.astype(complex)] * 3]
-        assert cirim_loss(ests, ref.astype(complex)) == 0.0
+        ests = [[C(ref.astype(complex))] * 3, [C(ref.astype(complex))] * 3]
+        assert cirim_loss(ests, C(ref.astype(complex))) == 0.0
 
     def test_missing_estimates_rejected(self):
-        ref = np.ones((4, 4), dtype=complex)
+        ref = C(np.ones((4, 4), dtype=complex))
         with pytest.raises(training.TrainingError):
             cirim_loss([[ref, ref], [ref]], ref)
         with pytest.raises(training.TrainingError):
             cirim_loss([], ref)
 
     def test_later_iterations_weigh_more(self):
-        ref = np.zeros((4, 4), dtype=complex)
-        bad = np.ones((4, 4), dtype=complex)
-        good = np.zeros((4, 4), dtype=complex)
+        ref = C(np.zeros((4, 4), dtype=complex))
+        bad = C(np.ones((4, 4), dtype=complex))
+        good = C(np.zeros((4, 4), dtype=complex))
         early_bad = cirim_loss([[bad, good]], ref)
         late_bad = cirim_loss([[good, bad]], ref)
         assert late_bad > early_bad
@@ -106,19 +108,19 @@ class TestCirimLoss:
 class TestSsimLoss:
     def test_identical_is_zero(self):
         x = np.abs(np.random.default_rng(4).standard_normal((12, 12))) + 0.5
-        assert ssim_loss(x.astype(complex), x.astype(complex)) == pytest.approx(0.0, abs=1e-12)
+        assert ssim_loss(C(x.astype(complex)), C(x.astype(complex))) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         b = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        assert 0.0 <= ssim_loss(a, b) <= 2.0
+        assert 0.0 <= ssim_loss(C(a), C(b)) <= 2.0
 
     def test_matches_metric(self):
         rng = np.random.default_rng(6)
         ref = np.abs(rng.standard_normal((16, 16))) + 0.3
         test = ref + 0.05 * rng.standard_normal((16, 16))
-        loss = ssim_loss(test.astype(complex), ref.astype(complex))
+        loss = ssim_loss(C(test.astype(complex)), C(ref.astype(complex)))
         assert loss == pytest.approx(1.0 - metrics.ssim(test, ref), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -128,16 +130,16 @@ class TestSsimLoss:
         im0 = 0.3 * rng.standard_normal((10, 10))
 
         tape = ad.Tape()
-        re, im = ad.leaf(re0, tape), ad.leaf(im0, tape)
-        loss = ssim_loss(ad.make_complex(re, im), ad.constant(ref.astype(complex)))
+        x = ad.leaf(C(re0 + 1j * im0), tape)
+        loss = ssim_loss(x, ad.constant(C(ref.astype(complex))))
         ad.backward(loss)
 
         def scalar(re_a, im_a):
-            return float(ssim_loss(re_a + 1j * im_a, ref.astype(complex)))
+            return float(ssim_loss(C(re_a + 1j * im_a), C(ref.astype(complex))))
 
         fd_re, fd_im = finite_diff(scalar, [re0, im0], eps=1e-6)
-        assert rel_error(re.grad, fd_re) < 1e-4
-        assert rel_error(im.grad, fd_im) < 1e-4
+        assert rel_error(x.grad[0], fd_re) < 1e-4
+        assert rel_error(x.grad[1], fd_im) < 1e-4
 
 
 def _grad_leaf(g):
@@ -193,6 +195,24 @@ def _assert_store_holds_best_values(result):
         assert np.array_equal(p.value, result.best_values[name]), name
 
 
+def test_cirim_step_tape_records():
+    """One float32 CIRIM step (K=2, T=4) records these ops, and no complex array."""
+    rec = _tiny_records(1)[0]
+    model = build_model("cirim", cell=RimCellConfig(channels=3, iterations=4, unit="indrnn"),
+                        cascade=CascadeConfig(n_cascades=2))
+    store = ad.ParameterStore()
+    model.init_params(store, 0)
+    tape = ad.Tape()
+    x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, store.leaves(tape, np.float32))
+    training._loss_for(x, estimates, rec, TrainConfig(dtype="float32"))
+    counts = {}
+    for op, out, _inputs, _vjp in tape._records:
+        counts[op] = counts.get(op, 0) + 1
+        assert not np.iscomplexobj(out.data), op
+    assert counts == {"conv2d": 40, "add": 31, "mul": 24, "reshape": 16, "relu": 16,
+                      "magnitude": 8, "sub": 8, "abs": 8, "mean": 8, "linear": 7, "concat": 7}
+
+
 class TestTrainLoop:
     def test_zero_epochs_initial_checkpoint_empty_log(self):
         records = _tiny_records(2)
@@ -237,6 +257,7 @@ class TestTrainLoop:
         vals = [row["loss"] for row in result.log if row["split"] == "val"]
         assert min(vals) == pytest.approx(vals[int(np.argmin(vals))])
         assert set(result.best_values) == set(result.store.names())
+        assert result.best_step == 3 * (int(np.argmin(vals)) + 1)  # 3 steps per epoch
 
     def test_divergence_stops_with_last_good_parameters(self, monkeypatch):
         records = _tiny_records(4, seed=80)
@@ -266,6 +287,7 @@ class TestTrainLoop:
             result = train(_tiny_model(), records[:3], records[3:], epochs=2, seed=6, cfg=cfg)
         assert result.diverged
         assert [row["split"] for row in result.log] == ["train"]
+        assert result.best_step == 0  # no validation pass finished
         _assert_store_holds_best_values(result)
 
     @pytest.mark.parametrize("field, value", [("dtype", "float16"), ("loss", "l2"),
@@ -300,7 +322,7 @@ class TestEvaluate:
         row = next(r for r in rows if r["method"] == "oracle" and r["id"] == "0000")
         assert row["ssim"] == pytest.approx(1.0, abs=1e-12)
         assert np.isinf(row["psnr_db"])
-        assert l1_loss(small_record.reference, small_record.reference) == 0.0
+        assert l1_loss(C(small_record.reference), C(small_record.reference)) == 0.0
 
     def test_zero_filled_floor_always_present(self, small_record):
         rows = evaluate([training.method_cs(max_iter=3)], [small_record], timing=False)
@@ -325,6 +347,7 @@ class TestEvaluate:
         model = _tiny_model()
         records = _tiny_records(2, seed=60)
         result = train(model, records, [], epochs=1, seed=4)
+        assert result.best_step == result.steps == 2  # without validation, the last epoch
         path = tmp_path / "ckpt.cks"
         training.save_trained(path, model, result.best_values)
         method = training.method_checkpoint(path)
@@ -342,5 +365,27 @@ class TestEvaluate:
         config, values, _ = containers.load_checkpoint(path)
         config["cell"]["channels"] = 32          # no longer matches the records
         containers.save_checkpoint(path, config, values)
-        with pytest.raises(ad.GraphError):
+        with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.bias"):
+            training.method_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "cascade0.conv1.bias is missing"),
+        ("add", "cascade9.extra is not a parameter"),
+        ("reshape", "cascade0.conv3.bias has shape"),
+    ])
+    def test_checkpoint_parameter_mismatch_named(self, tmp_path, edit, message):
+        from reconkit import containers
+        model = _tiny_model()
+        store = ad.ParameterStore()
+        model.init_params(store, 0)
+        values = store.copy_values()
+        if edit == "drop":
+            del values["cascade0.conv1.bias"]
+        elif edit == "add":
+            values["cascade9.extra"] = np.zeros(3)
+        else:
+            values["cascade0.conv3.bias"] = np.zeros(3)
+        path = tmp_path / "ckpt.cks"
+        training.save_trained(path, model, values)
+        with pytest.raises(containers.CheckpointMismatchError, match=message):
             training.method_checkpoint(path)
