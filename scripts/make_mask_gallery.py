@@ -29,7 +29,7 @@ def main() -> int:
         stem = f"{mask.kind}_{mask.requested_acceleration:g}x"
         containers.write_mask(out / f"{stem}.cks", mask)
         containers.export_mask_pbm(mask, out / f"{stem}.pbm")
-        report = sampling.mask_report(mask)
+        report = sampling.MaskReport(mask)
         lines.append(report.csv_row())
         print(f"{stem}: achieved {report.achieved_acceleration:.2f}x, "
               f"{report.n_kept} samples")

@@ -6,12 +6,16 @@ The compressed-sensing solver minimizes
 
 with W an orthogonal Daubechies 4-tap wavelet transform (periodic, 3 levels)
 applied to the real and imaginary parts, using the monotone FISTA variant.
+Each wavelet level is an orthogonal matrix per size, applied to rows and
+columns as two GEMMs; synthesis is the transpose.
 Under the orthonormal-FFT / normalized-maps / binary-mask construction the
 forward operator satisfies ||A|| <= 1, so a unit step size is always valid
 and there is nothing to tune beyond alpha.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,84 +32,78 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _analysis_1d(x: np.ndarray, axis: int) -> np.ndarray:
-    x = np.moveaxis(x, axis, -1)
-    n = x.shape[-1]
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(4)[None, :]) % n
-    windows = x[..., idx]
-    lo = windows @ DB4_LO
-    hi = windows @ DB4_HI
-    return np.moveaxis(np.concatenate([lo, hi], axis=-1), -1, axis)
+@functools.lru_cache(maxsize=16)
+def _level_matrix(n: int) -> np.ndarray:
+    """One periodic DB4 analysis level on length n as an orthogonal (n, n) matrix.
 
-
-def _synthesis_1d(c: np.ndarray, axis: int) -> np.ndarray:
-    c = np.moveaxis(c, axis, -1)
-    n = c.shape[-1]
+    Row i < n/2 gives lo[i] = sum_k DB4_LO[k] * x[(2i + k) % n], row n/2 + i
+    the matching hi[i] with DB4_HI; synthesis is the transpose.  Read-only,
+    because every caller shares the cached array.
+    """
     half = n // 2
-    lo, hi = c[..., :half], c[..., half:]
-    out = np.zeros_like(c)
-    # transpose of the analysis: scatter each coefficient back over its window
+    rows = np.arange(half)
+    m = np.zeros((n, n))
     for k in range(4):
-        pos = (2 * np.arange(half) + k) % n
-        out[..., pos] += DB4_LO[k] * lo + DB4_HI[k] * hi
-    return np.moveaxis(out, -1, axis)
+        cols = (2 * rows + k) % n   # wraps twice onto the same column when n == 2
+        np.add.at(m, (rows, cols), DB4_LO[k])
+        np.add.at(m, (half + rows, cols), DB4_HI[k])
+    m.setflags(write=False)
+    return m
 
 
-def _pad_to_multiple(x: np.ndarray, mult: int) -> tuple[np.ndarray, tuple[int, int]]:
-    h, w = x.shape
-    ph = (-h) % mult
-    pw = (-w) % mult
+def _checked_shape(x: np.ndarray, levels: int) -> tuple[int, int]:
+    h, w = x.shape[-2:]
+    if h % (1 << levels) or w % (1 << levels):
+        raise ValueError(f"shape {x.shape} not divisible by 2**{levels} in its last two axes")
+    return h, w
+
+
+def _pad_to_multiple(x: np.ndarray, mult: int) -> np.ndarray:
+    """Symmetric padding of the last two axes up to multiples of `mult`."""
+    ph, pw = (-x.shape[-2]) % mult, (-x.shape[-1]) % mult
     if ph == 0 and pw == 0:
-        return x, (0, 0)
-    return np.pad(x, ((0, ph), (0, pw)), mode="symmetric"), (ph, pw)
+        return x
+    return np.pad(x, [(0, 0)] * (x.ndim - 2) + [(0, ph), (0, pw)], mode="symmetric")
 
 
 def wavelet2(x: np.ndarray, levels: int = 3) -> np.ndarray:
-    """Orthogonal 2D multi-level wavelet analysis (dims divisible by 2**levels)."""
-    h, w = x.shape
-    if h % (1 << levels) or w % (1 << levels):
-        raise ValueError(f"shape {x.shape} not divisible by 2**{levels}")
+    """Orthogonal 2D multi-level wavelet analysis over the last two axes.
+
+    Both axes must be divisible by 2**levels.  Level l maps the low-pass
+    corner `sub` to M_h @ sub @ M_w.T, so a (2, h, w) stack of real and
+    imaginary parts is transformed in one call.
+    """
+    h, w = _checked_shape(x, levels)
     out = np.array(x, dtype=np.float64)
-    hh, ww = h, w
-    for _ in range(levels):
-        sub = out[:hh, :ww]
-        sub = _analysis_1d(sub, 0)
-        sub = _analysis_1d(sub, 1)
-        out[:hh, :ww] = sub
-        hh //= 2
-        ww //= 2
+    for lev in range(levels):
+        hh, ww = h >> lev, w >> lev
+        out[..., :hh, :ww] = _level_matrix(hh) @ out[..., :hh, :ww] @ _level_matrix(ww).T
     return out
 
 
 def iwavelet2(c: np.ndarray, levels: int = 3) -> np.ndarray:
-    """Inverse (= transpose) of :func:`wavelet2`."""
-    h, w = c.shape
+    """Inverse (= transpose) of :func:`wavelet2`: M_h.T @ sub @ M_w, coarsest level first."""
+    h, w = _checked_shape(c, levels)
     out = np.array(c, dtype=np.float64)
     for lev in reversed(range(levels)):
         hh, ww = h >> lev, w >> lev
-        sub = out[:hh, :ww]
-        sub = _synthesis_1d(sub, 1)
-        sub = _synthesis_1d(sub, 0)
-        out[:hh, :ww] = sub
+        out[..., :hh, :ww] = _level_matrix(hh).T @ out[..., :hh, :ww] @ _level_matrix(ww)
     return out
 
 
+def _coefficients(x: np.ndarray, levels: int) -> np.ndarray:
+    """W of the real and imaginary parts of a complex image, as one (2, h', w') stack."""
+    return wavelet2(_pad_to_multiple(np.stack([x.real, x.imag]), 1 << levels), levels)
+
+
 def _wavelet_l1(x: np.ndarray, levels: int) -> float:
-    xp, _ = _pad_to_multiple(x.real, 1 << levels)
-    total = np.abs(wavelet2(xp, levels)).sum()
-    xp, _ = _pad_to_multiple(x.imag, 1 << levels)
-    total += np.abs(wavelet2(xp, levels)).sum()
-    return float(total)
+    return float(np.abs(_coefficients(x, levels)).sum())
 
 
 def _wavelet_shrink(x: np.ndarray, t: float, levels: int) -> np.ndarray:
     h, w = x.shape
-    parts = []
-    for part in (x.real, x.imag):
-        xp, _ = _pad_to_multiple(part, 1 << levels)
-        c = soft_threshold(wavelet2(xp, levels), t)
-        parts.append(iwavelet2(c, levels)[:h, :w])
-    return parts[0] + 1j * parts[1]
+    re, im = iwavelet2(soft_threshold(_coefficients(x, levels), t), levels)[:, :h, :w]
+    return re + 1j * im
 
 
 def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:

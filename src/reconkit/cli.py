@@ -117,7 +117,7 @@ def cmd_mask_gen(args) -> int:
     containers.write_mask(args.out, mask)
     if args.pbm:
         containers.export_mask_pbm(mask, args.pbm)
-    report = sampling.mask_report(mask)
+    report = sampling.MaskReport(mask)
     print(",".join(report.CSV_HEADER))
     print(report.csv_row())
     return 0
@@ -225,24 +225,22 @@ def cmd_eval(args) -> int:
     dataset_name = Path(args.data).stem or "records"
     timing = not args.no_timing
 
-    if args.jobs > 1:
-        chunks = np.array_split(np.array(paths, dtype=object), args.jobs)
-        payloads = [(descs, list(c), dataset_name, timing) for c in chunks if len(c)]
-        with multiprocessing.Pool(args.jobs) as pool:
+    jobs = max(args.jobs, 1)
+    chunks = np.array_split(np.array(paths, dtype=object), jobs)
+    payloads = [(descs, list(c), dataset_name, timing) for c in chunks if len(c)]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_eval_worker, payloads)
-        rows = []
-        offset = 0
-        for part, payload in zip(parts, payloads):
-            n_records = len(payload[1])
-            for r in part:
-                r["id"] = f"{int(r['id']) + offset:04d}"
-            offset += n_records
-            rows.extend(part)
-        rows.extend(training.summarize_rows(rows, [_method_name(d) for d in descs], dataset_name))
     else:
-        methods = [_build_method(d) for d in descs]
-        records = [containers.read_record(p) for p in paths]
-        rows = training.evaluate(methods, records, dataset_name=dataset_name, timing=timing)
+        parts = map(_eval_worker, payloads)
+    rows = []
+    offset = 0
+    for part, payload in zip(parts, payloads):
+        for r in part:
+            r["id"] = f"{int(r['id']) + offset:04d}"
+        offset += len(payload[1])
+        rows.extend(part)
+    rows.extend(training.summarize_rows(rows, [_method_name(d) for d in descs], dataset_name))
     containers.write_metrics_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -35,7 +35,8 @@ class ContainerError(Exception):
 
 
 class FormatError(ContainerError):
-    """Not a container file (bad magic or unparseable header)."""
+    """Not a well-formed container (bad magic, unparseable header, a repeated
+    array name or bytes after the CRC trailer)."""
 
 
 class VersionError(ContainerError):
@@ -106,6 +107,8 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     pos = off + hlen
     for entry in header["arrays"]:
+        if entry["name"] in arrays:
+            raise FormatError(f"array name {entry['name']!r} appears twice in the header")
         dt = np.dtype(_DTYPES[entry["dtype"]])
         count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
         nbytes = count * dt.itemsize
@@ -120,6 +123,8 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     crc_actual = zlib.crc32(blob[off: pos]) & 0xFFFFFFFF
     if crc_stored != crc_actual:
         raise ChecksumError(f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}")
+    if len(blob) > pos + 4:
+        raise FormatError(f"{len(blob) - pos - 4} bytes after the CRC trailer")
     return header["kind"], header.get("meta", {}), arrays
 
 

@@ -10,8 +10,10 @@ With sensitivity maps normalized so that sum_i |S_i|^2 == 1 everywhere, the
 pair is an exact adjoint pair and ``adjoint_op(forward_op(x)) == x`` under
 full sampling.  ``loglik_gradient`` is the data-fidelity gradient
 A*(A(x) - y) that both the CS baseline and the networks' data consistency
-use.  All functions are pure and operate on plain numpy arrays; the networks
-put them on the autodiff tape as single ``autodiff.linear`` nodes.
+use; the networks' image-space soft DC is x - d * loglik_gradient(x), and
+``soft_dc_kspace`` is the k-space rule it is checked against.  All functions
+are pure and operate on plain numpy arrays; the networks put them on the
+autodiff tape as single ``autodiff.linear`` nodes.
 """
 
 from __future__ import annotations
@@ -144,14 +146,3 @@ def loglik_gradient(x: np.ndarray, y: np.ndarray, maps: np.ndarray, mask) -> np.
     if k.shape != np.shape(y):
         raise DimensionError(f"k-space {np.shape(y)} does not match prediction {k.shape}")
     return adjoint_op(k - y, maps, mask)
-
-
-def soft_dc(x_hat: np.ndarray, y: np.ndarray, maps: np.ndarray, mask, d: float) -> np.ndarray:
-    """Image-space soft data consistency: x_hat - d * A*(A(x_hat) - y).
-
-    Interpolates the sampled k-space of x_hat toward the measurements y and
-    maps the correction back to image space; with a binary mask this equals
-    replacing sampled k-space and re-reducing when the maps are normalized,
-    and it is an exact identity at d = 0.
-    """
-    return x_hat - d * loglik_gradient(x_hat, y, maps, mask)

@@ -343,7 +343,3 @@ def _center_run(line: np.ndarray) -> int:
     while hi < n - 1 and line[hi + 1]:
         hi += 1
     return hi - lo + 1
-
-
-def mask_report(mask: SamplingMask) -> MaskReport:
-    return MaskReport(mask)

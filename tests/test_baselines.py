@@ -37,6 +37,29 @@ class TestWavelet:
         back = baselines.iwavelet2(baselines.wavelet2(x, levels=3), levels=3)
         assert rel_error(back, x) < 1e-10
 
+    # every level size of 64 and of the padded 20 -> 24 case, and the smallest level
+    @pytest.mark.parametrize("n", [64, 32, 16, 24, 12, 6, 2])
+    def test_level_matrix_orthogonal(self, n):
+        m = baselines._level_matrix(n)
+        assert np.abs(m @ m.T - np.eye(n)).max() < 1e-12
+        assert not m.flags.writeable
+
+    def test_level_matches_windowed_definition(self):
+        x = np.random.default_rng(4).standard_normal(8)
+        n = x.size
+        lo = [sum(baselines.DB4_LO[k] * x[(2 * i + k) % n] for k in range(4)) for i in range(n // 2)]
+        hi = [sum(baselines.DB4_HI[k] * x[(2 * i + k) % n] for k in range(4)) for i in range(n // 2)]
+        assert np.allclose(baselines._level_matrix(n) @ x, lo + hi, rtol=0, atol=1e-14)
+
+    def test_stack_equals_slices(self):
+        # real and imaginary parts go through one call as a (2, h, w) stack
+        x = np.random.default_rng(5).standard_normal((2, 24, 16))
+        for transform in (baselines.wavelet2, baselines.iwavelet2):
+            stacked = transform(x)
+            for part in range(2):
+                assert np.allclose(stacked[part], transform(x[part]), rtol=0, atol=1e-13)
+        assert rel_error(baselines.iwavelet2(baselines.wavelet2(x)), x) < 1e-10
+
     def test_transpose_identity(self):
         # <Wx, c> == <x, W^T c> makes synthesis the exact transpose
         rng = np.random.default_rng(3)
@@ -49,6 +72,8 @@ class TestWavelet:
     def test_indivisible_shape_rejected(self):
         with pytest.raises(ValueError):
             baselines.wavelet2(np.zeros((12, 12)), levels=3)
+        with pytest.raises(ValueError):
+            baselines.iwavelet2(np.zeros((12, 12)), levels=3)
 
     def test_constant_concentrates_in_approximation(self):
         c = baselines.wavelet2(np.ones((16, 16)), levels=3)

@@ -1,6 +1,7 @@
 """Container format round trips, fault injection, PGM/PBM/CSV output."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,16 @@ from reconkit.containers import (ChecksumError, FormatError, TruncationError,
 @pytest.fixture
 def record(small_record):
     return small_record
+
+
+def _patch_header(path, old: bytes, new: bytes) -> None:
+    """Replace bytes inside a container's JSON header and fix the CRC."""
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    header = blob[12:12 + hlen].replace(old, new)
+    payload = header + blob[12 + hlen:-4]
+    path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + payload
+                     + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 class TestContainer:
@@ -59,16 +70,22 @@ class TestContainer:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "t.cks"
         containers.write_container(path, "mask", {}, {"keep": np.ones((2, 2))})
-        blob = bytearray(path.read_bytes())
-        # rewrite the version field inside the JSON header and fix the CRC
-        hlen = struct.unpack_from("<I", blob, 8)[0]
-        header = bytes(blob[12:12 + hlen]).replace(b'"version":1', b'"version":9')
-        rest = bytes(blob[12 + hlen:-4])
-        import zlib
-        payload = header + rest
-        out = blob[:12] + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-        path.write_bytes(bytes(out))
+        _patch_header(path, b'"version":1', b'"version":9')
         with pytest.raises(VersionError):
+            containers.read_container(path)
+
+    def test_duplicate_array_name_is_format_error(self, tmp_path):
+        path = tmp_path / "t.cks"
+        containers.write_container(path, "mask", {}, {"a": np.ones(2), "b": np.zeros(2)})
+        _patch_header(path, b'"name":"b"', b'"name":"a"')
+        with pytest.raises(FormatError, match="'a'"):
+            containers.read_container(path)
+
+    def test_bytes_after_crc_are_format_error(self, tmp_path):
+        path = tmp_path / "t.cks"
+        containers.write_container(path, "mask", {}, {"keep": np.ones((2, 2))})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="after the CRC"):
             containers.read_container(path)
 
     def test_record_roundtrip(self, tmp_path, record):

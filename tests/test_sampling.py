@@ -225,21 +225,21 @@ class TestPoisson2d:
 
 class TestMaskReport:
     def test_full_mask_acceleration_one(self):
-        report = sampling.mask_report(sampling.full_mask(16, 16))
+        report = sampling.MaskReport(sampling.full_mask(16, 16))
         assert report.achieved_acceleration == 1.0
 
     def test_gaussian_10x(self):
         mask = sampling.gaussian2d_mask(320, 320, 10.0, seed=5)
-        report = sampling.mask_report(mask)
+        report = sampling.MaskReport(mask)
         assert abs(report.achieved_acceleration - 10.0) <= 0.1
 
     def test_equidistant_density_constant_along_ky(self):
         mask = sampling.equidistant1d_mask(24, 32, acceleration=4, seed=0)
-        report = sampling.mask_report(mask)
+        report = sampling.MaskReport(mask)
         assert np.allclose(report.density_y, report.density_y[0])
 
     def test_csv_row_shape(self):
-        report = sampling.mask_report(sampling.gaussian2d_mask(32, 32, 4.0, seed=0))
+        report = sampling.MaskReport(sampling.gaussian2d_mask(32, 32, 4.0, seed=0))
         row = report.csv_row()
         assert len(row.split(",")) == len(report.CSV_HEADER)
         assert row.startswith("gaussian2d,32,32,")
