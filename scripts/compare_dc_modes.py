@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from reconkit import training
-from reconkit.autodiff import ParameterStore
 from reconkit.experiments import build_desk_dataset
 from reconkit.networks import CascadeConfig, RimCellConfig, build_model
 
@@ -30,11 +29,8 @@ def train_variant(name, explicit_dc, data, args):
     t0 = time.perf_counter()
     result = training.train(model, data.train, data.val, epochs, args.seed, cfg)
     elapsed = time.perf_counter() - t0
-    store = ParameterStore()
-    model.init_params(store, seed=args.seed)
-    store.load_values(result.best_values)
     print(f"trained {name}: {result.steps} steps in {elapsed:.0f}s")
-    return training.method_model(name, model, store)
+    return training.method_model(name, model, result.store)
 
 
 def main() -> int:

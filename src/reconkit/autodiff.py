@@ -22,7 +22,7 @@ single-threaded while recording and during backward.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,25 +43,24 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __bool__(self) -> bool:
-        return True  # an empty tape is still a tape
-
     def record(self, op: str, out: "Tensor", inputs: tuple["Tensor", ...], vjp: Callable) -> None:
-        out.node_id = len(self._records)
         self._records.append((op, out, inputs, vjp))
 
 
 class Tensor:
-    """A numpy array plus optional tape bookkeeping."""
+    """A numpy array plus the tape it is recorded on, if any."""
 
-    __slots__ = ("data", "grad", "tape", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, tape: Tape | None = None, requires_grad: bool = False):
+    def __init__(self, data, tape: Tape | None = None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.tape = tape
-        self.requires_grad = requires_grad
-        self.node_id: int | None = None
+
+    @property
+    def requires_grad(self) -> bool:
+        """A tensor gets a gradient exactly when it is on a tape."""
+        return self.tape is not None
 
     @property
     def shape(self):
@@ -82,14 +81,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -99,12 +92,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def astensor(x) -> Tensor:
@@ -117,21 +104,13 @@ def constant(x) -> Tensor:
 
 def leaf(x, tape: Tape) -> Tensor:
     """A trainable graph input: gradients accumulate on it during backward."""
-    return Tensor(np.asarray(x), tape=tape, requires_grad=True)
-
-
-def _find_tape(inputs: Iterable[Tensor]) -> Tape | None:
-    for t in inputs:
-        if t.tape is not None:
-            return t.tape
-    return None
+    return Tensor(np.asarray(x), tape=tape)
 
 
 def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
-    needs = any(t.requires_grad for t in inputs)
-    tape = _find_tape(inputs) if needs else None
-    out = Tensor(out_data, tape=tape, requires_grad=needs and tape is not None)
-    if out.requires_grad:
+    tape = next((t.tape for t in inputs if t.tape is not None), None)
+    out = Tensor(out_data, tape=tape)
+    if tape is not None:
         tape.record(op, out, inputs, vjp)
     return out
 
@@ -195,15 +174,6 @@ def sub(a, b) -> Tensor:
         return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(-g, b.shape) if nb else None)
 
     return _apply("sub", (a, b), a.data - b.data, vjp)
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return _apply("neg", (a,), -a.data, vjp)
 
 
 def mul(a, b) -> Tensor:

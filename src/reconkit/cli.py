@@ -16,12 +16,13 @@ import json
 import multiprocessing
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import containers, baselines, sampling, training
-from .networks import CascadeConfig, RimCellConfig, UnetConfig, build_model
+from .networks import MODEL_KINDS, RimCellConfig, UnetConfig, build_model
 from .phantom import PhantomSpec, default_brain_spec, make_coils, make_phantom, simulate_acquisition
 
 
@@ -37,19 +38,28 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ValueError(f"size must look like 64x64, got {text!r}") from None
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    cfg = json.loads(Path(path).read_text())
+_NOT_FLAGS = ("config", "func", "command", "subcommand")   # namespace entries only
+
+
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config keys that are flags of the command, as flags argparse checks.
+
+    `true` becomes a bare flag; `false` and `null` leave the flag out.
+    """
+    cfg = json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    flags = []
     for key, val in cfg.items():
-        opt = "--in" if key == "input" else "--" + key.replace("_", "-")
-        explicitly_given = any(a == opt or a.startswith(opt + "=") for a in argv)
-        if not explicitly_given and hasattr(args, key):
-            setattr(args, key, val)
-    return args
+        if hasattr(args, key) and key not in _NOT_FLAGS and val is not None and val is not False:
+            opt = "--in" if key == "input" else "--" + key.replace("_", "-")
+            flags.append(opt if val is True else f"{opt}={val}")
+    return flags
+
+
+def _per_kind(show) -> str:
+    """A help text's list of one default per model kind."""
+    return ", ".join(f"{kind} {show(d.cascade)}" for kind, d in MODEL_KINDS.items())
 
 
 def _records_in(path: Path) -> list[Path]:
@@ -153,17 +163,21 @@ def cmd_train(args) -> int:
     val_records = records[:n_val]
     train_records = records[n_val:]
 
-    explicit_dc = args.dc in ("explicit", "both")
-    kernels = tuple(int(k) for k in args.kernels.split(","))
-    cell = RimCellConfig(channels=args.channels, kernel_sizes=kernels,
-                         unit="gru" if args.model == "rim" else "indrnn",
-                         iterations=args.iterations)
-    cascade = CascadeConfig(n_cascades=args.cascades if args.cascades else
-                            {"rim": 1, "irim": 1, "cirim": 5, "varnet": 8}[args.model],
-                            explicit_dc=explicit_dc, dc_weight_init=args.dc_weight)
-    unet = UnetConfig(pools=args.pools, channels=args.channels) if args.model == "varnet" else None
-    model = build_model(args.model, cell=None if args.model == "varnet" else cell,
-                        cascade=cascade, unet=unet)
+    unit, cascade = MODEL_KINDS[args.model]
+    explicit_dc = cascade.explicit_dc if args.dc is None else args.dc == "explicit"
+    if unit is None and not explicit_dc:
+        raise ValueError(f"{args.model} has no gradient input, so it needs --dc explicit")
+    given = {"n_cascades": args.cascades, "dc_weight_init": args.dc_weight}
+    cascade = replace(cascade, explicit_dc=explicit_dc,
+                      **{k: v for k, v in given.items() if v is not None})
+    if unit is None:
+        model = build_model(args.model, cascade=cascade,
+                            unet=UnetConfig(pools=args.pools, channels=args.channels))
+    else:
+        kernels = tuple(int(k) for k in args.kernels.split(","))
+        model = build_model(args.model, cascade=cascade,
+                            cell=RimCellConfig(channels=args.channels, kernel_sizes=kernels,
+                                               unit=unit, iterations=args.iterations))
 
     loss = args.loss or ("l1" if args.model == "varnet" else "cirim")
     cfg = training.TrainConfig(lr=args.lr, loss=loss, dtype=args.dtype, max_steps=args.steps)
@@ -303,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train a reconstructor", formatter_class=fmt)
     tr.add_argument("--model", required=True, choices=["cirim", "rim", "irim", "varnet"])
-    tr.add_argument("--dc", choices=["implicit", "explicit", "both"], default="implicit",
-                    help="data consistency: implicit (gradient input only), explicit, or both")
+    tr.add_argument("--dc", choices=["implicit", "explicit"], default=None,
+                    help="data consistency: implicit (gradient input only) or explicit (a "
+                         "learned soft-DC step after each cascade); defaults: "
+                         + _per_kind(lambda c: "explicit" if c.explicit_dc else "implicit"))
     tr.add_argument("--data", required=True, help="directory of record .cks files")
     tr.add_argument("--epochs", type=int, default=10, help="training epochs (batch size 1)")
     tr.add_argument("--steps", type=int, default=None, help="optional cap on optimizer steps")
@@ -313,12 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--log", default=None, help="training log CSV path")
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")
     tr.add_argument("--cascades", type=int, default=None,
-                    help="cascade count (defaults: cirim 5, varnet 8, rim/irim 1)")
+                    help="cascade count (defaults: " + _per_kind(lambda c: c.n_cascades) + ")")
     tr.add_argument("--iterations", type=int, default=8, help="unrolled iterations per block")
     tr.add_argument("--channels", type=int, default=64, help="hidden channels")
     tr.add_argument("--kernels", default="5,3,3", help="RIM conv kernel sizes")
     tr.add_argument("--pools", type=int, default=4, help="varnet pooling depth")
-    tr.add_argument("--dc-weight", type=float, default=0.5, help="explicit DC weight init")
+    tr.add_argument("--dc-weight", type=float, default=None,
+                    help="explicit DC weight init (defaults: "
+                         + _per_kind(lambda c: c.dc_weight_init) + ")")
     tr.add_argument("--lr", type=float, default=1e-3, help="ADAM learning rate")
     tr.add_argument("--loss", choices=["l1", "cirim", "ssim"], default=None,
                     help="loss (defaults: cirim family -> cirim, varnet -> l1)")
@@ -356,7 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, argv)
+        if args.config:
+            # the config's flags go before the typed ones, which win as the later flags
+            n_words = 2 if hasattr(args, "subcommand") else 1
+            args = parser.parse_args(argv[:n_words] + _config_flags(args) + argv[n_words:])
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

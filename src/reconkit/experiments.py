@@ -90,24 +90,18 @@ def desk_pipeline(steps: int = 300, channels: int = 16, cascades: int = 2,
                         cascade=CascadeConfig(n_cascades=cascades))
     cirim_params = count_parameters(cirim)
     cirim_result = training.train(cirim, data.train, data.val, epochs, train_seed, cfg)
-    cirim_store = ParameterStore()
-    cirim.init_params(cirim_store, seed=train_seed)
-    cirim_store.load_values(cirim_result.best_values)
 
     rim_c = matched_rim_channels(cirim_params, iterations)
     rim = build_model("rim", cell=RimCellConfig(channels=rim_c, iterations=iterations, unit="gru"),
                       cascade=CascadeConfig(n_cascades=1))
     rim_params = count_parameters(rim)
     rim_result = training.train(rim, data.train, data.val, epochs, train_seed, cfg)
-    rim_store = ParameterStore()
-    rim.init_params(rim_store, seed=train_seed)
-    rim_store.load_values(rim_result.best_values)
 
     methods = [
         training.method_zero_filled(),
         training.method_cs(),
-        training.method_model("rim", rim, rim_store),
-        training.method_model("cirim", cirim, cirim_store),
+        training.method_model("rim", rim, rim_result.store),
+        training.method_model("cirim", cirim, cirim_result.store),
     ]
     rows = training.evaluate(methods, data.test, dataset_name="desk64", timing=timing)
     mean_ssim = {name: training.mean_metric(rows, name, "ssim")

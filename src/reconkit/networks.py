@@ -7,8 +7,8 @@ together with the current estimate into a small convolutional recurrent cell
 enforced implicitly through the gradient input.  Cascading
 stacks several independently parametrized blocks; an optional explicit soft
 data-consistency step interpolates sampled k-space toward the measurements
-between cascades.  The variational-cascade baseline replaces the recurrent
-regularizer with a small encoder-decoder convnet.
+after each cascade.  The variational-cascade baseline replaces the recurrent
+regularizer with a small encoder-decoder convnet.  Both run one cascade loop.
 
 All forward passes are built from :mod:`reconkit.autodiff` ops, so the same
 code serves seeded inference (constant parameters, no tape) and training
@@ -24,6 +24,7 @@ place the image is complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +77,20 @@ class UnetConfig:
     def __post_init__(self):
         if self.pools < 1 or self.channels < 1:
             raise ConfigError(f"invalid encoder-decoder config: {self}")
+
+
+class KindDefaults(NamedTuple):
+    unit: str | None          # recurrent unit; None: VarNet's convnet, with no gradient input
+    cascade: CascadeConfig    # used when a model is built without one
+
+
+MODEL_KINDS = {
+    "rim": KindDefaults("gru", CascadeConfig(n_cascades=1, dc_weight_init=0.5)),
+    "irim": KindDefaults("indrnn", CascadeConfig(n_cascades=1, dc_weight_init=0.5)),
+    "cirim": KindDefaults("indrnn", CascadeConfig(n_cascades=5, dc_weight_init=0.5)),
+    "varnet": KindDefaults(None, CascadeConfig(n_cascades=8, explicit_dc=True,
+                                               dc_weight_init=0.5)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +182,71 @@ _UNIT_INITS = {"gru": init_gru, "indrnn": init_indrnn}
 
 
 # ---------------------------------------------------------------------------
+# the cascade loop every model kind shares
+# ---------------------------------------------------------------------------
+
+class CascadeModel:
+    """Cascaded blocks, each optionally followed by a learned explicit soft-DC step.
+
+    A subclass supplies one block: ``_init_block(store, rng, prefix)`` draws
+    its parameters, ``_apply_block(x, ops, params, prefix)`` returns its
+    output image and per-iteration estimates.
+    """
+
+    def __init__(self, kind: str, cascade: CascadeConfig | None):
+        if kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {kind!r}")
+        self.kind = kind
+        self.cascade = cascade or MODEL_KINDS[kind].cascade
+
+    def _prefix(self, k: int) -> str:
+        return "shared." if self.cascade.share_params else f"cascade{k}."
+
+    def _block_prefixes(self) -> list[str]:
+        n_blocks = 1 if self.cascade.share_params else self.cascade.n_cascades
+        return [self._prefix(k) for k in range(n_blocks)]
+
+    def init_params(self, store: ParameterStore, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for prefix in self._block_prefixes():
+            self._init_block(store, rng, prefix)
+        if self.cascade.explicit_dc:
+            for k in range(self.cascade.n_cascades):
+                store.add(f"cascade{k}.dc_weight",
+                          np.array([self.cascade.dc_weight_init], dtype=np.float64))
+
+    def constraints(self) -> list[tuple[str, float, float]]:
+        """Value clamps applied after each optimizer step."""
+        return []
+
+    def forward(self, y, maps, mask, params):
+        """The final image and, per cascade, the list of its estimates."""
+        ops = _Operators(y, maps, mask, _real_dtype(params))
+        x = ops.zero_filled()
+        all_estimates = []
+        for k in range(self.cascade.n_cascades):
+            x, estimates = self._apply_block(x, ops, params, self._prefix(k))
+            if self.cascade.explicit_dc:
+                x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
+                # the cascade's prediction is its data-consistent output
+                estimates[-1] = x
+            if not np.all(np.isfinite(x.data)):
+                raise DivergedError(f"non-finite reconstruction after cascade {k}")
+            all_estimates.append(estimates)
+        return x, all_estimates
+
+
+# ---------------------------------------------------------------------------
 # RIM block and cascades
 # ---------------------------------------------------------------------------
 
-def zero_hidden(cfg: RimCellConfig, h: int, w: int, rdtype=np.float64):
-    z = np.zeros((cfg.channels, h, w), dtype=rdtype)
-    return ad.constant(z), ad.constant(z.copy())
-
-
-def rim_block(x, hidden, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
+def rim_block(x, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
     """One unrolled run of cfg.iterations update steps on a two-channel image.
 
-    Returns (final image, final hidden pair, per-iteration estimates).
+    The hidden states start at zero.  Returns (final image, per-iteration
+    estimates).
     """
-    s0, s1 = hidden
+    s0 = s1 = ad.constant(np.zeros((cfg.channels, ops.h, ops.w), dtype=ops.rdtype))
     step = _UNIT_STEPS[cfg.unit]
     estimates = []
     for tau in range(cfg.iterations):
@@ -193,64 +259,35 @@ def rim_block(x, hidden, ops: _Operators, params, cfg: RimCellConfig, prefix: st
         if not np.all(np.isfinite(x.data)):
             raise DivergedError(f"non-finite reconstruction at unroll iteration {tau}")
         estimates.append(x)
-    return x, (s0, s1), estimates
+    return x, estimates
 
 
-class CirimModel:
+class CirimModel(CascadeModel):
     """Cascaded recurrent reconstructor (single cascade = plain RIM/IRIM)."""
 
     def __init__(self, cell: RimCellConfig | None = None,
                  cascade: CascadeConfig | None = None, kind: str = "cirim"):
-        self.cell = cell or RimCellConfig()
-        self.cascade = cascade or CascadeConfig()
-        self.kind = kind
+        super().__init__(kind, cascade)
+        self.cell = cell or RimCellConfig(unit=MODEL_KINDS[kind].unit)
 
-    def _prefix(self, k: int) -> str:
-        return "shared." if self.cascade.share_params else f"cascade{k}."
-
-    def init_params(self, store: ParameterStore, seed: int) -> None:
-        rng = np.random.default_rng(seed)
+    def _init_block(self, store: ParameterStore, rng, p: str) -> None:
         c = self.cell.channels
         k1, k2, k3 = self.cell.kernel_sizes
-        n_blocks = 1 if self.cascade.share_params else self.cascade.n_cascades
-        for k in range(n_blocks):
-            p = self._prefix(k)
-            _init_conv(store, rng, f"{p}conv1", 4, c, k1)
-            _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit1.", c, c)
-            _init_conv(store, rng, f"{p}conv2", c, c, k2)
-            _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit2.", c, c)
-            _init_conv(store, rng, f"{p}conv3", c, 2, k3, gain=0.1)
-        if self.cascade.explicit_dc:
-            for k in range(self.cascade.n_cascades):
-                store.add(f"cascade{k}.dc_weight",
-                          np.array([self.cascade.dc_weight_init], dtype=np.float64))
+        _init_conv(store, rng, f"{p}conv1", 4, c, k1)
+        _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit1.", c, c)
+        _init_conv(store, rng, f"{p}conv2", c, c, k2)
+        _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit2.", c, c)
+        _init_conv(store, rng, f"{p}conv3", c, 2, k3, gain=0.1)
+
+    def _apply_block(self, x, ops, params, prefix):
+        return rim_block(x, ops, params, self.cell, prefix)
 
     def constraints(self) -> list[tuple[str, float, float]]:
-        """Value clamps applied after each optimizer step."""
         if self.cell.unit != "indrnn":
             return []
-        out = []
-        n_blocks = 1 if self.cascade.share_params else self.cascade.n_cascades
-        for k in range(n_blocks):
-            p = self._prefix(k)
-            # keep the T-step product of recurrent weights from exploding
-            out.append((f"{p}unit1.recurrent", -1.0, 1.0))
-            out.append((f"{p}unit2.recurrent", -1.0, 1.0))
-        return out
-
-    def forward(self, y, maps, mask, params):
-        ops = _Operators(y, maps, mask, _real_dtype(params))
-        x = ops.zero_filled()
-        all_estimates = []
-        for k in range(self.cascade.n_cascades):
-            hidden = zero_hidden(self.cell, ops.h, ops.w, ops.rdtype)
-            x, _, estimates = rim_block(x, hidden, ops, params, self.cell, self._prefix(k))
-            if self.cascade.explicit_dc:
-                x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
-                # the cascade's prediction is its data-consistent output
-                estimates[-1] = x
-            all_estimates.append(estimates)
-        return x, all_estimates
+        # keep the T-step product of recurrent weights from exploding
+        return [(f"{p}unit{i}.recurrent", -1.0, 1.0)
+                for p in self._block_prefixes() for i in (1, 2)]
 
     def config_dict(self) -> dict:
         return {"kind": self.kind, "cell": asdict(self.cell),
@@ -298,7 +335,7 @@ def unet_forward(x, params, prefix: str, cfg: UnetConfig):
     return _conv(h, params, f"{prefix}out")
 
 
-class VarnetModel:
+class VarnetModel(CascadeModel):
     """Cascade of residual image-space convnet regularizers with optional soft DC.
 
     The running state is the coil-combined image, initialized from the
@@ -309,35 +346,19 @@ class VarnetModel:
 
     def __init__(self, unet: UnetConfig | None = None,
                  cascade: CascadeConfig | None = None):
+        super().__init__("varnet", cascade)
         self.unet = unet or UnetConfig()
-        self.cascade = cascade or CascadeConfig(n_cascades=8, explicit_dc=True, dc_weight_init=0.5)
-        self.kind = "varnet"
 
-    def _prefix(self, k: int) -> str:
-        return "shared." if self.cascade.share_params else f"cascade{k}."
+    def _init_block(self, store: ParameterStore, rng, prefix: str) -> None:
+        init_unet(store, rng, prefix, self.unet)
 
-    def init_params(self, store: ParameterStore, seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        n_blocks = 1 if self.cascade.share_params else self.cascade.n_cascades
-        for k in range(n_blocks):
-            init_unet(store, rng, self._prefix(k), self.unet)
-        if self.cascade.explicit_dc:
-            for k in range(self.cascade.n_cascades):
-                store.add(f"cascade{k}.dc_weight",
-                          np.array([self.cascade.dc_weight_init], dtype=np.float64))
-
-    def constraints(self) -> list[tuple[str, float, float]]:
-        return []
+    def _apply_block(self, x, ops, params, prefix):
+        x = ad.add(x, unet_forward(x, params, prefix, self.unet))
+        return x, [x]
 
     def forward(self, y, maps, mask, params):
-        ops = _Operators(y, maps, mask, _real_dtype(params))
-        x = ops.zero_filled()
-        for k in range(self.cascade.n_cascades):
-            x = ad.add(x, unet_forward(x, params, self._prefix(k), self.unet))
-            if self.cascade.explicit_dc:
-                x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
-            if not np.all(np.isfinite(x.data)):
-                raise DivergedError(f"non-finite reconstruction after cascade {k}")
+        # the losses see only the final image
+        x, _ = super().forward(y, maps, mask, params)
         return x, [[x]]
 
     def config_dict(self) -> dict:
@@ -352,18 +373,10 @@ class VarnetModel:
 def build_model(kind: str, cell: RimCellConfig | None = None,
                 cascade: CascadeConfig | None = None,
                 unet: UnetConfig | None = None):
-    if kind == "rim":
-        return CirimModel(cell or RimCellConfig(unit="gru"),
-                          cascade or CascadeConfig(n_cascades=1), kind="rim")
-    if kind == "irim":
-        return CirimModel(cell or RimCellConfig(unit="indrnn"),
-                          cascade or CascadeConfig(n_cascades=1), kind="irim")
-    if kind == "cirim":
-        return CirimModel(cell or RimCellConfig(unit="indrnn"),
-                          cascade or CascadeConfig(n_cascades=5), kind="cirim")
+    """A model of `kind`; a config left out comes from MODEL_KINDS."""
     if kind == "varnet":
         return VarnetModel(unet, cascade)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return CirimModel(cell, cascade, kind=kind)
 
 
 def model_from_config(config: dict):

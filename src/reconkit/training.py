@@ -213,10 +213,11 @@ def train(model, train_records: Sequence[DatasetRecord],
     """Batch-size-1 training, deterministic per seed.
 
     Logs one training and one validation row per epoch; keeps the parameter
-    snapshot with the best validation loss.  A DivergedError ends the run:
-    from a step (non-finite reconstruction, loss or updated parameter; that
-    step is not counted) or from the validation pass.  `best_values` keeps
-    the last good parameters, and `store` is reset to them.
+    snapshot with the best validation loss (the last one without validation
+    records) as `best_values`.  A DivergedError ends the run: from a step
+    (non-finite reconstruction, loss or updated parameter; that step is not
+    counted) or from the validation pass; `best_values` then holds the last
+    good parameters.  Either way `store` ends at `best_values`.
     """
     cfg = cfg or TrainConfig()
     _check_config(cfg)
@@ -259,7 +260,7 @@ def train(model, train_records: Sequence[DatasetRecord],
                 break
     except DivergedError:
         result.diverged = True
-        store.load_values(result.best_values)
+    store.load_values(result.best_values)
     return result
 
 

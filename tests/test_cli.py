@@ -110,6 +110,26 @@ class TestPipeline:
         assert text.startswith("id,method,dataset,acc,ssim,psnr_db,cr,wmn,bgn,wa,snr,wall_ms")
         assert "zerofill" in text and "cs" in text and "cirim" in text
 
+    def test_varnet_trains_with_explicit_dc_by_default(self, workspace):
+        base, ph, recs, mask = workspace
+        ckpt = base / "varnet.cks"
+        assert run(["train", "--model", "varnet", "--data", str(recs), "--epochs", "1",
+                    "--seed", "11", "--out", str(ckpt), "--channels", "2", "--pools", "2",
+                    "--cascades", "2", "--dtype", "float32"]) == 0
+        config, values, _extra = containers.load_checkpoint(ckpt)
+        assert config["cascade"]["explicit_dc"] is True
+        assert {"cascade0.dc_weight", "cascade1.dc_weight"} <= set(values)
+
+    def test_varnet_with_implicit_dc_is_an_error(self, workspace, capsys):
+        base, ph, recs, mask = workspace
+        rc = run(["train", "--model", "varnet", "--dc", "implicit", "--data", str(recs),
+                  "--epochs", "1", "--out", str(base / "v.cks"), "--pools", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (base / "v.cks").exists()
+
     def test_train_divergence_writes_checkpoint(self, workspace, monkeypatch):
         base, ph, recs, mask = workspace
         poison_adam_step(monkeypatch, 2)
@@ -189,6 +209,38 @@ class TestConfigMerging:
         mask = containers.read_mask(out)
         assert mask.requested_acceleration == 2.0   # explicit flag wins
         assert mask.seed == 99                      # config fills the rest
+
+    @pytest.mark.parametrize("cfg", [{"kind": "gausian2d"}, {"acc": "four"},
+                                     {"pbm": True}])
+    def test_bad_config_value_exits_two(self, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "m.cks"
+        with pytest.raises(SystemExit) as err:
+            run(["mask", "gen", "--kind", "full", "--size", "8x8", "--config", str(path),
+                 "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_config_booleans_and_unknown_keys(self, tmp_path):
+        ph = tmp_path / "ph"
+        run(["phantom", "gen", "--out", str(ph), "--count", "1", "--seed", "2", "--size", "16"])
+        mask = tmp_path / "full.cks"
+        run(["mask", "gen", "--kind", "full", "--size", "16x16", "--out", str(mask)])
+        rec = tmp_path / "rec.cks"
+        run(["simulate", "--phantom", str(ph / "phantom_0000.cks"), "--mask", str(mask),
+             "--coils", "2", "--out", str(rec)])
+        reports = []
+        for i, cfg in enumerate([{"no_timing": True, "not_a_flag": 1},
+                                 {"no_timing": False}, {"no_timing": None}]):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            report = tmp_path / f"r{i}.csv"
+            assert run(["eval", "--methods", "zerofill", "--data", str(rec),
+                        "--config", str(path), "--out", str(report)]) == 0
+            reports.append(report.read_text().splitlines()[1].split(","))
+        assert float(reports[0][-1]) == 0.0                       # true: --no-timing
+        assert float(reports[1][-1]) > 0 and float(reports[2][-1]) > 0
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RECON_SEED", "123")

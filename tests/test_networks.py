@@ -147,8 +147,7 @@ class TestRimBlock:
             p.value[:] = 0.0
         ops = networks._Operators(rec.kspace, rec.maps, rec.mask)
         x0 = ops.zero_filled()
-        hidden = networks.zero_hidden(model.cell, *rec.shape)
-        x, _, ests = rim_block(x0, hidden, ops, store.frozen(), model.cell, "cascade0.")
+        x, ests = rim_block(x0, ops, store.frozen(), model.cell, "cascade0.")
         assert np.array_equal(x.data, x0.data)
         assert len(ests) == model.cell.iterations
 
@@ -170,9 +169,8 @@ class TestCirim:
         model.init_params(store, 3)
         x_model, ests_model = model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
         ops = networks._Operators(rec.kspace, rec.maps, rec.mask)
-        hidden = networks.zero_hidden(model.cell, *rec.shape)
-        x_block, _, ests_block = rim_block(ops.zero_filled(), hidden, ops, store.frozen(),
-                                           model.cell, "cascade0.")
+        x_block, ests_block = rim_block(ops.zero_filled(), ops, store.frozen(),
+                                        model.cell, "cascade0.")
         assert np.array_equal(x_model.data, x_block.data)
         assert len(ests_model) == 1 and len(ests_model[0]) == len(ests_block)
 
@@ -200,6 +198,16 @@ class TestCirim:
         xe, _ = explicit.forward(rec.kspace, rec.maps, rec.mask, params)
         xi, _ = implicit.forward(rec.kspace, rec.maps, rec.mask, params)
         assert np.array_equal(xe.data, xi.data)
+
+    def test_non_finite_dc_output_names_cascade(self, small_record):
+        rec = small_record
+        model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, explicit_dc=True,
+                                                       dc_weight_init=np.inf), kind="cirim")
+        store = ad.ParameterStore()
+        model.init_params(store, 0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(networks.DivergedError, match="after cascade 0"):
+            model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
 
     def test_shared_parameters_mode(self, small_record):
         rec = small_record

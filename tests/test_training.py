@@ -187,7 +187,7 @@ class TestAdam:
 
 
 def _assert_store_holds_best_values(result):
-    """After a divergence both the snapshot and the store are the last good values."""
+    """The store ends at the finite best_values snapshot."""
     assert all(np.isfinite(v).all() for v in result.best_values.values())
     assert set(result.store.names()) == set(result.best_values)
     for name, p in result.store.items():
@@ -258,6 +258,15 @@ class TestTrainLoop:
         assert min(vals) == pytest.approx(vals[int(np.argmin(vals))])
         assert set(result.best_values) == set(result.store.names())
         assert result.best_step == 3 * (int(np.argmin(vals)) + 1)  # 3 steps per epoch
+
+    def test_store_ends_at_best_values_of_an_earlier_epoch(self):
+        # a large step size makes validation prefer the first epoch's parameters
+        records = _tiny_records(4, seed=40)
+        result = train(_tiny_model(), records[1:], records[:1], epochs=3, seed=2,
+                       cfg=TrainConfig(lr=0.3))
+        assert not result.diverged
+        assert result.best_step == 3 and result.steps == 9
+        _assert_store_holds_best_values(result)
 
     def test_divergence_stops_with_last_good_parameters(self, monkeypatch):
         records = _tiny_records(4, seed=80)
