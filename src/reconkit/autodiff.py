@@ -43,6 +43,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
+    def clear(self) -> None:
+        """Drop every record, and with them the graph's tensors and VJP closures."""
+        self._records.clear()
+
     def record(self, op: str, out: "Tensor", inputs: tuple["Tensor", ...], vjp: Callable) -> None:
         self._records.append((op, out, inputs, vjp))
 
@@ -116,11 +120,16 @@ def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Calla
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad, kept in t's dtype (a float32 tensor gets a float32 gradient)."""
+    """Add g into t.grad, kept in t's dtype (a float32 tensor gets a float32 gradient).
+
+    No stored gradient is changed in place: a VJP may hand one array, or
+    views of it, to several inputs, so the first write stores g itself and
+    a later one stores a new sum.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.dtype)
+        t.grad = g.astype(t.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = (t.grad + g).astype(t.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -332,7 +341,7 @@ def reshape(a, shape) -> Tensor:
     def vjp(g):
         return (g.reshape(orig),)
 
-    return _apply("reshape", (a,), a.data.reshape(shape).copy(), vjp)
+    return _apply("reshape", (a,), a.data.reshape(shape), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +369,13 @@ def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
 # convolution and resampling (real tensors, channels-first)
 # ---------------------------------------------------------------------------
 
+def _zero_padded(a: np.ndarray, corner: tuple[int, int], size: tuple[int, int]) -> np.ndarray:
+    """A (c, h, w) array placed at `corner` of a zeroed (c, *size) buffer, flattened to rows."""
+    buf = np.zeros((a.shape[0], *size), dtype=a.dtype)
+    buf[:, corner[0]:corner[0] + a.shape[1], corner[1]:corner[1] + a.shape[2]] = a
+    return buf.reshape(a.shape[0], -1)
+
+
 def conv2d(x, kernel, bias) -> Tensor:
     """Same-size 2D cross-correlation with zero padding.
 
@@ -367,7 +383,9 @@ def conv2d(x, kernel, bias) -> Tensor:
     A sum of k*k GEMMs, one per tap: in the padded image flattened to rows of
     width wp, tap (dy, dx) reads the slice at dy*wp + dx, and the 2*pad
     wrap-around columns of each output row are cropped.  An extra zero row
-    at the bottom keeps the last slice in bounds.
+    at the bottom keeps the last slice in bounds.  A 1x1 kernel is one GEMM
+    on the input as it is.  Each tap's product goes to one reused buffer,
+    and the padded image is rebuilt in the VJP rather than kept by it.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -383,26 +401,36 @@ def conv2d(x, kernel, bias) -> Tensor:
     pad = (k - 1) // 2
     wp = w + 2 * pad
     n = h * wp
-    xp = np.pad(x.data, ((0, 0), (pad, pad + 1), (pad, pad))).reshape(c_in, -1)
-    wk = kernel.data
+    xd, wk = x.data, kernel.data
     taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
 
+    def padded_input():
+        if pad == 0:
+            return xd.reshape(c_in, n)
+        return _zero_padded(xd, (pad, pad), (h + 2 * pad + 1, wp))
+
+    xp = padded_input()
     acc = np.broadcast_to(bias.data[:, None], (c_out, n)).astype(np.result_type(xp, wk, bias.data))
+    prod = np.empty((c_out, n), dtype=np.result_type(wk, xp))
     for dy, dx, o in taps:
-        acc += wk[:, :, dy, dx] @ xp[:, o:o + n]
+        acc += np.matmul(wk[:, :, dy, dx], xp[:, o:o + n], out=prod)
     out = acc.reshape(c_out, h, wp)[:, :, :w]
 
     nx, nk, nb = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
     def vjp(g):
-        gfull = np.pad(g, ((0, 0), (0, 0), (0, 2 * pad))).reshape(c_out, n)
+        gfull = g.reshape(c_out, n) if pad == 0 else _zero_padded(g, (0, 0), (h, wp))
         gx = gk = gb = None
-        if nx:
-            gxp = np.zeros(xp.shape, dtype=np.result_type(g, wk))
+        if nx and pad == 0:
+            gx = (wk[:, :, 0, 0].T @ gfull).reshape(c_in, h, w)
+        elif nx:
+            gxp = np.zeros((c_in, (h + 2 * pad + 1) * wp), dtype=np.result_type(g, wk))
+            prod = np.empty((c_in, n), dtype=gxp.dtype)
             for dy, dx, o in taps:
-                gxp[:, o:o + n] += wk[:, :, dy, dx].T @ gfull
-            gx = gxp.reshape(c_in, h + 2 * pad + 1, wp)[:, pad:pad + h, pad:pad + w]
+                gxp[:, o:o + n] += np.matmul(wk[:, :, dy, dx].T, gfull, out=prod)
+            gx = gxp.reshape(c_in, -1, wp)[:, pad:pad + h, pad:pad + w]
         if nk:
+            xp = padded_input()
             gk = np.empty(wk.shape, dtype=np.result_type(g, xp))
             for dy, dx, o in taps:
                 gk[:, :, dy, dx] = gfull @ xp[:, o:o + n].T

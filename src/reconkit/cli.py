@@ -264,17 +264,26 @@ def cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-    parser = argparse.ArgumentParser(prog="reconkit",
-                                     description="Accelerated-MRI reconstruction sandbox.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(strict: bool = True) -> argparse.ArgumentParser:
+    """The reconkit parser.
 
-    phantom = sub.add_parser("phantom", help="synthetic phantom generation")
-    psub = phantom.add_subparsers(dest="subcommand", required=True)
-    pg = psub.add_parser("gen", help="generate phantom containers", formatter_class=fmt)
+    `strict=False` gives the parser that finds the command and its --config
+    before the config's flags are added, so that a config can supply
+    required flags: it requires no flag or subcommand, has no -h, and raises
+    `argparse.ArgumentError` instead of exiting, leaving every report to the
+    strict parser.
+    """
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    quiet = {"add_help": strict, "exit_on_error": strict}
+    parser = argparse.ArgumentParser(prog="reconkit", **quiet,
+                                     description="Accelerated-MRI reconstruction sandbox.")
+    sub = parser.add_subparsers(dest="command", required=strict)
+
+    phantom = sub.add_parser("phantom", **quiet, help="synthetic phantom generation")
+    psub = phantom.add_subparsers(dest="subcommand", required=strict)
+    pg = psub.add_parser("gen", **quiet, help="generate phantom containers", formatter_class=fmt)
     pg.add_argument("--spec", default=None, help="JSON phantom spec or brain-family description")
-    pg.add_argument("--out", required=True, help="output directory")
+    pg.add_argument("--out", required=strict, help="output directory")
     pg.add_argument("--count", type=int, default=1, help="number of phantoms")
     pg.add_argument("--seed", type=int, default=_env_seed(), help="base seed")
     pg.add_argument("--size", type=int, default=64, help="grid size")
@@ -284,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--config", default=None, help="JSON config supplying defaults")
     pg.set_defaults(func=cmd_phantom_gen)
 
-    mask = sub.add_parser("mask", help="undersampling mask generation")
-    msub = mask.add_subparsers(dest="subcommand", required=True)
-    mg = msub.add_parser("gen", help="generate a sampling mask", formatter_class=fmt)
-    mg.add_argument("--kind", required=True,
+    mask = sub.add_parser("mask", **quiet, help="undersampling mask generation")
+    msub = mask.add_subparsers(dest="subcommand", required=strict)
+    mg = msub.add_parser("gen", **quiet, help="generate a sampling mask", formatter_class=fmt)
+    mg.add_argument("--kind", required=strict,
                     choices=["gaussian2d", "equidistant1d", "poisson2d", "full"])
-    mg.add_argument("--size", required=True, help="grid size as HxW, e.g. 64x64")
+    mg.add_argument("--size", required=strict, help="grid size as HxW, e.g. 64x64")
     mg.add_argument("--acc", type=float, default=4.0,
                     help="acceleration factor (typical: 4, 6, 8, 10)")
     mg.add_argument("--seed", type=int, default=_env_seed(), help="selection seed")
-    mg.add_argument("--out", required=True, help="output .cks mask file")
+    mg.add_argument("--out", required=strict, help="output .cks mask file")
     mg.add_argument("--fwhm", type=float, default=0.7, help="gaussian2d FWHM relative to grid")
     mg.add_argument("--acs", type=float, default=0.02,
                     help="fully sampled central ellipse half-axes, fraction of each dimension")
@@ -305,27 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--config", default=None, help="JSON config supplying defaults")
     mg.set_defaults(func=cmd_mask_gen)
 
-    sim = sub.add_parser("simulate", help="simulate acquisitions", formatter_class=fmt)
-    sim.add_argument("--phantom", required=True, help="phantom .cks file or directory")
-    sim.add_argument("--mask", required=True, help="mask .cks file")
+    sim = sub.add_parser("simulate", **quiet, help="simulate acquisitions", formatter_class=fmt)
+    sim.add_argument("--phantom", required=strict, help="phantom .cks file or directory")
+    sim.add_argument("--mask", required=strict, help="mask .cks file")
     sim.add_argument("--coils", type=int, default=4, help="number of receiver coils")
     sim.add_argument("--sigma", type=float, default=0.0, help="complex noise std at sampled points")
     sim.add_argument("--seed", type=int, default=_env_seed(), help="noise seed")
-    sim.add_argument("--out", required=True, help="output record file or directory")
+    sim.add_argument("--out", required=strict, help="output record file or directory")
     sim.add_argument("--config", default=None, help="JSON config supplying defaults")
     sim.set_defaults(func=cmd_simulate)
 
-    tr = sub.add_parser("train", help="train a reconstructor", formatter_class=fmt)
-    tr.add_argument("--model", required=True, choices=["cirim", "rim", "irim", "varnet"])
+    tr = sub.add_parser("train", **quiet, help="train a reconstructor", formatter_class=fmt)
+    tr.add_argument("--model", required=strict, choices=["cirim", "rim", "irim", "varnet"])
     tr.add_argument("--dc", choices=["implicit", "explicit"], default=None,
                     help="data consistency: implicit (gradient input only) or explicit (a "
                          "learned soft-DC step after each cascade); defaults: "
                          + _per_kind(lambda c: "explicit" if c.explicit_dc else "implicit"))
-    tr.add_argument("--data", required=True, help="directory of record .cks files")
+    tr.add_argument("--data", required=strict, help="directory of record .cks files")
     tr.add_argument("--epochs", type=int, default=10, help="training epochs (batch size 1)")
     tr.add_argument("--steps", type=int, default=None, help="optional cap on optimizer steps")
     tr.add_argument("--seed", type=int, default=_env_seed(), help="init/shuffle seed")
-    tr.add_argument("--out", required=True, help="output checkpoint .cks")
+    tr.add_argument("--out", required=strict, help="output checkpoint .cks")
     tr.add_argument("--log", default=None, help="training log CSV path")
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")
     tr.add_argument("--cascades", type=int, default=None,
@@ -345,21 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", default=None, help="JSON config supplying defaults")
     tr.set_defaults(func=cmd_train)
 
-    rc = sub.add_parser("recon", help="reconstruct one record", formatter_class=fmt)
-    rc.add_argument("--model", required=True,
+    rc = sub.add_parser("recon", **quiet, help="reconstruct one record", formatter_class=fmt)
+    rc.add_argument("--model", required=strict,
                     help="checkpoint .cks path, or 'zerofill' / 'cs'")
-    rc.add_argument("--in", dest="input", required=True, help="record .cks file")
-    rc.add_argument("--out", required=True, help="output 16-bit PGM image")
+    rc.add_argument("--in", dest="input", required=strict, help="record .cks file")
+    rc.add_argument("--out", required=strict, help="output 16-bit PGM image")
     rc.add_argument("--alpha", type=float, default=0.005, help="cs regularization weight")
     rc.add_argument("--iters", type=int, default=60, help="cs iteration cap")
     rc.add_argument("--config", default=None, help="JSON config supplying defaults")
     rc.set_defaults(func=cmd_recon)
 
-    ev = sub.add_parser("eval", help="score methods over a record set", formatter_class=fmt)
-    ev.add_argument("--methods", required=True,
+    ev = sub.add_parser("eval", **quiet, help="score methods over a record set", formatter_class=fmt)
+    ev.add_argument("--methods", required=strict,
                     help="comma list of checkpoint paths and/or 'zerofill','cs'")
-    ev.add_argument("--data", required=True, help="directory of record .cks files")
-    ev.add_argument("--out", required=True, help="metrics CSV path")
+    ev.add_argument("--data", required=strict, help="directory of record .cks files")
+    ev.add_argument("--out", required=strict, help="metrics CSV path")
     ev.add_argument("--jobs", type=int, default=1, help="parallel workers over records")
     ev.add_argument("--no-timing", action="store_true",
                     help="write wall_ms as zero for byte-reproducible reports")
@@ -371,13 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
+        found, _ = build_parser(strict=False).parse_known_args(argv)
+    except argparse.ArgumentError:
+        found = None    # the strict parse below reports it
+    try:
+        if getattr(found, "config", None):
             # the config's flags go before the typed ones, which win as the later flags
-            n_words = 2 if hasattr(args, "subcommand") else 1
-            args = parser.parse_args(argv[:n_words] + _config_flags(args) + argv[n_words:])
+            n_words = 2 if hasattr(found, "subcommand") else 1
+            argv = argv[:n_words] + _config_flags(found) + argv[n_words:]
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parsable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

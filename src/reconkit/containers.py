@@ -15,6 +15,7 @@ download from a corrupted one from a foreign file.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -35,8 +36,9 @@ class ContainerError(Exception):
 
 
 class FormatError(ContainerError):
-    """Not a well-formed container (bad magic, unparseable header, a repeated
-    array name or bytes after the CRC trailer)."""
+    """Not a well-formed container (bad magic, an unparseable header or one
+    with a missing or malformed field, a repeated array name, or bytes after
+    the CRC trailer)."""
 
 
 class VersionError(ContainerError):
@@ -86,6 +88,36 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         f.write(struct.pack("<I", crc))
 
 
+def _check_header(header: dict) -> None:
+    """Raise FormatError naming the first header field that is missing or malformed."""
+    if not isinstance(header.get("kind"), str):
+        raise FormatError("header field 'kind' must be a string")
+    if not isinstance(header.get("meta", {}), dict):
+        raise FormatError("header field 'meta' must be an object")
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise FormatError("header field 'arrays' must be a list")
+    names = set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"header arrays[{i}] must be an object")
+        name, dtype, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+        if not isinstance(name, str):
+            raise FormatError(f"header arrays[{i}].name must be a string")
+        if name in names:
+            raise FormatError(f"array name {name!r} appears twice in the header")
+        names.add(name)
+        if not (isinstance(dtype, str) and dtype in _DTYPES):
+            raise FormatError(f"header arrays[{i}].dtype must be one of {sorted(_DTYPES)}, "
+                              f"got {dtype!r}")
+        if not (isinstance(shape, list) and len(shape) <= 32
+                and all(type(n) is int and n >= 0 for n in shape)
+                and math.prod(n for n in shape if n) < 2 ** 60):   # numpy's size limit
+            raise FormatError(f"header arrays[{i}].shape must be a list of at most 32 "
+                              f"non-negative integers whose nonzero product is below 2**60, "
+                              f"got {shape!r}")
+
+
 def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 4:
@@ -99,18 +131,19 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     header_bytes = blob[off: off + hlen]
     try:
         header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too deep, too many digits
         raise FormatError(f"unparseable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"header must be a JSON object, got {type(header).__name__}")
     if header.get("version") != VERSION:
         raise VersionError(f"unsupported container version {header.get('version')!r}")
+    _check_header(header)
 
     arrays: dict[str, np.ndarray] = {}
     pos = off + hlen
     for entry in header["arrays"]:
-        if entry["name"] in arrays:
-            raise FormatError(f"array name {entry['name']!r} appears twice in the header")
         dt = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
+        count = math.prod(entry["shape"])
         nbytes = count * dt.itemsize
         if len(blob) < pos + nbytes:
             raise TruncationError(f"array {entry['name']!r} truncated", len(blob))

@@ -178,14 +178,23 @@ def _loss_for(x, estimates, record, cfg: TrainConfig):
 
 def _train_step(model, record: DatasetRecord, store: ParameterStore,
                 cfg: TrainConfig) -> tuple[float, float]:
-    """One forward/backward/ADAM step; raises DivergedError instead of taking a bad one."""
-    leaves = store.leaves(Tape(), dtype=cfg.dtype)
-    x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves)
-    loss = _loss_for(x, estimates, record, cfg)
-    loss_val = float(loss.data)
-    if not np.isfinite(loss_val):
-        raise DivergedError(f"non-finite loss {loss_val}")
-    ad.backward(loss)
+    """One forward/backward/ADAM step; raises DivergedError instead of taking a bad one.
+
+    The step's graph is freed as soon as backward has run, or the pass
+    failed: a tape and the tensors it records refer to each other, so
+    without the clear the graph would wait for a cyclic garbage collection.
+    """
+    tape = Tape()
+    leaves = store.leaves(tape, dtype=cfg.dtype)
+    try:
+        x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves)
+        loss = _loss_for(x, estimates, record, cfg)
+        loss_val = float(loss.data)
+        if not np.isfinite(loss_val):
+            raise DivergedError(f"non-finite loss {loss_val}")
+        ad.backward(loss)
+    finally:
+        tape.clear()
     adam_step(store, grads=leaves, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     for name, lo, hi in model.constraints():
         store.clamp(name, lo, hi)

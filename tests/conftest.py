@@ -1,7 +1,11 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from reconkit import phantom, sampling, training
+from reconkit import containers, phantom, sampling, training
 
 
 def finite_diff(f, arrays, eps=1e-6):
@@ -29,6 +33,20 @@ def poison_adam_step(monkeypatch, step, value=np.inf):
             store["cascade0.conv1.weight"].value[0] = value
 
     monkeypatch.setattr(training, "adam_step", poisoned)
+
+
+def write_container_bytes(path, header: bytes, arrays: bytes) -> None:
+    """A container with these header and array bytes and a matching CRC trailer."""
+    payload = header + arrays
+    path.write_bytes(containers.MAGIC + struct.pack("<I", len(header)) + payload
+                     + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def set_container_header(path, header) -> None:
+    """Replace a container's header with `header` as JSON and fix the CRC."""
+    blob = path.read_bytes()
+    hlen = struct.unpack_from("<I", blob, 8)[0]
+    write_container_bytes(path, json.dumps(header).encode(), blob[12 + hlen:-4])
 
 
 def rel_error(a, b):

@@ -217,6 +217,29 @@ class TestBackwardContracts:
         with pytest.raises(AttributeError):
             c.requires_grad = True
 
+    def test_shared_gradient_array_never_changed_in_place(self):
+        # add hands one array to both inputs as their first gradient, and each
+        # input then gets a second contribution from an earlier record
+        tape = ad.Tape()
+        a = ad.leaf(np.array([1.0, -2.0]), tape)
+        b = ad.leaf(np.array([0.5, 3.0]), tape)
+        c, d, e = np.array([2.0, -1.0]), np.array([4.0, 0.25]), np.array([-3.0, 5.0])
+        first = ad.add(ad.reduce_sum(ad.mul(a, d)), ad.reduce_sum(ad.mul(b, e)))
+        s = ad.add(a, b)
+        ad.backward(ad.add(first, ad.reduce_sum(ad.mul(s, c))))
+        assert np.array_equal(a.grad, c + d)
+        assert np.array_equal(b.grad, c + e)
+        assert np.array_equal(s.grad, c)
+
+    def test_clear_drops_records(self):
+        tape = ad.Tape()
+        x = ad.leaf(np.array([2.0, 3.0]), tape)
+        ad.backward(ad.reduce_sum(ad.mul(x, x)))
+        assert len(tape) == 2
+        tape.clear()
+        assert len(tape) == 0
+        assert np.array_equal(x.grad, 2 * x.data)
+
     def test_gradient_through_reused_tensor(self):
         tape = ad.Tape()
         x = ad.leaf(np.array([2.0, 3.0]), tape)

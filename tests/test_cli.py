@@ -8,7 +8,7 @@ import pytest
 from reconkit import containers
 from reconkit.cli import main
 
-from conftest import poison_adam_step
+from conftest import poison_adam_step, set_container_header
 
 
 def run(argv):
@@ -66,6 +66,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ")
         assert "size 0x64" in err
+
+    def test_malformed_record_header_exits_one(self, tmp_path, capsys, small_record):
+        rec = tmp_path / "rec.cks"
+        containers.write_record(rec, small_record)
+        set_container_header(rec, {"kind": "record", "version": 1, "meta": {}})
+        rc = run(["eval", "--methods", "zerofill", "--data", str(rec),
+                  "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError: ") and "'arrays'" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestPipeline:
@@ -209,6 +220,20 @@ class TestConfigMerging:
         mask = containers.read_mask(out)
         assert mask.requested_acceleration == 2.0   # explicit flag wins
         assert mask.seed == 99                      # config fills the rest
+
+    def test_config_supplies_required_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "m.cks"
+        cfg.write_text(json.dumps({"out": str(out), "size": "8x8"}))
+        assert run(["mask", "gen", "--kind", "full", "--config", str(cfg)]) == 0
+        assert containers.read_mask(out).keep.shape == (8, 8)
+
+    def test_missing_required_flag_still_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"size": "8x8"}))
+        with pytest.raises(SystemExit) as err:
+            run(["mask", "gen", "--kind", "full", "--config", str(cfg)])
+        assert err.value.code == 2
 
     @pytest.mark.parametrize("cfg", [{"kind": "gausian2d"}, {"acc": "four"},
                                      {"pbm": True}])

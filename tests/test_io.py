@@ -1,14 +1,18 @@
 """Container format round trips, fault injection, PGM/PBM/CSV output."""
 
+import json
 import struct
-import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconkit import containers, sampling
 from reconkit.containers import (ChecksumError, FormatError, TruncationError,
                                  VersionError)
+
+from conftest import set_container_header, write_container_bytes
 
 
 @pytest.fixture
@@ -20,10 +24,59 @@ def _patch_header(path, old: bytes, new: bytes) -> None:
     """Replace bytes inside a container's JSON header and fix the CRC."""
     blob = path.read_bytes()
     hlen = struct.unpack_from("<I", blob, 8)[0]
-    header = blob[12:12 + hlen].replace(old, new)
-    payload = header + blob[12 + hlen:-4]
-    path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + payload
-                     + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    write_container_bytes(path, blob[12:12 + hlen].replace(old, new), blob[12 + hlen:-4])
+
+
+def _mask_header() -> dict:
+    return {"arrays": [{"dtype": "float32", "name": "keep", "shape": [2, 2]}],
+            "kind": "mask", "meta": {}, "version": 1}
+
+
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _with_entry(header, entry):
+    return {**header, "arrays": [entry]}
+
+
+_ENTRY = _mask_header()["arrays"][0]
+# each header has a valid CRC; before the schema check they raised the error in the comment
+_MALFORMED_HEADERS = {
+    "json_list": ([_mask_header()], "JSON object"),                          # AttributeError
+    "no_arrays": (_drop(_mask_header(), "arrays"), "'arrays'"),              # KeyError
+    "dtype_int8": (_with_entry(_mask_header(), {**_ENTRY, "dtype": "int8"}), "dtype"),  # KeyError
+    "entry_without_name": (_with_entry(_mask_header(), _drop(_ENTRY, "name")), "name"),  # KeyError
+    "negative_shape": (_with_entry(_mask_header(), {**_ENTRY, "shape": [-2, 2]}), "shape"),  # ValueError
+    "shape_ab": (_with_entry(_mask_header(), {**_ENTRY, "shape": "ab"}), "shape"),  # ValueError
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8)
+_DELETE = object()
+_VALUE = _JSON | st.just(_DELETE)
+
+
+def _mutated(where, key, index, value) -> object:
+    """The mask header with one field, shape entry or the whole header replaced or deleted."""
+    header = _mask_header()
+    target = {"root": None, "top": header, "entry": header["arrays"][0],
+              "shape": header["arrays"][0]["shape"]}[where]
+    if target is None:
+        return None if value is _DELETE else value
+    if isinstance(target, list):
+        key = index
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    elif value is _DELETE:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return header
 
 
 class TestContainer:
@@ -80,6 +133,45 @@ class TestContainer:
         _patch_header(path, b'"name":"b"', b'"name":"a"')
         with pytest.raises(FormatError, match="'a'"):
             containers.read_container(path)
+
+    @pytest.mark.parametrize("case", list(_MALFORMED_HEADERS))
+    def test_malformed_header_is_format_error_naming_the_field(self, tmp_path, case):
+        header, field = _MALFORMED_HEADERS[case]
+        path = tmp_path / "t.cks"
+        containers.write_container(path, "mask", {}, {"keep": np.ones((2, 2))})
+        set_container_header(path, header)
+        with pytest.raises(FormatError, match=field):
+            containers.read_container(path)
+
+    @pytest.mark.parametrize("raw", [b'{"version": ' + b"1" * 5000 + b"}",   # ValueError before
+                                     b"[" * 100_000 + b"]" * 100_000],       # RecursionError before
+                             ids=["too_many_digits", "too_deep"])
+    def test_unparseable_header_is_format_error(self, tmp_path, raw):
+        path = tmp_path / "t.cks"
+        write_container_bytes(path, raw, b"")
+        with pytest.raises(FormatError, match="unparseable header"):
+            containers.read_container(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(["root", "top", "entry", "shape"]),
+           key=st.sampled_from(["arrays", "kind", "meta", "version", "name", "dtype", "shape",
+                                "x"]),
+           index=st.integers(0, 1), value=_VALUE, flip=st.none() | st.integers(0, 200),
+           cut=st.none() | st.integers(0, 200))
+    def test_only_container_errors_escape(self, tmp_path_factory, where, key, index, value,
+                                          flip, cut):
+        header = _mutated(where, key, index, value)
+        raw = b"" if header is None else json.dumps(header).encode()
+        path = tmp_path_factory.mktemp("h") / "t.cks"
+        write_container_bytes(path, raw, np.ones((2, 2), dtype="<f4").tobytes())
+        blob = bytearray(path.read_bytes())
+        if flip is not None and flip < len(blob):
+            blob[flip] ^= 0xFF
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            containers.read_container(path)
+        except containers.ContainerError:
+            pass
 
     def test_bytes_after_crc_are_format_error(self, tmp_path):
         path = tmp_path / "t.cks"
