@@ -12,6 +12,7 @@ failures with code 1 and a single machine-parsable error line on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import multiprocessing
 import os
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers, baselines, sampling, training
-from .networks import MODEL_KINDS, RimCellConfig, UnetConfig, build_model
+from .networks import MODEL_KINDS, CascadeConfig, RimCellConfig, UnetConfig, build_model
 from .phantom import PhantomSpec, default_brain_spec, make_coils, make_phantom, simulate_acquisition
 
 
@@ -167,20 +168,21 @@ def cmd_train(args) -> int:
     explicit_dc = cascade.explicit_dc if args.dc is None else args.dc == "explicit"
     if unit is None and not explicit_dc:
         raise ValueError(f"{args.model} has no gradient input, so it needs --dc explicit")
-    given = {"n_cascades": args.cascades, "dc_weight_init": args.dc_weight}
-    cascade = replace(cascade, explicit_dc=explicit_dc,
-                      **{k: v for k, v in given.items() if v is not None})
+    cascade = replace(cascade, explicit_dc=explicit_dc, dc_weight_init=args.dc_weight,
+                      n_cascades=cascade.n_cascades if args.cascades is None else args.cascades)
+    # each kind's own config holds its channel default
+    channels = {} if args.channels is None else {"channels": args.channels}
     if unit is None:
         model = build_model(args.model, cascade=cascade,
-                            unet=UnetConfig(pools=args.pools, channels=args.channels))
+                            unet=UnetConfig(pools=args.pools, **channels))
     else:
         kernels = tuple(int(k) for k in args.kernels.split(","))
         model = build_model(args.model, cascade=cascade,
-                            cell=RimCellConfig(channels=args.channels, kernel_sizes=kernels,
-                                               unit=unit, iterations=args.iterations))
+                            cell=RimCellConfig(kernel_sizes=kernels, unit=unit,
+                                               iterations=args.iterations, **channels))
 
-    loss = args.loss or ("l1" if args.model == "varnet" else "cirim")
-    cfg = training.TrainConfig(lr=args.lr, loss=loss, dtype=args.dtype, max_steps=args.steps)
+    cfg = training.TrainConfig(lr=args.lr, loss=args.loss, dtype=args.dtype,
+                               max_steps=args.steps)
     result = training.train(model, train_records, val_records, args.epochs, args.seed, cfg)
     training.save_trained(args.out, model, result.best_values,
                           extra_meta={"seed": args.seed, "steps": result.steps,
@@ -195,14 +197,8 @@ def cmd_train(args) -> int:
 
 def cmd_recon(args) -> int:
     rec = containers.read_record(args.input)
-    if args.model == "zerofill":
-        x = baselines.zero_filled(rec.kspace, rec.maps, rec.mask)
-    elif args.model == "cs":
-        x = baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask,
-                                   alpha=args.alpha, max_iter=args.iters)
-    else:
-        x = training.method_checkpoint(args.model).recon(rec)
-    containers.export_image(x, args.out)
+    method = _build_method(args.model, alpha=args.alpha, max_iter=args.iters)
+    containers.export_image(method.recon(rec), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -213,11 +209,11 @@ def _method_name(desc: str) -> str:
     return Path(desc).stem
 
 
-def _build_method(desc: str) -> training.MethodSpec:
+def _build_method(desc: str, **cs_options) -> training.MethodSpec:
     if desc == "zerofill":
         return training.method_zero_filled()
     if desc == "cs":
-        return training.method_cs()
+        return training.method_cs(**cs_options)
     return training.method_checkpoint(desc, name=_method_name(desc))
 
 
@@ -325,7 +321,7 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     tr = sub.add_parser("train", **quiet, help="train a reconstructor", formatter_class=fmt)
-    tr.add_argument("--model", required=strict, choices=["cirim", "rim", "irim", "varnet"])
+    tr.add_argument("--model", required=strict, choices=list(MODEL_KINDS))
     tr.add_argument("--dc", choices=["implicit", "explicit"], default=None,
                     help="data consistency: implicit (gradient input only) or explicit (a "
                          "learned soft-DC step after each cascade); defaults: "
@@ -339,18 +335,23 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")
     tr.add_argument("--cascades", type=int, default=None,
                     help="cascade count (defaults: " + _per_kind(lambda c: c.n_cascades) + ")")
-    tr.add_argument("--iterations", type=int, default=8, help="unrolled iterations per block")
-    tr.add_argument("--channels", type=int, default=64, help="hidden channels")
-    tr.add_argument("--kernels", default="5,3,3", help="RIM conv kernel sizes")
-    tr.add_argument("--pools", type=int, default=4, help="varnet pooling depth")
-    tr.add_argument("--dc-weight", type=float, default=None,
-                    help="explicit DC weight init (defaults: "
-                         + _per_kind(lambda c: c.dc_weight_init) + ")")
-    tr.add_argument("--lr", type=float, default=1e-3, help="ADAM learning rate")
-    tr.add_argument("--loss", choices=["l1", "cirim", "ssim"], default=None,
-                    help="loss (defaults: cirim family -> cirim, varnet -> l1)")
-    tr.add_argument("--dtype", choices=["float64", "float32"], default="float64",
-                    help="training precision")
+    tr.add_argument("--iterations", type=int, default=RimCellConfig.iterations,
+                    help="unrolled iterations per block")
+    tr.add_argument("--channels", type=int, default=None,
+                    help=f"hidden channels (defaults: {RimCellConfig.channels} for the "
+                         f"recurrent kinds, {UnetConfig.channels} for varnet)")
+    tr.add_argument("--kernels", default=",".join(map(str, RimCellConfig.kernel_sizes)),
+                    help="RIM conv kernel sizes")
+    tr.add_argument("--pools", type=int, default=UnetConfig.pools, help="varnet pooling depth")
+    tr.add_argument("--dc-weight", type=float, default=CascadeConfig.dc_weight_init,
+                    help="explicit DC weight init")
+    tr.add_argument("--lr", type=float, default=training.TrainConfig.lr,
+                    help="ADAM learning rate")
+    tr.add_argument("--loss", choices=training.CONFIG_CHOICES["loss"],
+                    default=training.TrainConfig.loss,
+                    help="loss; on varnet's one estimate, cirim equals l1")
+    tr.add_argument("--dtype", choices=training.CONFIG_CHOICES["dtype"],
+                    default=training.TrainConfig.dtype, help="training precision")
     tr.add_argument("--config", default=None, help="JSON config supplying defaults")
     tr.set_defaults(func=cmd_train)
 
@@ -359,8 +360,10 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="checkpoint .cks path, or 'zerofill' / 'cs'")
     rc.add_argument("--in", dest="input", required=strict, help="record .cks file")
     rc.add_argument("--out", required=strict, help="output 16-bit PGM image")
-    rc.add_argument("--alpha", type=float, default=0.005, help="cs regularization weight")
-    rc.add_argument("--iters", type=int, default=60, help="cs iteration cap")
+    cs = inspect.signature(baselines.cs_l1wavelet).parameters    # the solver's defaults
+    rc.add_argument("--alpha", type=float, default=cs["alpha"].default,
+                    help="cs regularization weight")
+    rc.add_argument("--iters", type=int, default=cs["max_iter"].default, help="cs iteration cap")
     rc.add_argument("--config", default=None, help="JSON config supplying defaults")
     rc.set_defaults(func=cmd_recon)
 

@@ -165,6 +165,35 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
 # typed wrappers
 # ---------------------------------------------------------------------------
 
+# the mask metadata fields a reader uses, and the JSON types each may have
+_MASK_FIELDS = {"kind": str, "requested_acceleration": (int, float), "seed": int, "extra": dict}
+
+
+def _check_fields(where: str, meta: dict, types: dict) -> None:
+    """Raise FormatError naming the first field of `meta` that is not of its type."""
+    for name, typ in types.items():
+        if name in meta and not isinstance(meta[name], typ):
+            names = " or ".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
+            raise FormatError(f"{where} field {name!r} must be {names}, got {meta[name]!r}")
+
+
+def _read_typed(path, kind: str, arrays: tuple[str, ...] = (),
+                fields: dict | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and arrays of a container of `kind`, checked for what its reader uses.
+
+    Raises FormatError naming the wrong kind, the first required array that
+    is missing, or the first meta field in `fields` of the wrong type.
+    """
+    found, meta, data = read_container(path)
+    if found != kind:
+        raise FormatError(f"expected a {kind} container, got kind {found!r}")
+    for name in arrays:
+        if name not in data:
+            raise FormatError(f"{kind} container has no array {name!r}")
+    _check_fields(f"{kind} meta", meta, fields or {})
+    return meta, data
+
+
 def _mask_meta(mask: SamplingMask) -> dict:
     return {
         "kind": mask.kind,
@@ -174,7 +203,8 @@ def _mask_meta(mask: SamplingMask) -> dict:
     }
 
 
-def _mask_from(keep: np.ndarray, meta: dict) -> SamplingMask:
+def _mask_from(keep: np.ndarray, meta: dict, where: str) -> SamplingMask:
+    _check_fields(where, meta, _MASK_FIELDS)
     return SamplingMask(
         keep.astype(np.float64),
         kind=meta.get("kind", "full"),
@@ -198,11 +228,12 @@ def write_record(path, record: DatasetRecord) -> None:
     write_container(path, "record", meta, arrays)
 
 
+_RECORD_ARRAYS = ("reference", "maps", "mask_keep", "kspace", "lesion_mask", "wm_mask")
+
+
 def read_record(path) -> DatasetRecord:
-    kind, meta, arrays = read_container(path)
-    if kind != "record":
-        raise FormatError(f"expected a record container, got kind {kind!r}")
-    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}))
+    meta, arrays = _read_typed(path, "record", _RECORD_ARRAYS, {"mask": dict})
+    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}), "record meta 'mask'")
     return DatasetRecord(
         reference=arrays["reference"].astype(np.complex128),
         maps=arrays["maps"].astype(np.complex128),
@@ -219,10 +250,8 @@ def write_mask(path, mask: SamplingMask) -> None:
 
 
 def read_mask(path) -> SamplingMask:
-    kind, meta, arrays = read_container(path)
-    if kind != "mask":
-        raise FormatError(f"expected a mask container, got kind {kind!r}")
-    return _mask_from(arrays["keep"], meta)
+    meta, arrays = _read_typed(path, "mask", ("keep",))
+    return _mask_from(arrays["keep"], meta, "mask meta")
 
 
 def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray,
@@ -233,9 +262,7 @@ def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.
 
 
 def read_phantom(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    kind, meta, arrays = read_container(path)
-    if kind != "phantom":
-        raise FormatError(f"expected a phantom container, got kind {kind!r}")
+    meta, arrays = _read_typed(path, "phantom", ("image", "lesion_mask", "wm_mask"))
     return (arrays["image"].astype(np.complex128),
             arrays["lesion_mask"] > 0.5, arrays["wm_mask"] > 0.5, meta)
 
@@ -249,9 +276,7 @@ def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    kind, meta, arrays = read_container(path)
-    if kind != "model":
-        raise FormatError(f"expected a model container, got kind {kind!r}")
+    meta, arrays = _read_typed(path, "model", fields={"config": dict})
     config = meta.get("config", {})
     extra = {k: v for k, v in meta.items() if k != "config"}
     return config, arrays, extra

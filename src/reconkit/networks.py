@@ -61,7 +61,7 @@ class RimCellConfig:
 class CascadeConfig:
     n_cascades: int = 5
     explicit_dc: bool = False
-    dc_weight_init: float = 0.0
+    dc_weight_init: float = 0.5
     share_params: bool = False
 
     def __post_init__(self):
@@ -85,11 +85,10 @@ class KindDefaults(NamedTuple):
 
 
 MODEL_KINDS = {
-    "rim": KindDefaults("gru", CascadeConfig(n_cascades=1, dc_weight_init=0.5)),
-    "irim": KindDefaults("indrnn", CascadeConfig(n_cascades=1, dc_weight_init=0.5)),
-    "cirim": KindDefaults("indrnn", CascadeConfig(n_cascades=5, dc_weight_init=0.5)),
-    "varnet": KindDefaults(None, CascadeConfig(n_cascades=8, explicit_dc=True,
-                                               dc_weight_init=0.5)),
+    "rim": KindDefaults("gru", CascadeConfig(n_cascades=1)),
+    "irim": KindDefaults("indrnn", CascadeConfig(n_cascades=1)),
+    "cirim": KindDefaults("indrnn", CascadeConfig(n_cascades=5)),
+    "varnet": KindDefaults(None, CascadeConfig(n_cascades=8, explicit_dc=True)),
 }
 
 

@@ -23,18 +23,12 @@ class TrainingError(RuntimeError):
 # losses
 # ---------------------------------------------------------------------------
 
-def _as_tensor_pair(x_hat, x_ref):
-    tensor_in = isinstance(x_hat, Tensor) or isinstance(x_ref, Tensor)
-    return ad.astensor(x_hat), ad.astensor(x_ref), tensor_in
-
-
-def l1_loss(x_hat, x_ref):
+def l1_loss(x_hat, x_ref) -> Tensor:
     """Mean absolute difference of the magnitudes of two two-channel images."""
-    th, tr, tensor_in = _as_tensor_pair(x_hat, x_ref)
+    th, tr = ad.astensor(x_hat), ad.astensor(x_ref)
     if th.shape != tr.shape:
         raise TrainingError(f"image shapes differ: {th.shape} vs {tr.shape}")
-    out = ad.reduce_mean(ad.absolute(ad.sub(ad.magnitude(th), ad.magnitude(tr))))
-    return out if tensor_in else float(out.data)
+    return ad.reduce_mean(ad.absolute(ad.sub(ad.magnitude(th), ad.magnitude(tr))))
 
 
 def iteration_loss_weights(n_iterations: int, orientation: str = "late") -> np.ndarray:
@@ -58,7 +52,7 @@ def iteration_loss_weights(n_iterations: int, orientation: str = "late") -> np.n
     return 10.0 ** expo
 
 
-def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late"):
+def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late") -> Tensor:
     """Iteration-weighted magnitude l1, averaged over cascades.
 
     `estimates` is a list per cascade of the per-iteration two-channel
@@ -69,25 +63,23 @@ def cirim_loss(estimates: Sequence[Sequence], x_ref, orientation: str = "late"):
         raise TrainingError("no estimates provided")
     n_iter = len(estimates[0])
     weights = iteration_loss_weights(n_iter, orientation)
-    tensor_in = any(isinstance(e, Tensor) for ests in estimates for e in ests)
     total = None
     for ests in estimates:
         if len(ests) != n_iter:
             raise TrainingError(f"cascade with {len(ests)} estimates, expected {n_iter}")
         for w, e in zip(weights, ests):
-            l1 = l1_loss(ad.astensor(e), ad.astensor(x_ref))
+            l1 = l1_loss(e, x_ref)
             term = ad.mul(np.asarray(w / (n_iter * len(estimates)), dtype=l1.dtype), l1)
             total = term if total is None else ad.add(total, term)
-    return total if tensor_in else float(total.data)
+    return total
 
 
-def ssim_loss(x_hat, x_ref):
+def ssim_loss(x_hat, x_ref) -> Tensor:
     """1 - SSIM of the magnitudes of two two-channel images, differentiable; in [0, 2]."""
-    th, tr, tensor_in = _as_tensor_pair(x_hat, x_ref)
+    th, tr = ad.astensor(x_hat), ad.astensor(x_ref)
     if th.shape != tr.shape:
         raise TrainingError(f"image shapes differ: {th.shape} vs {tr.shape}")
-    out = ad.sub(1.0, metrics.ssim_tensor(ad.magnitude(th), ad.magnitude(tr).data))
-    return out if tensor_in else float(out.data)
+    return ad.sub(1.0, metrics.ssim_tensor(ad.magnitude(th), ad.magnitude(tr).data))
 
 
 # ---------------------------------------------------------------------------
@@ -128,22 +120,19 @@ def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float = 1e
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss: str = "cirim"              # "l1" | "cirim" | "ssim"
     weight_orientation: str = "late"  # "late" | "early"
     dtype: str = "float64"           # "float32" trains faster at desk scale
     max_steps: int | None = None
 
 
-_CONFIG_CHOICES = {"loss": ("l1", "cirim", "ssim"),
-                   "weight_orientation": ("late", "early"),
-                   "dtype": ("float32", "float64")}
+CONFIG_CHOICES = {"loss": ("l1", "cirim", "ssim"),
+                  "weight_orientation": ("late", "early"),
+                  "dtype": ("float32", "float64")}
 
 
 def _check_config(cfg: TrainConfig) -> None:
-    for name, choices in _CONFIG_CHOICES.items():
+    for name, choices in CONFIG_CHOICES.items():
         value = getattr(cfg, name)
         if value not in choices:
             raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
@@ -195,7 +184,7 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
         ad.backward(loss)
     finally:
         tape.clear()
-    adam_step(store, grads=leaves, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam_step(store, grads=leaves, lr=cfg.lr)
     for name, lo, hi in model.constraints():
         store.clamp(name, lo, hi)
     for name, p in store.items():
@@ -298,9 +287,10 @@ def method_zero_filled() -> MethodSpec:
     return MethodSpec("zerofill", lambda rec: baselines.zero_filled(rec.kspace, rec.maps, rec.mask))
 
 
-def method_cs(alpha: float = 0.005, max_iter: int = 60) -> MethodSpec:
+def method_cs(**options) -> MethodSpec:
+    """CS reconstruction; `options` go to `baselines.cs_l1wavelet`, whose defaults apply."""
     return MethodSpec("cs", lambda rec: baselines.cs_l1wavelet(
-        rec.kspace, rec.maps, rec.mask, alpha=alpha, max_iter=max_iter))
+        rec.kspace, rec.maps, rec.mask, **options))
 
 
 def method_model(name: str, model, store: ParameterStore) -> MethodSpec:

@@ -49,6 +49,32 @@ def set_container_header(path, header) -> None:
     write_container_bytes(path, json.dumps(header).encode(), blob[12 + hlen:-4])
 
 
+# well-formed containers with a valid CRC that their typed reader cannot use, each
+# with the name its FormatError must give; a row's first word is its container kind
+BAD_TYPED_FILES = {
+    "record_without_mask_keep": "'mask_keep'",
+    "record_mask_seed_x": "'seed'",
+    "mask_seed_x": "'seed'",
+    "model_config_list": "'config'",
+}
+
+
+def write_bad_typed_file(row, path, record) -> None:
+    """Write the container of BAD_TYPED_FILES row `row` at `path`."""
+    if row == "mask_seed_x":
+        containers.write_container(path, "mask", {"seed": "x"}, {"keep": record.mask.keep})
+    elif row == "model_config_list":
+        containers.save_checkpoint(path, ["cirim"], {})
+    else:
+        containers.write_record(path, record)
+        kind, meta, arrays = containers.read_container(path)
+        if row == "record_without_mask_keep":
+            del arrays["mask_keep"]
+        else:
+            meta["mask"]["seed"] = "x"
+        containers.write_container(path, kind, meta, arrays)
+
+
 def rel_error(a, b):
     denom = np.linalg.norm(np.asarray(b).ravel())
     if denom == 0:

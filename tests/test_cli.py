@@ -7,8 +7,10 @@ import pytest
 
 from reconkit import containers
 from reconkit.cli import main
+from reconkit.networks import MODEL_KINDS, build_model
 
-from conftest import poison_adam_step, set_container_header
+from conftest import (BAD_TYPED_FILES, poison_adam_step, set_container_header,
+                      write_bad_typed_file)
 
 
 def run(argv):
@@ -78,6 +80,28 @@ class TestExitCodes:
         assert err.startswith("error: FormatError: ") and "'arrays'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("row", sorted(BAD_TYPED_FILES))
+    def test_unusable_typed_file_exits_one(self, tmp_path, capsys, small_record, row):
+        bad, good, out = tmp_path / "bad.cks", tmp_path / "rec.cks", str(tmp_path / "out")
+        write_bad_typed_file(row, bad, small_record)
+        containers.write_record(good, small_record)
+        kind = row.split("_")[0]
+        if kind == "mask":    # recon and eval read no mask file; simulate does
+            phantom = tmp_path / "ph.cks"
+            containers.write_phantom(phantom, small_record.reference,
+                                     small_record.lesion_mask, small_record.wm_mask)
+            commands = [["simulate", "--phantom", str(phantom), "--mask", str(bad),
+                         "--out", out]]
+        else:
+            method, data = (str(bad), str(good)) if kind == "model" else ("zerofill", str(bad))
+            commands = [["recon", "--model", method, "--in", data, "--out", out],
+                        ["eval", "--methods", method, "--data", data, "--out", out]]
+        for argv in commands:
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: FormatError: ") and BAD_TYPED_FILES[row] in err
+            assert len(err.strip().splitlines()) == 1
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -130,6 +154,15 @@ class TestPipeline:
         config, values, _extra = containers.load_checkpoint(ckpt)
         assert config["cascade"]["explicit_dc"] is True
         assert {"cascade0.dc_weight", "cascade1.dc_weight"} <= set(values)
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_default_flags_train_the_library_default_model(self, workspace, kind):
+        base, ph, recs, mask = workspace
+        ckpt = base / f"{kind}.cks"
+        assert run(["train", "--model", kind, "--data", str(recs), "--steps", "1",
+                    "--out", str(ckpt)]) == 0
+        config, _values, _extra = containers.load_checkpoint(ckpt)
+        assert config == json.loads(json.dumps(build_model(kind).config_dict()))
 
     def test_varnet_with_implicit_dc_is_an_error(self, workspace, capsys):
         base, ph, recs, mask = workspace

@@ -12,7 +12,8 @@ from reconkit import containers, sampling
 from reconkit.containers import (ChecksumError, FormatError, TruncationError,
                                  VersionError)
 
-from conftest import set_container_header, write_container_bytes
+from conftest import (BAD_TYPED_FILES, set_container_header, write_bad_typed_file,
+                      write_container_bytes)
 
 
 @pytest.fixture
@@ -215,6 +216,16 @@ class TestContainer:
         containers.write_mask(path, mask)
         with pytest.raises(FormatError):
             containers.read_record(path)
+
+    @pytest.mark.parametrize("row", sorted(BAD_TYPED_FILES))
+    def test_typed_reader_names_what_it_cannot_use(self, tmp_path, record, row):
+        # before the typed checks: KeyError, ValueError, ValueError, and no error at all
+        path = tmp_path / "bad.cks"
+        write_bad_typed_file(row, path, record)
+        reader = {"record": containers.read_record, "mask": containers.read_mask,
+                  "model": containers.load_checkpoint}[row.split("_")[0]]
+        with pytest.raises(FormatError, match=BAD_TYPED_FILES[row]):
+            reader(path)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         values = {"cascade0.conv1.weight": np.random.default_rng(0).standard_normal((2, 2, 3, 3)).astype(np.float32)}

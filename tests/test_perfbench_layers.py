@@ -1,15 +1,82 @@
-"""The layers the benchmark's tracer wraps by name still exist."""
+"""Callers outside the package still match it.
 
+The benchmark's tracer wraps layers by name, its workloads and the scripts
+read reconkit attributes and build a `TrainConfig`.  A rename or a deleted
+field breaks them without breaking any test of the package, and perfbench's
+own self-test is not part of the tier-1 suite, so they are checked here.
+"""
+
+import ast
+import dataclasses
+import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from reconkit import training
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_every_traced_layer_resolves():
     # load perfbench/spans.py as a file: perfbench is not a package
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.LAYERS
     for owner, attr, name, _count in spans.LAYERS:
         assert callable(getattr(owner, attr, None)), name
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Each name a file binds with `from reconkit... import name`, and its object."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reconkit":
+            for alias in node.names:
+                try:    # a submodule, as in `from reconkit import training`
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    obj = getattr(importlib.import_module(node.module), alias.name, None)
+                assert obj is not None, f"reconkit has no {node.module}.{alias.name}"
+                names[alias.asname or alias.name] = obj
+    return names
+
+
+def _resolve(node, names: dict):
+    """The reconkit object an expression such as `training.TrainConfig` names, or None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, names)
+        if owner is not None:
+            assert hasattr(owner, node.attr), f"reconkit has no {ast.unparse(node)}"
+            return getattr(owner, node.attr)
+    return None
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_reconkit_names_and_train_config_keywords_resolve(path):
+    tree = ast.parse(path.read_text())
+    names = _imported(tree)
+    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
+    for node in ast.walk(tree):
+        _resolve(node, names)
+        if isinstance(node, ast.Call) and _resolve(node.func, names) is training.TrainConfig:
+            unknown = {k.arg for k in node.keywords} - fields
+            assert not unknown, f"line {node.lineno}: TrainConfig has no field {sorted(unknown)}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_help_exits_zero(path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, str(path), "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -42,19 +42,19 @@ def _tiny_model(kind="cirim", iterations=2, channels=4, cascades=1):
 class TestL1Loss:
     def test_identical_is_zero(self):
         x = np.random.default_rng(0).standard_normal((8, 8)) + 1j
-        assert l1_loss(C(x), C(x)) == 0.0
+        assert float(l1_loss(C(x), C(x)).data) == 0.0
 
     def test_constant_magnitude_offset(self):
         rng = np.random.default_rng(1)
         ref = np.abs(rng.standard_normal((8, 8))) + 0.5
         test = (ref + 0.1) * np.exp(1j * rng.standard_normal((8, 8)))
-        assert l1_loss(C(test), C(ref.astype(complex))) == pytest.approx(0.1, abs=1e-12)
+        assert float(l1_loss(C(test), C(ref.astype(complex))).data) == pytest.approx(0.1, abs=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert l1_loss(C(a), C(b)) >= 0.0
+        assert float(l1_loss(C(a), C(b)).data) >= 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(training.TrainingError):
@@ -90,7 +90,7 @@ class TestCirimLoss:
     def test_perfect_estimates_zero_loss(self):
         ref = np.abs(np.random.default_rng(3).standard_normal((6, 6))) + 0.2
         ests = [[C(ref.astype(complex))] * 3, [C(ref.astype(complex))] * 3]
-        assert cirim_loss(ests, C(ref.astype(complex))) == 0.0
+        assert float(cirim_loss(ests, C(ref.astype(complex))).data) == 0.0
 
     def test_missing_estimates_rejected(self):
         ref = C(np.ones((4, 4), dtype=complex))
@@ -103,28 +103,29 @@ class TestCirimLoss:
         ref = C(np.zeros((4, 4), dtype=complex))
         bad = C(np.ones((4, 4), dtype=complex))
         good = C(np.zeros((4, 4), dtype=complex))
-        early_bad = cirim_loss([[bad, good]], ref)
-        late_bad = cirim_loss([[good, bad]], ref)
+        early_bad = float(cirim_loss([[bad, good]], ref).data)
+        late_bad = float(cirim_loss([[good, bad]], ref).data)
         assert late_bad > early_bad
 
 
 class TestSsimLoss:
     def test_identical_is_zero(self):
         x = np.abs(np.random.default_rng(4).standard_normal((12, 12))) + 0.5
-        assert ssim_loss(C(x.astype(complex)), C(x.astype(complex))) == pytest.approx(0.0, abs=1e-12)
+        loss = ssim_loss(C(x.astype(complex)), C(x.astype(complex)))
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         b = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        assert 0.0 <= ssim_loss(C(a), C(b)) <= 2.0
+        assert 0.0 <= float(ssim_loss(C(a), C(b)).data) <= 2.0
 
     def test_matches_metric(self):
         rng = np.random.default_rng(6)
         ref = np.abs(rng.standard_normal((16, 16))) + 0.3
         test = ref + 0.05 * rng.standard_normal((16, 16))
         loss = ssim_loss(C(test.astype(complex)), C(ref.astype(complex)))
-        assert loss == pytest.approx(1.0 - metrics.ssim(test, ref), abs=1e-10)
+        assert float(loss.data) == pytest.approx(1.0 - metrics.ssim(test, ref), abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -138,7 +139,7 @@ class TestSsimLoss:
         ad.backward(loss)
 
         def scalar(re_a, im_a):
-            return float(ssim_loss(C(re_a + 1j * im_a), C(ref.astype(complex))))
+            return float(ssim_loss(C(re_a + 1j * im_a), C(ref.astype(complex))).data)
 
         fd_re, fd_im = finite_diff(scalar, [re0, im0], eps=1e-6)
         assert rel_error(x.grad[0], fd_re) < 1e-4
@@ -393,7 +394,7 @@ class TestEvaluate:
         row = next(r for r in rows if r["method"] == "oracle" and r["id"] == "0000")
         assert row["ssim"] == pytest.approx(1.0, abs=1e-12)
         assert np.isinf(row["psnr_db"])
-        assert l1_loss(C(small_record.reference), C(small_record.reference)) == 0.0
+        assert float(l1_loss(C(small_record.reference), C(small_record.reference)).data) == 0.0
 
     def test_zero_filled_floor_always_present(self, small_record):
         rows = evaluate([training.method_cs(max_iter=3)], [small_record], timing=False)
