@@ -24,7 +24,7 @@ def train_variant(name, explicit_dc, data, args):
         cascade=CascadeConfig(n_cascades=args.cascades, explicit_dc=explicit_dc,
                               dc_weight_init=0.1),
     )
-    cfg = training.TrainConfig(lr=1e-3, loss="cirim", dtype="float32", max_steps=args.steps)
+    cfg = training.TrainConfig(loss="cirim", dtype="float32", max_steps=args.steps)
     epochs = int(np.ceil(args.steps / max(1, len(data.train)))) + 1
     t0 = time.perf_counter()
     result = training.train(model, data.train, data.val, epochs, args.seed, cfg)

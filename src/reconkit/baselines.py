@@ -111,8 +111,13 @@ def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
     return mri.adjoint_op(y, maps, mask)
 
 
-def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = 0.005,
-                 max_iter: int = 60, levels: int = 3, tol: float = 1e-6,
+# the CS working point: l1-wavelet weight and iteration cap
+CS_ALPHA = 0.005
+CS_MAX_ITER = 60
+
+
+def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
+                 max_iter: int = CS_MAX_ITER, levels: int = 3, tol: float = 1e-6,
                  history: list | None = None) -> np.ndarray:
     """Monotone FISTA for the l1-wavelet regularized reconstruction.
 

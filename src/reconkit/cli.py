@@ -12,7 +12,6 @@ failures with code 1 and a single machine-parsable error line on stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import multiprocessing
 import os
@@ -360,10 +359,9 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="checkpoint .cks path, or 'zerofill' / 'cs'")
     rc.add_argument("--in", dest="input", required=strict, help="record .cks file")
     rc.add_argument("--out", required=strict, help="output 16-bit PGM image")
-    cs = inspect.signature(baselines.cs_l1wavelet).parameters    # the solver's defaults
-    rc.add_argument("--alpha", type=float, default=cs["alpha"].default,
+    rc.add_argument("--alpha", type=float, default=baselines.CS_ALPHA,
                     help="cs regularization weight")
-    rc.add_argument("--iters", type=int, default=cs["max_iter"].default, help="cs iteration cap")
+    rc.add_argument("--iters", type=int, default=baselines.CS_MAX_ITER, help="cs iteration cap")
     rc.add_argument("--config", default=None, help="JSON config supplying defaults")
     rc.set_defaults(func=cmd_recon)
 

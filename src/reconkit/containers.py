@@ -170,9 +170,12 @@ _MASK_FIELDS = {"kind": str, "requested_acceleration": (int, float), "seed": int
 
 
 def _check_fields(where: str, meta: dict, types: dict) -> None:
-    """Raise FormatError naming the first field of `meta` that is not of its type."""
+    """Raise FormatError naming the first field of `meta` that is not of its type.
+
+    JSON true/false are not numbers here, although Python's bool is an int.
+    """
     for name, typ in types.items():
-        if name in meta and not isinstance(meta[name], typ):
+        if name in meta and (isinstance(meta[name], bool) or not isinstance(meta[name], typ)):
             names = " or ".join(t.__name__ for t in (typ if isinstance(typ, tuple) else (typ,)))
             raise FormatError(f"{where} field {name!r} must be {names}, got {meta[name]!r}")
 
@@ -209,26 +212,21 @@ def _mask_from(keep: np.ndarray, meta: dict, where: str) -> SamplingMask:
         keep.astype(np.float64),
         kind=meta.get("kind", "full"),
         requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
-        seed=int(meta.get("seed", 0)),
+        seed=meta.get("seed", 0),
         extra=meta.get("extra", {}),
     )
+
+
+# a record's arrays: its DatasetRecord fields of these names, with its mask's keep as mask_keep
+_RECORD_ARRAYS = ("reference", "maps", "mask_keep", "kspace", "lesion_mask", "wm_mask")
 
 
 def write_record(path, record: DatasetRecord) -> None:
     meta = dict(record.meta)
     meta["mask"] = _mask_meta(record.mask)
-    arrays = {
-        "reference": record.reference,
-        "maps": record.maps,
-        "mask_keep": record.mask.keep,
-        "kspace": record.kspace,
-        "lesion_mask": record.lesion_mask,
-        "wm_mask": record.wm_mask,
-    }
+    arrays = {name: record.mask.keep if name == "mask_keep" else getattr(record, name)
+              for name in _RECORD_ARRAYS}
     write_container(path, "record", meta, arrays)
-
-
-_RECORD_ARRAYS = ("reference", "maps", "mask_keep", "kspace", "lesion_mask", "wm_mask")
 
 
 def read_record(path) -> DatasetRecord:

@@ -77,8 +77,9 @@ class DeskRunResult:
 
 
 def desk_pipeline(steps: int = 300, channels: int = 16, cascades: int = 2,
-                  iterations: int = 4, lr: float = 1e-3, data_seed: int = 1234,
-                  train_seed: int = 77, dataset: DeskDataset | None = None,
+                  iterations: int = 4, lr: float = training.TrainConfig.lr,
+                  data_seed: int = 1234, train_seed: int = 77,
+                  dataset: DeskDataset | None = None,
                   timing: bool = False) -> DeskRunResult:
     """The full desk-scale pipeline with fixed seeds."""
     data = dataset or build_desk_dataset(seed=data_seed)

@@ -86,13 +86,13 @@ def ssim_loss(x_hat, x_ref) -> Tensor:
 # ADAM
 # ---------------------------------------------------------------------------
 
-def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float) -> None:
     """One bias-corrected ADAM update over every parameter in the store.
 
     `grads` maps every parameter name to the leaf tensor whose gradient
     `backward` filled; a leaf with no gradient counts as a zero gradient.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8    # the usual moment decays and denominator guard
     missing = [name for name in store.names() if name not in grads]
     if missing:
         raise TrainingError(f"no gradient leaf for parameter(s) {missing}")
@@ -287,10 +287,10 @@ def method_zero_filled() -> MethodSpec:
     return MethodSpec("zerofill", lambda rec: baselines.zero_filled(rec.kspace, rec.maps, rec.mask))
 
 
-def method_cs(**options) -> MethodSpec:
-    """CS reconstruction; `options` go to `baselines.cs_l1wavelet`, whose defaults apply."""
+def method_cs(alpha: float = baselines.CS_ALPHA,
+              max_iter: int = baselines.CS_MAX_ITER) -> MethodSpec:
     return MethodSpec("cs", lambda rec: baselines.cs_l1wavelet(
-        rec.kspace, rec.maps, rec.mask, **options))
+        rec.kspace, rec.maps, rec.mask, alpha=alpha, max_iter=max_iter))
 
 
 def method_model(name: str, model, store: ParameterStore) -> MethodSpec:

@@ -55,14 +55,16 @@ BAD_TYPED_FILES = {
     "record_without_mask_keep": "'mask_keep'",
     "record_mask_seed_x": "'seed'",
     "mask_seed_x": "'seed'",
+    "mask_seed_true": "'seed'",
     "model_config_list": "'config'",
 }
 
 
 def write_bad_typed_file(row, path, record) -> None:
     """Write the container of BAD_TYPED_FILES row `row` at `path`."""
-    if row == "mask_seed_x":
-        containers.write_container(path, "mask", {"seed": "x"}, {"keep": record.mask.keep})
+    if row.startswith("mask_seed_"):
+        seed = {"mask_seed_x": "x", "mask_seed_true": True}[row]
+        containers.write_container(path, "mask", {"seed": seed}, {"keep": record.mask.keep})
     elif row == "model_config_list":
         containers.save_checkpoint(path, ["cirim"], {})
     else:

@@ -219,7 +219,7 @@ class TestContainer:
 
     @pytest.mark.parametrize("row", sorted(BAD_TYPED_FILES))
     def test_typed_reader_names_what_it_cannot_use(self, tmp_path, record, row):
-        # before the typed checks: KeyError, ValueError, ValueError, and no error at all
+        # before the typed checks: a KeyError, a ValueError or no error at all
         path = tmp_path / "bad.cks"
         write_bad_typed_file(row, path, record)
         reader = {"record": containers.read_record, "mask": containers.read_mask,

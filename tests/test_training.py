@@ -159,7 +159,7 @@ class TestAdam:
         store.add("w", np.array([1.0, -2.0]))
         before = store["w"].value.copy()
         # a leaf that backward never reached counts as a zero gradient
-        adam_step(store, grads={"w": ad.leaf(before, ad.Tape())})
+        adam_step(store, grads={"w": ad.leaf(before, ad.Tape())}, lr=1e-3)
         assert np.array_equal(store["w"].value, before)
 
     def test_first_step_bounded_by_lr(self):
@@ -177,7 +177,7 @@ class TestAdam:
         store = ad.ParameterStore()
         store.add("w", np.zeros(2))
         with pytest.raises(training.TrainingError, match="w"):
-            adam_step(store, grads={})
+            adam_step(store, grads={}, lr=1e-3)
 
     def test_quadratic_bowl_convergence(self):
         store = ad.ParameterStore()
