@@ -62,6 +62,11 @@ def _per_kind(show) -> str:
     return ", ".join(f"{kind} {show(d.cascade)}" for kind, d in MODEL_KINDS.items())
 
 
+def _given(**options) -> dict:
+    """The keyword options whose flag was given; the rest keep the library's defaults."""
+    return {key: val for key, val in options.items() if val is not None}
+
+
 def _records_in(path: Path) -> list[Path]:
     if path.is_dir():
         return sorted(p for p in path.glob("*.cks"))
@@ -73,9 +78,9 @@ def _records_in(path: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def _gen_one_phantom(job) -> None:
-    out_path, spec_dict, family, size, seed, n_lesions, jitter = job
-    if family:
-        spec = default_brain_spec(size=size, seed=seed, n_lesions=n_lesions, jitter=jitter)
+    out_path, spec_dict, family, seed = job     # family: default_brain_spec options, or None
+    if family is not None:
+        spec = default_brain_spec(seed=seed, **family)
     else:
         spec = PhantomSpec.from_dict(spec_dict)
         spec.seed = seed
@@ -85,21 +90,22 @@ def _gen_one_phantom(job) -> None:
 
 
 def cmd_phantom_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec_dict = None
-    family = True
-    size, n_lesions, jitter = args.size, args.lesions, args.jitter
+    family = _given(size=args.size, n_lesions=args.lesions, jitter=args.jitter)
     if args.spec:
         spec_dict = json.loads(Path(args.spec).read_text())
         if spec_dict.get("family") == "brain":
-            size = int(spec_dict.get("size", size))
-            n_lesions = int(spec_dict.get("n_lesions", n_lesions))
-            jitter = float(spec_dict.get("jitter", jitter))
+            family.update((key, kind(spec_dict[key])) for key, kind in
+                          (("size", int), ("n_lesions", int), ("jitter", float))
+                          if key in spec_dict)
         else:
-            family = False
-    jobs = [(str(out / f"phantom_{i:04d}.cks"), spec_dict, family, size,
-             args.seed + i, n_lesions, jitter) for i in range(args.count)]
+            family = None
+    jobs = [(str(out / f"phantom_{i:04d}.cks"), spec_dict, family, args.seed + i)
+            for i in range(args.count)]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             pool.map(_gen_one_phantom, jobs)
@@ -113,13 +119,14 @@ def cmd_phantom_gen(args) -> int:
 def cmd_mask_gen(args) -> int:
     h, w = _parse_size(args.size)
     if args.kind == "gaussian2d":
-        mask = sampling.gaussian2d_mask(h, w, args.acc, fwhm_rel=args.fwhm,
-                                        acs_frac=args.acs, seed=args.seed)
+        mask = sampling.gaussian2d_mask(h, w, args.acc, seed=args.seed,
+                                        **_given(fwhm_rel=args.fwhm, acs_frac=args.acs))
     elif args.kind == "equidistant1d":
-        mask = sampling.equidistant1d_mask(h, w, int(args.acc), center_frac=args.center_frac,
-                                           offset_policy=args.offset_policy, seed=args.seed)
+        mask = sampling.equidistant1d_mask(h, w, int(args.acc), offset_policy=args.offset_policy,
+                                           seed=args.seed, **_given(center_frac=args.center_frac))
     elif args.kind == "poisson2d":
-        mask = sampling.poisson2d_mask(h, w, args.acc, acs_frac=args.acs, seed=args.seed)
+        mask = sampling.poisson2d_mask(h, w, args.acc, seed=args.seed,
+                                       **_given(acs_frac=args.acs))
     elif args.kind == "full":
         mask = sampling.full_mask(h, w)
     else:
@@ -155,6 +162,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.val_count < 0:
+        raise ValueError(f"--val-count must be at least 0, got {args.val_count}")
     paths = _records_in(Path(args.data))
     if not paths:
         raise ValueError(f"no records found under {args.data}")
@@ -276,21 +285,23 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
 
     phantom = sub.add_parser("phantom", **quiet, help="synthetic phantom generation")
     psub = phantom.add_subparsers(dest="subcommand", required=strict)
-    pg = psub.add_parser("gen", **quiet, help="generate phantom containers", formatter_class=fmt)
+    pg = psub.add_parser("gen", **quiet, help="generate phantom containers", formatter_class=fmt,
+                         description="Family flags left out keep default_brain_spec's defaults.")
     pg.add_argument("--spec", default=None, help="JSON phantom spec or brain-family description")
     pg.add_argument("--out", required=strict, help="output directory")
     pg.add_argument("--count", type=int, default=1, help="number of phantoms")
     pg.add_argument("--seed", type=int, default=_env_seed(), help="base seed")
-    pg.add_argument("--size", type=int, default=64, help="grid size")
-    pg.add_argument("--lesions", type=int, default=2, help="lesions per phantom")
-    pg.add_argument("--jitter", type=float, default=0.03, help="family geometry jitter")
+    pg.add_argument("--size", type=int, default=None, help="grid size")
+    pg.add_argument("--lesions", type=int, default=None, help="lesions per phantom")
+    pg.add_argument("--jitter", type=float, default=None, help="family geometry jitter")
     pg.add_argument("--jobs", type=int, default=1, help="parallel workers")
     pg.add_argument("--config", default=None, help="JSON config supplying defaults")
     pg.set_defaults(func=cmd_phantom_gen)
 
     mask = sub.add_parser("mask", **quiet, help="undersampling mask generation")
     msub = mask.add_subparsers(dest="subcommand", required=strict)
-    mg = msub.add_parser("gen", **quiet, help="generate a sampling mask", formatter_class=fmt)
+    mg = msub.add_parser("gen", **quiet, help="generate a sampling mask", formatter_class=fmt,
+                         description="Shape flags left out keep the generator's own defaults.")
     mg.add_argument("--kind", required=strict,
                     choices=["gaussian2d", "equidistant1d", "poisson2d", "full"])
     mg.add_argument("--size", required=strict, help="grid size as HxW, e.g. 64x64")
@@ -298,10 +309,10 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="acceleration factor (typical: 4, 6, 8, 10)")
     mg.add_argument("--seed", type=int, default=_env_seed(), help="selection seed")
     mg.add_argument("--out", required=strict, help="output .cks mask file")
-    mg.add_argument("--fwhm", type=float, default=0.7, help="gaussian2d FWHM relative to grid")
-    mg.add_argument("--acs", type=float, default=0.02,
+    mg.add_argument("--fwhm", type=float, default=None, help="gaussian2d FWHM relative to grid")
+    mg.add_argument("--acs", type=float, default=None,
                     help="fully sampled central ellipse half-axes, fraction of each dimension")
-    mg.add_argument("--center-frac", type=float, default=0.08,
+    mg.add_argument("--center-frac", type=float, default=None,
                     help="equidistant1d fully kept central line fraction")
     mg.add_argument("--offset-policy", choices=["fixed", "random"], default="fixed",
                     help="equidistant1d line offset policy")

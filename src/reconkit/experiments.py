@@ -1,10 +1,9 @@
-"""Desk-scale end-to-end experiment: data generation, training, evaluation.
+"""Desk-scale experiments: seeded phantom data, training and evaluation.
 
-One function builds a seeded phantom dataset, trains the cascaded recurrent
-reconstructor plus a single-block recurrent baseline at a matched parameter
-budget, evaluates them against the compressed-sensing and zero-filled
-baselines, and returns the metric rows together with the serialized CSV so
-reruns can be compared byte for byte.
+`run_variants` is the one experiment runner: it trains named models with one
+recipe, scores them next to the zero-filled and compressed-sensing baselines,
+and returns the metric rows with their CSV bytes, so reruns compare byte for
+byte. `desk_pipeline` runs it on CIRIM and a budget-matched GRU RIM.
 """
 
 from __future__ import annotations
@@ -15,9 +14,20 @@ import numpy as np
 
 from . import containers, training
 from .autodiff import ParameterStore
-from .networks import CascadeConfig, CirimModel, RimCellConfig, build_model
+from .networks import CascadeConfig, RimCellConfig, build_model
 from .phantom import DatasetRecord, default_brain_spec, make_coils, make_phantom, simulate_acquisition
 from .sampling import gaussian2d_mask
+
+
+@dataclass(frozen=True)
+class DeskConfig:
+    """The desk experiment: CIRIM's shape, the training length and the seeds."""
+    steps: int = 300            # optimizer steps per model
+    channels: int = 16          # CIRIM hidden width
+    cascades: int = 2
+    iterations: int = 4         # unrolled iterations per block
+    data_seed: int = 1234
+    train_seed: int = 77
 
 
 @dataclass
@@ -29,7 +39,7 @@ class DeskDataset:
 
 def build_desk_dataset(n_train: int = 20, n_val: int = 5, n_test: int = 50,
                        size: int = 64, n_coils: int = 4, acceleration: float = 4.0,
-                       sigma: float = 0.02, seed: int = 1234) -> DeskDataset:
+                       sigma: float = 0.02, seed: int = DeskConfig.data_seed) -> DeskDataset:
     maps = make_coils(n_coils, size, size)
     records = []
     total = n_train + n_val + n_test
@@ -51,63 +61,53 @@ def count_parameters(model) -> int:
     return store.n_parameters()
 
 
-def matched_rim_channels(target_params: int, iterations: int,
-                         search: range = range(4, 65)) -> int:
+def _gru_rim(channels: int, iterations: int):
+    return build_model("rim", cell=RimCellConfig(channels=channels, iterations=iterations))
+
+
+def matched_rim_channels(target_params: int, iterations: int) -> int:
     """Hidden width for a single-cascade GRU block closest to a parameter budget."""
-    best_c, best_gap = search.start, None
-    for c in search:
-        model = CirimModel(RimCellConfig(channels=c, iterations=iterations, unit="gru"),
-                           CascadeConfig(n_cascades=1), kind="rim")
-        gap = abs(count_parameters(model) - target_params)
-        if best_gap is None or gap < best_gap:
-            best_c, best_gap = c, gap
-    return best_c
+    return min(range(4, 65), key=lambda c: abs(count_parameters(_gru_rim(c, iterations))
+                                               - target_params))
+
+
+def matched_rim(model, iterations: int):
+    """The single-cascade GRU RIM with about as many parameters as `model`."""
+    return _gru_rim(matched_rim_channels(count_parameters(model), iterations), iterations)
 
 
 @dataclass
 class DeskRunResult:
     rows: list
     csv_bytes: bytes
-    mean_ssim: dict
-    cirim_params: int
-    rim_params: int
-    rim_channels: int
-    cirim_result: training.TrainResult
-    rim_result: training.TrainResult
+    mean_ssim: dict         # method or variant name -> mean test SSIM
+    params: dict            # method or variant name -> parameter count (0 for the baselines)
+    results: dict           # variant name -> its training.TrainResult
 
 
-def desk_pipeline(steps: int = 300, channels: int = 16, cascades: int = 2,
-                  iterations: int = 4, lr: float = training.TrainConfig.lr,
-                  data_seed: int = 1234, train_seed: int = 77,
-                  dataset: DeskDataset | None = None,
-                  timing: bool = False) -> DeskRunResult:
-    """The full desk-scale pipeline with fixed seeds."""
-    data = dataset or build_desk_dataset(seed=data_seed)
+def run_variants(models: dict, data: DeskDataset, steps: int, train_seed: int,
+                 timing: bool = False) -> DeskRunResult:
+    """Train each named model for `steps` steps, then score it next to zerofill and CS."""
     epochs = int(np.ceil(steps / max(1, len(data.train)))) + 1
-    cfg = training.TrainConfig(lr=lr, loss="cirim", dtype="float32", max_steps=steps)
+    cfg = training.TrainConfig(loss="cirim", dtype="float32", max_steps=steps)
+    results = {name: training.train(model, data.train, data.val, epochs, train_seed, cfg)
+               for name, model in models.items()}
+    methods = [training.method_zero_filled(), training.method_cs()] + [
+        training.method_model(name, model, results[name].store) for name, model in models.items()]
+    size = data.test[0].reference.shape[-1]
+    rows = training.evaluate(methods, data.test, dataset_name=f"desk{size}", timing=timing)
+    return DeskRunResult(
+        rows=rows, csv_bytes=containers.metrics_csv_bytes(rows),
+        mean_ssim={m.name: training.mean_metric(rows, m.name, "ssim") for m in methods},
+        params={"zerofill": 0, "cs": 0, **{n: r.store.n_parameters() for n, r in results.items()}},
+        results=results)
 
-    cirim = build_model("cirim",
-                        cell=RimCellConfig(channels=channels, iterations=iterations, unit="indrnn"),
-                        cascade=CascadeConfig(n_cascades=cascades))
-    cirim_params = count_parameters(cirim)
-    cirim_result = training.train(cirim, data.train, data.val, epochs, train_seed, cfg)
 
-    rim_c = matched_rim_channels(cirim_params, iterations)
-    rim = build_model("rim", cell=RimCellConfig(channels=rim_c, iterations=iterations, unit="gru"),
-                      cascade=CascadeConfig(n_cascades=1))
-    rim_params = count_parameters(rim)
-    rim_result = training.train(rim, data.train, data.val, epochs, train_seed, cfg)
-
-    methods = [
-        training.method_zero_filled(),
-        training.method_cs(),
-        training.method_model("rim", rim, rim_result.store),
-        training.method_model("cirim", cirim, cirim_result.store),
-    ]
-    rows = training.evaluate(methods, data.test, dataset_name="desk64", timing=timing)
-    mean_ssim = {name: training.mean_metric(rows, name, "ssim")
-                 for name in ("zerofill", "cs", "rim", "cirim")}
-    return DeskRunResult(rows=rows, csv_bytes=containers.metrics_csv_bytes(rows),
-                         mean_ssim=mean_ssim, cirim_params=cirim_params,
-                         rim_params=rim_params, rim_channels=rim_c,
-                         cirim_result=cirim_result, rim_result=rim_result)
+def desk_pipeline(cfg: DeskConfig = DeskConfig(), dataset: DeskDataset | None = None,
+                  timing: bool = False) -> DeskRunResult:
+    """CIRIM and its budget-matched GRU RIM through `run_variants`, with fixed seeds."""
+    cell = RimCellConfig(channels=cfg.channels, iterations=cfg.iterations, unit="indrnn")
+    cirim = build_model("cirim", cell=cell, cascade=CascadeConfig(n_cascades=cfg.cascades))
+    return run_variants({"rim": matched_rim(cirim, cfg.iterations), "cirim": cirim},
+                        dataset or build_desk_dataset(seed=cfg.data_seed),
+                        cfg.steps, cfg.train_seed, timing=timing)

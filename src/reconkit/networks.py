@@ -23,7 +23,7 @@ place the image is complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -378,13 +378,41 @@ def build_model(kind: str, cell: RimCellConfig | None = None,
     return CirimModel(cell, cascade, kind=kind)
 
 
+_CONFIG_SECTIONS = {"cell": RimCellConfig, "cascade": CascadeConfig, "unet": UnetConfig}
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value can stand for a config field whose default is `default`."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_fits(v, d) for v, d in zip(value, default)))
+    if isinstance(value, bool) or isinstance(default, bool):   # JSON true is no number
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def model_from_config(config: dict):
+    """The model a config echo describes; a malformed one raises a ConfigError naming the field."""
     kind = config.get("kind")
-    cell = RimCellConfig(**{**config["cell"], "kernel_sizes": tuple(config["cell"]["kernel_sizes"])}) \
-        if "cell" in config else None
-    cascade = CascadeConfig(**config["cascade"]) if "cascade" in config else None
-    unet = UnetConfig(**config["unet"]) if "unet" in config else None
-    return build_model(kind, cell=cell, cascade=cascade, unet=unet)
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ConfigError(f"config field 'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    sections = {}
+    for section, cls in _CONFIG_SECTIONS.items():
+        if section not in config:
+            continue
+        raw = config[section]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config field {section!r} must be an object, "
+                              f"got {type(raw).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, value in raw.items():
+            if key not in defaults:
+                raise ConfigError(f"config field '{section}.{key}' is not a {cls.__name__} field")
+            if not _fits(value, defaults[key]):
+                raise ConfigError(f"config field '{section}.{key}' has the wrong type: {value!r}")
+        sections[section] = cls(**{key: tuple(value) if isinstance(defaults[key], tuple) else value
+                                   for key, value in raw.items()})
+    return build_model(kind, **sections)
 
 
 def reconstruct(model, store: ParameterStore, record) -> np.ndarray:

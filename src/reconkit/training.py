@@ -219,6 +219,8 @@ def train(model, train_records: Sequence[DatasetRecord],
     """
     cfg = cfg or TrainConfig()
     _check_config(cfg)
+    if epochs < 1:
+        raise TrainingError(f"need at least one epoch, got {epochs}")
     if len(train_records) < 1:
         raise TrainingError("need at least one training record")
 

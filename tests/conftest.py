@@ -60,6 +60,16 @@ BAD_TYPED_FILES = {
 }
 
 
+# well-formed checkpoint config echoes that describe no model, each with the
+# field its ConfigError must name
+BAD_MODEL_CONFIGS = {
+    "cell_field_misspelt": ({"kind": "cirim", "cell": {"chanels": 4}}, "'cell.chanels'"),
+    "cell_not_an_object": ({"kind": "cirim", "cell": []}, "'cell'"),
+    "n_cascades_a_string": ({"kind": "cirim", "cascade": {"n_cascades": "2"}},
+                            "'cascade.n_cascades'"),
+}
+
+
 def write_bad_typed_file(row, path, record) -> None:
     """Write the container of BAD_TYPED_FILES row `row` at `path`."""
     if row.startswith("mask_seed_"):

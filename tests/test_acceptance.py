@@ -229,10 +229,11 @@ def test_criterion_7_desk_scale_ordering(desk_run):
     assert ssim["cirim"] - ssim["zerofill"] >= 0.05
     assert ssim["cirim"] >= ssim["rim"] - 0.005
     # parameter budgets are matched within a few percent
-    assert abs(result.cirim_params - result.rim_params) / result.cirim_params < 0.1
+    params = result.params
+    assert abs(params["cirim"] - params["rim"]) / params["cirim"] < 0.1
     # cascade benefit also shows up in the best validation loss
-    cirim_val = min(r["loss"] for r in result.cirim_result.log if r["split"] == "val")
-    rim_val = min(r["loss"] for r in result.rim_result.log if r["split"] == "val")
+    cirim_val = min(r["loss"] for r in result.results["cirim"].log if r["split"] == "val")
+    rim_val = min(r["loss"] for r in result.results["rim"].log if r["split"] == "val")
     assert cirim_val <= rim_val
     assert elapsed < 15 * 60
 

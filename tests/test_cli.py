@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from reconkit import containers
+from reconkit import containers, sampling
 from reconkit.cli import main
 from reconkit.networks import MODEL_KINDS, build_model
+from reconkit.phantom import default_brain_spec, make_phantom
 
-from conftest import (BAD_TYPED_FILES, poison_adam_step, set_container_header,
-                      write_bad_typed_file)
+from conftest import (BAD_MODEL_CONFIGS, BAD_TYPED_FILES, poison_adam_step,
+                      set_container_header, write_bad_typed_file)
 
 
 def run(argv):
@@ -102,6 +103,18 @@ class TestExitCodes:
             assert err.startswith("error: FormatError: ") and BAD_TYPED_FILES[row] in err
             assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("row", sorted(BAD_MODEL_CONFIGS))
+    def test_malformed_checkpoint_config_exits_one(self, tmp_path, capsys, small_record, row):
+        config, field = BAD_MODEL_CONFIGS[row]
+        bad, rec = tmp_path / "bad.cks", tmp_path / "rec.cks"
+        containers.save_checkpoint(bad, config, {})
+        containers.write_record(rec, small_record)
+        assert run(["eval", "--methods", str(bad), "--data", str(rec),
+                    "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and field in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -163,6 +176,21 @@ class TestPipeline:
                     "--out", str(ckpt)]) == 0
         config, _values, _extra = containers.load_checkpoint(ckpt)
         assert config == json.loads(json.dumps(build_model(kind).config_dict()))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--epochs", "0"], "TrainingError: need at least one epoch"),
+        (["train", "--val-count", "-1", "--steps", "1"], "ValueError: --val-count"),
+        (["phantom", "gen", "--count", "-2"], "ValueError: --count"),
+    ], ids=["epochs_0", "val_count_negative", "count_negative"])
+    def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
+        base, _ph, recs, _mask = workspace
+        extra = (["--model", "cirim", "--data", str(recs), "--cascades", "1", "--channels", "2",
+                  "--iterations", "1"] if argv[0] == "train" else [])
+        out = base / "out"
+        assert run(argv + extra + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert not out.exists()
 
     def test_varnet_with_implicit_dc_is_an_error(self, workspace, capsys):
         base, ph, recs, mask = workspace
@@ -232,6 +260,23 @@ class TestPipeline:
         got = containers.import_pgm(img)
         # float32 storage and the FFT round trip shift a few quantization bins
         assert np.abs(got.astype(int) - quant.astype(int)).max() <= 2
+
+    def test_default_shape_flags_are_the_library_defaults(self, tmp_path):
+        # flags left out pass no keyword, so the generators' own defaults apply
+        for kind, make in (("gaussian2d", sampling.gaussian2d_mask),
+                           ("equidistant1d", sampling.equidistant1d_mask),
+                           ("poisson2d", sampling.poisson2d_mask)):
+            out, ref = tmp_path / f"{kind}.cks", tmp_path / f"{kind}_ref.cks"
+            assert run(["mask", "gen", "--kind", kind, "--size", "32x32", "--acc", "4",
+                        "--seed", "3", "--out", str(out)]) == 0
+            containers.write_mask(ref, make(32, 32, 4, seed=3))
+            assert out.read_bytes() == ref.read_bytes()
+        assert run(["phantom", "gen", "--out", str(tmp_path / "ph"), "--seed", "5"]) == 0
+        spec = default_brain_spec(seed=5)
+        containers.write_phantom(tmp_path / "ref.cks", *make_phantom(spec),
+                                 meta={"spec": spec.to_dict(), "seed": 5})
+        assert (tmp_path / "ph" / "phantom_0000.cks").read_bytes() == \
+            (tmp_path / "ref.cks").read_bytes()
 
     def test_phantom_gen_jobs_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

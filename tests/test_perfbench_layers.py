@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -73,10 +74,30 @@ def test_reconkit_names_and_train_config_keywords_resolve(path):
             assert not unknown, f"line {node.lineno}: TrainConfig has no field {sorted(unknown)}"
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
-def test_script_help_exits_zero(path):
+def _run_script(path: Path, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, str(path), "--help"], env=env,
+    return subprocess.run([sys.executable, str(path), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_help_exits_zero(path):
+    done = _run_script(path, "--help")
     assert done.returncode == 0, done.stderr
+
+
+def test_dc_comparison_reports_every_row():
+    done = _run_script(ROOT / "scripts" / "compare_dc_modes.py",
+                       "--size", "16", "--steps", "3", "--n-test", "2")
+    assert done.returncode == 0, done.stderr
+    table = {}
+    for line in done.stdout.splitlines():
+        words = line.split()
+        if len(words) == 4 and words[0] != "method":
+            table[words[0]] = words[1:]
+    assert set(table) == {"zerofill", "cs", "cirim-implicit", "cirim-explicit", "varnet"}
+    for name, (ssim, _psnr, params) in table.items():
+        assert math.isfinite(float(ssim)), name
+        learned = name not in ("zerofill", "cs")
+        assert (int(params) > 0) == learned, name

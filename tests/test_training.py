@@ -12,7 +12,7 @@ from reconkit.networks import CascadeConfig, RimCellConfig, UnetConfig, build_mo
 from reconkit.training import (TrainConfig, adam_step, cirim_loss, evaluate,
                                iteration_loss_weights, l1_loss, ssim_loss, train)
 
-from conftest import finite_diff, poison_adam_step, rel_error
+from conftest import BAD_MODEL_CONFIGS, finite_diff, poison_adam_step, rel_error
 
 C = ad.complex_to_channels
 
@@ -277,16 +277,11 @@ class TestStepMemory:
 
 
 class TestTrainLoop:
-    def test_zero_epochs_initial_checkpoint_empty_log(self):
-        records = _tiny_records(2)
-        model = _tiny_model()
-        result = train(model, records, [], epochs=0, seed=0)
-        assert result.log == []
-        assert result.steps == 0
-        fresh = ad.ParameterStore()
-        model.init_params(fresh, 0)
-        for name, p in fresh.items():
-            assert np.array_equal(result.best_values[name], p.value)
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_zero_epochs_rejected(self, epochs):
+        # like max_steps=0: a run of no epochs would hand back untrained parameters
+        with pytest.raises(training.TrainingError, match="epoch"):
+            train(_tiny_model(), _tiny_records(2), [], epochs=epochs, seed=0)
 
     def test_same_seed_identical_loss_curves(self):
         records = _tiny_records(3, seed=10)
@@ -438,6 +433,16 @@ class TestEvaluate:
         config["cell"]["channels"] = 32          # no longer matches the records
         containers.save_checkpoint(path, config, values)
         with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.bias"):
+            training.method_checkpoint(path)
+
+    @pytest.mark.parametrize("row", sorted(BAD_MODEL_CONFIGS))
+    def test_malformed_checkpoint_config_names_the_field(self, tmp_path, row):
+        from reconkit import containers
+        from reconkit.networks import ConfigError
+        config, field = BAD_MODEL_CONFIGS[row]
+        path = tmp_path / "ckpt.cks"
+        containers.save_checkpoint(path, config, {})
+        with pytest.raises(ConfigError, match=field):
             training.method_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
