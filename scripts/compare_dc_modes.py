@@ -33,9 +33,9 @@ def main() -> int:
 
     data = build_desk_dataset(n_train=12, n_val=3, n_test=args.n_test, size=args.size,
                               seed=args.data_seed)
-    cell = RimCellConfig(channels=args.channels, iterations=args.iterations, unit="indrnn")
+    cell = RimCellConfig(channels=args.channels, iterations=args.iterations)
 
-    def cascade(explicit_dc):
+    def cascade(explicit_dc=None):
         return CascadeConfig(n_cascades=args.cascades, explicit_dc=explicit_dc,
                              dc_weight_init=0.1)
 
@@ -43,7 +43,7 @@ def main() -> int:
         "cirim-implicit": build_model("cirim", cell=cell, cascade=cascade(False)),
         "cirim-explicit": build_model("cirim", cell=cell, cascade=cascade(True)),
         "varnet": build_model("varnet", unet=UnetConfig(channels=args.channels, pools=2),
-                              cascade=cascade(True)),
+                              cascade=cascade()),
     }
     t0 = time.perf_counter()
     result = run_variants(variants, data, args.steps, args.seed)

@@ -12,11 +12,11 @@ failures with code 1 and a single machine-parsable error line on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,12 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 def _per_kind(show) -> str:
     """A help text's list of one default per model kind."""
-    return ", ".join(f"{kind} {show(d.cascade)}" for kind, d in MODEL_KINDS.items())
+    return ", ".join(f"{kind} {show(d)}" for kind, d in MODEL_KINDS.items())
+
+
+_MASK_MAKERS = {"gaussian2d": sampling.gaussian2d_mask,
+                "equidistant1d": sampling.equidistant1d_mask,
+                "poisson2d": sampling.poisson2d_mask}
 
 
 def _given(**options) -> dict:
@@ -119,14 +124,14 @@ def cmd_phantom_gen(args) -> int:
 def cmd_mask_gen(args) -> int:
     h, w = _parse_size(args.size)
     if args.kind == "gaussian2d":
-        mask = sampling.gaussian2d_mask(h, w, args.acc, seed=args.seed,
-                                        **_given(fwhm_rel=args.fwhm, acs_frac=args.acs))
+        mask = sampling.gaussian2d_mask(h, w, seed=args.seed, **_given(
+            acceleration=args.acc, fwhm_rel=args.fwhm, acs_frac=args.acs))
     elif args.kind == "equidistant1d":
-        mask = sampling.equidistant1d_mask(h, w, int(args.acc), offset_policy=args.offset_policy,
-                                           seed=args.seed, **_given(center_frac=args.center_frac))
+        mask = sampling.equidistant1d_mask(h, w, seed=args.seed, **_given(
+            acceleration=args.acc, center_frac=args.center_frac, offset_policy=args.offset_policy))
     elif args.kind == "poisson2d":
-        mask = sampling.poisson2d_mask(h, w, args.acc, seed=args.seed,
-                                       **_given(acs_frac=args.acs))
+        mask = sampling.poisson2d_mask(h, w, seed=args.seed,
+                                       **_given(acceleration=args.acc, acs_frac=args.acs))
     elif args.kind == "full":
         mask = sampling.full_mask(h, w)
     else:
@@ -172,22 +177,23 @@ def cmd_train(args) -> int:
     val_records = records[:n_val]
     train_records = records[n_val:]
 
-    unit, cascade = MODEL_KINDS[args.model]
-    explicit_dc = cascade.explicit_dc if args.dc is None else args.dc == "explicit"
-    if unit is None and not explicit_dc:
-        raise ValueError(f"{args.model} has no gradient input, so it needs --dc explicit")
-    cascade = replace(cascade, explicit_dc=explicit_dc, dc_weight_init=args.dc_weight,
-                      n_cascades=cascade.n_cascades if args.cascades is None else args.cascades)
-    # each kind's own config holds its channel default
-    channels = {} if args.channels is None else {"channels": args.channels}
-    if unit is None:
+    # a flag left out is the model kind's value, or its config's default
+    cascade = CascadeConfig(n_cascades=args.cascades, dc_weight_init=args.dc_weight,
+                            explicit_dc=None if args.dc is None else args.dc == "explicit")
+    channels = _given(channels=args.channels)
+    if MODEL_KINDS[args.model].unit is None:
         model = build_model(args.model, cascade=cascade,
                             unet=UnetConfig(pools=args.pools, **channels))
+        if not model.cascade.explicit_dc:
+            raise ValueError(f"{args.model} has no gradient input, so it needs --dc explicit")
     else:
-        kernels = tuple(int(k) for k in args.kernels.split(","))
+        try:
+            kernels = tuple(int(k) for k in args.kernels.split(","))
+        except ValueError:
+            raise ValueError(f"--kernels must be ints like 5,3,3, got {args.kernels!r}") from None
         model = build_model(args.model, cascade=cascade,
-                            cell=RimCellConfig(kernel_sizes=kernels, unit=unit,
-                                               iterations=args.iterations, **channels))
+                            cell=RimCellConfig(kernel_sizes=kernels, iterations=args.iterations,
+                                               **channels))
 
     cfg = training.TrainConfig(lr=args.lr, loss=args.loss, dtype=args.dtype,
                                max_steps=args.steps)
@@ -211,18 +217,12 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def _method_name(desc: str) -> str:
-    if desc in ("zerofill", "cs"):
-        return desc
-    return Path(desc).stem
-
-
 def _build_method(desc: str, **cs_options) -> training.MethodSpec:
     if desc == "zerofill":
         return training.method_zero_filled()
     if desc == "cs":
         return training.method_cs(**cs_options)
-    return training.method_checkpoint(desc, name=_method_name(desc))
+    return training.method_checkpoint(desc, name=Path(desc).stem)
 
 
 def _eval_worker(payload):
@@ -258,7 +258,7 @@ def cmd_eval(args) -> int:
             r["id"] = f"{int(r['id']) + offset:04d}"
         offset += len(payload[1])
         rows.extend(part)
-    rows.extend(training.summarize_rows(rows, [_method_name(d) for d in descs], dataset_name))
+    rows.extend(training.summarize_rows(rows, [Path(d).stem for d in descs], dataset_name))
     containers.write_metrics_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -295,18 +295,18 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     pg.add_argument("--lesions", type=int, default=None, help="lesions per phantom")
     pg.add_argument("--jitter", type=float, default=None, help="family geometry jitter")
     pg.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    pg.add_argument("--config", default=None, help="JSON config supplying defaults")
-    pg.set_defaults(func=cmd_phantom_gen)
 
     mask = sub.add_parser("mask", **quiet, help="undersampling mask generation")
     msub = mask.add_subparsers(dest="subcommand", required=strict)
     mg = msub.add_parser("gen", **quiet, help="generate a sampling mask", formatter_class=fmt,
-                         description="Shape flags left out keep the generator's own defaults.")
-    mg.add_argument("--kind", required=strict,
-                    choices=["gaussian2d", "equidistant1d", "poisson2d", "full"])
+                         description="Acceleration and shape flags left out keep the generator's "
+                                     "own defaults.")
+    mg.add_argument("--kind", required=strict, choices=[*_MASK_MAKERS, "full"])
     mg.add_argument("--size", required=strict, help="grid size as HxW, e.g. 64x64")
-    mg.add_argument("--acc", type=float, default=4.0,
-                    help="acceleration factor (typical: 4, 6, 8, 10)")
+    mg.add_argument("--acc", type=float, default=None,
+                    help="acceleration factor (typical: 4, 6, 8, 10; defaults: " + ", ".join(
+                        f"{kind} {inspect.signature(make).parameters['acceleration'].default}"
+                        for kind, make in _MASK_MAKERS.items()) + ")")
     mg.add_argument("--seed", type=int, default=_env_seed(), help="selection seed")
     mg.add_argument("--out", required=strict, help="output .cks mask file")
     mg.add_argument("--fwhm", type=float, default=None, help="gaussian2d FWHM relative to grid")
@@ -314,11 +314,9 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="fully sampled central ellipse half-axes, fraction of each dimension")
     mg.add_argument("--center-frac", type=float, default=None,
                     help="equidistant1d fully kept central line fraction")
-    mg.add_argument("--offset-policy", choices=["fixed", "random"], default="fixed",
+    mg.add_argument("--offset-policy", choices=["fixed", "random"], default=None,
                     help="equidistant1d line offset policy")
     mg.add_argument("--pbm", default=None, help="also write a 1-bit PBM preview")
-    mg.add_argument("--config", default=None, help="JSON config supplying defaults")
-    mg.set_defaults(func=cmd_mask_gen)
 
     sim = sub.add_parser("simulate", **quiet, help="simulate acquisitions", formatter_class=fmt)
     sim.add_argument("--phantom", required=strict, help="phantom .cks file or directory")
@@ -327,15 +325,13 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     sim.add_argument("--sigma", type=float, default=0.0, help="complex noise std at sampled points")
     sim.add_argument("--seed", type=int, default=_env_seed(), help="noise seed")
     sim.add_argument("--out", required=strict, help="output record file or directory")
-    sim.add_argument("--config", default=None, help="JSON config supplying defaults")
-    sim.set_defaults(func=cmd_simulate)
 
     tr = sub.add_parser("train", **quiet, help="train a reconstructor", formatter_class=fmt)
     tr.add_argument("--model", required=strict, choices=list(MODEL_KINDS))
     tr.add_argument("--dc", choices=["implicit", "explicit"], default=None,
                     help="data consistency: implicit (gradient input only) or explicit (a "
                          "learned soft-DC step after each cascade); defaults: "
-                         + _per_kind(lambda c: "explicit" if c.explicit_dc else "implicit"))
+                         + _per_kind(lambda d: "explicit" if d.explicit_dc else "implicit"))
     tr.add_argument("--data", required=strict, help="directory of record .cks files")
     tr.add_argument("--epochs", type=int, default=10, help="training epochs (batch size 1)")
     tr.add_argument("--steps", type=int, default=None, help="optional cap on optimizer steps")
@@ -344,7 +340,7 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     tr.add_argument("--log", default=None, help="training log CSV path")
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")
     tr.add_argument("--cascades", type=int, default=None,
-                    help="cascade count (defaults: " + _per_kind(lambda c: c.n_cascades) + ")")
+                    help="cascade count (defaults: " + _per_kind(lambda d: d.n_cascades) + ")")
     tr.add_argument("--iterations", type=int, default=RimCellConfig.iterations,
                     help="unrolled iterations per block")
     tr.add_argument("--channels", type=int, default=None,
@@ -362,8 +358,6 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="loss; on varnet's one estimate, cirim equals l1")
     tr.add_argument("--dtype", choices=training.CONFIG_CHOICES["dtype"],
                     default=training.TrainConfig.dtype, help="training precision")
-    tr.add_argument("--config", default=None, help="JSON config supplying defaults")
-    tr.set_defaults(func=cmd_train)
 
     rc = sub.add_parser("recon", **quiet, help="reconstruct one record", formatter_class=fmt)
     rc.add_argument("--model", required=strict,
@@ -373,8 +367,6 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     rc.add_argument("--alpha", type=float, default=baselines.CS_ALPHA,
                     help="cs regularization weight")
     rc.add_argument("--iters", type=int, default=baselines.CS_MAX_ITER, help="cs iteration cap")
-    rc.add_argument("--config", default=None, help="JSON config supplying defaults")
-    rc.set_defaults(func=cmd_recon)
 
     ev = sub.add_parser("eval", **quiet, help="score methods over a record set", formatter_class=fmt)
     ev.add_argument("--methods", required=strict,
@@ -384,9 +376,11 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     ev.add_argument("--jobs", type=int, default=1, help="parallel workers over records")
     ev.add_argument("--no-timing", action="store_true",
                     help="write wall_ms as zero for byte-reproducible reports")
-    ev.add_argument("--config", default=None, help="JSON config supplying defaults")
-    ev.set_defaults(func=cmd_eval)
 
+    for command, func in ((pg, cmd_phantom_gen), (mg, cmd_mask_gen), (sim, cmd_simulate),
+                          (tr, cmd_train), (rc, cmd_recon), (ev, cmd_eval)):
+        command.add_argument("--config", default=None, help="JSON config supplying defaults")
+        command.set_defaults(func=func)
     return parser
 
 

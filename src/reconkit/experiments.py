@@ -88,6 +88,8 @@ class DeskRunResult:
 def run_variants(models: dict, data: DeskDataset, steps: int, train_seed: int,
                  timing: bool = False) -> DeskRunResult:
     """Train each named model for `steps` steps, then score it next to zerofill and CS."""
+    if not data.test:
+        raise training.TrainingError("need at least one test record")
     epochs = int(np.ceil(steps / max(1, len(data.train)))) + 1
     cfg = training.TrainConfig(loss="cirim", dtype="float32", max_steps=steps)
     results = {name: training.train(model, data.train, data.val, epochs, train_seed, cfg)
@@ -106,7 +108,7 @@ def run_variants(models: dict, data: DeskDataset, steps: int, train_seed: int,
 def desk_pipeline(cfg: DeskConfig = DeskConfig(), dataset: DeskDataset | None = None,
                   timing: bool = False) -> DeskRunResult:
     """CIRIM and its budget-matched GRU RIM through `run_variants`, with fixed seeds."""
-    cell = RimCellConfig(channels=cfg.channels, iterations=cfg.iterations, unit="indrnn")
+    cell = RimCellConfig(channels=cfg.channels, iterations=cfg.iterations)
     cirim = build_model("cirim", cell=cell, cascade=CascadeConfig(n_cascades=cfg.cascades))
     return run_variants({"rim": matched_rim(cirim, cfg.iterations), "cirim": cirim},
                         dataset or build_desk_dataset(seed=cfg.data_seed),

@@ -23,7 +23,7 @@ place the image is complex.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,27 +45,29 @@ class ConfigError(ValueError):
 class RimCellConfig:
     channels: int = 64
     kernel_sizes: tuple[int, int, int] = (5, 3, 3)
-    unit: str = "gru"                 # "gru" | "indrnn"
+    unit: str | None = None           # "gru" | "indrnn"; None: the model kind's
     iterations: int = 8
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"need at least one unroll iteration, got {self.iterations}")
-        if any(k % 2 == 0 or k < 1 for k in self.kernel_sizes):
-            raise ConfigError(f"kernel sizes must be odd, got {self.kernel_sizes}")
-        if self.unit not in ("gru", "indrnn"):
+        ks = self.kernel_sizes
+        if not (isinstance(ks, tuple) and len(ks) == 3
+                and all(type(k) is int and k > 0 and k % 2 for k in ks)):
+            raise ConfigError(f"kernel_sizes must be three odd positive ints, got {ks!r}")
+        if self.unit not in ("gru", "indrnn", None):
             raise ConfigError(f"unknown recurrent unit {self.unit!r}")
 
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    n_cascades: int = 5
-    explicit_dc: bool = False
+    n_cascades: int | None = None     # None: the model kind's
+    explicit_dc: bool | None = None   # None: the model kind's
     dc_weight_init: float = 0.5
     share_params: bool = False
 
     def __post_init__(self):
-        if self.n_cascades < 1:
+        if self.n_cascades is not None and self.n_cascades < 1:
             raise ConfigError(f"need at least one cascade, got {self.n_cascades}")
 
 
@@ -80,16 +82,25 @@ class UnetConfig:
 
 
 class KindDefaults(NamedTuple):
-    unit: str | None          # recurrent unit; None: VarNet's convnet, with no gradient input
-    cascade: CascadeConfig    # used when a model is built without one
+    unit: str | None    # recurrent unit; None: VarNet's convnet, with no gradient input
+    n_cascades: int
+    explicit_dc: bool
 
 
+# what a model of each kind takes for a config field left at None
 MODEL_KINDS = {
-    "rim": KindDefaults("gru", CascadeConfig(n_cascades=1)),
-    "irim": KindDefaults("indrnn", CascadeConfig(n_cascades=1)),
-    "cirim": KindDefaults("indrnn", CascadeConfig(n_cascades=5)),
-    "varnet": KindDefaults(None, CascadeConfig(n_cascades=8, explicit_dc=True)),
+    "rim": KindDefaults("gru", 1, False),
+    "irim": KindDefaults("indrnn", 1, False),
+    "cirim": KindDefaults("indrnn", 5, False),
+    "varnet": KindDefaults(None, 8, True),
 }
+
+
+def _fill(cfg, kind: str):
+    """`cfg` with each field it left at None set to the kind's value in MODEL_KINDS."""
+    defaults = MODEL_KINDS[kind]._asdict()
+    return replace(cfg, **{f.name: defaults[f.name] for f in fields(cfg)
+                           if getattr(cfg, f.name) is None})
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ class CascadeModel:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
         self.kind = kind
-        self.cascade = cascade or MODEL_KINDS[kind].cascade
+        self.cascade = _fill(cascade or CascadeConfig(), kind)
 
     def _prefix(self, k: int) -> str:
         return "shared." if self.cascade.share_params else f"cascade{k}."
@@ -217,6 +228,11 @@ class CascadeModel:
     def constraints(self) -> list[tuple[str, float, float]]:
         """Value clamps applied after each optimizer step."""
         return []
+
+    def config_dict(self) -> dict:
+        """The kind and each config section, resolved: the echo a checkpoint stores."""
+        return {"kind": self.kind, **{name: asdict(cfg) for name, cfg in vars(self).items()
+                                      if is_dataclass(cfg)}}
 
     def forward(self, y, maps, mask, params):
         """The final image and, per cascade, the list of its estimates."""
@@ -267,7 +283,7 @@ class CirimModel(CascadeModel):
     def __init__(self, cell: RimCellConfig | None = None,
                  cascade: CascadeConfig | None = None, kind: str = "cirim"):
         super().__init__(kind, cascade)
-        self.cell = cell or RimCellConfig(unit=MODEL_KINDS[kind].unit)
+        self.cell = _fill(cell or RimCellConfig(), kind)
 
     def _init_block(self, store: ParameterStore, rng, p: str) -> None:
         c = self.cell.channels
@@ -287,10 +303,6 @@ class CirimModel(CascadeModel):
         # keep the T-step product of recurrent weights from exploding
         return [(f"{p}unit{i}.recurrent", -1.0, 1.0)
                 for p in self._block_prefixes() for i in (1, 2)]
-
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "cell": asdict(self.cell),
-                "cascade": asdict(self.cascade)}
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +372,6 @@ class VarnetModel(CascadeModel):
         x, _ = super().forward(y, maps, mask, params)
         return x, [[x]]
 
-    def config_dict(self) -> dict:
-        return {"kind": self.kind, "unet": asdict(self.unet),
-                "cascade": asdict(self.cascade)}
-
 
 # ---------------------------------------------------------------------------
 # model factory and functional entry points
@@ -372,13 +380,10 @@ class VarnetModel(CascadeModel):
 def build_model(kind: str, cell: RimCellConfig | None = None,
                 cascade: CascadeConfig | None = None,
                 unet: UnetConfig | None = None):
-    """A model of `kind`; a config left out comes from MODEL_KINDS."""
+    """A model of `kind`; a config or config field left out is the kind's (MODEL_KINDS)."""
     if kind == "varnet":
         return VarnetModel(unet, cascade)
     return CirimModel(cell, cascade, kind=kind)
-
-
-_CONFIG_SECTIONS = {"cell": RimCellConfig, "cascade": CascadeConfig, "unet": UnetConfig}
 
 
 def _fits(value, default) -> bool:
@@ -396,15 +401,17 @@ def model_from_config(config: dict):
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ConfigError(f"config field 'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    resolved = vars(build_model(kind))      # the kind's own model types each field
     sections = {}
-    for section, cls in _CONFIG_SECTIONS.items():
-        if section not in config:
+    for section, raw in config.items():
+        if section == "kind":
             continue
-        raw = config[section]
+        if not is_dataclass(resolved.get(section)):
+            raise ConfigError(f"config field {section!r} is not used by a {kind} model")
         if not isinstance(raw, dict):
             raise ConfigError(f"config field {section!r} must be an object, "
                               f"got {type(raw).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
+        cls, defaults = type(resolved[section]), asdict(resolved[section])
         for key, value in raw.items():
             if key not in defaults:
                 raise ConfigError(f"config field '{section}.{key}' is not a {cls.__name__} field")

@@ -55,7 +55,7 @@ def full_mask(h: int, w: int) -> SamplingMask:
     return SamplingMask(np.ones((h, w)), kind="full", requested_acceleration=1.0, seed=0)
 
 
-def gaussian2d_mask(h: int, w: int, acceleration: float, fwhm_rel: float = 0.7,
+def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float = 0.7,
                     acs_frac: float = 0.02, seed: int = 0) -> SamplingMask:
     """Random 2D Gaussian-density mask with an exact sample budget."""
     if acceleration <= 1:

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import baselines, containers, metrics
 from .autodiff import ParameterStore, Tape, Tensor
-from .networks import DivergedError, reconstruct
+from .networks import DivergedError, model_from_config, reconstruct
 from .phantom import DatasetRecord
 
 
@@ -300,24 +300,16 @@ def method_model(name: str, model, store: ParameterStore) -> MethodSpec:
 
 
 def method_checkpoint(path, name: str | None = None) -> MethodSpec:
-    from .networks import model_from_config
-
     config, values, _extra = containers.load_checkpoint(path)
     model = model_from_config(config)
     store = ParameterStore()
     model.init_params(store, seed=0)
-    for key in sorted(set(store.names()) | set(values)):
-        if key not in values:
-            problem = "is missing from the checkpoint"
-        elif key not in store:
-            problem = "is not a parameter of the model"
-        elif values[key].shape != store[key].value.shape:
-            problem = f"has shape {values[key].shape}, the model's is {store[key].value.shape}"
-        else:
-            continue
-        raise containers.CheckpointMismatchError(f"parameter {key} {problem}")
-    store.load_values({k: v.astype(np.float64) for k, v in values.items()})
-    return method_model(name or config.get("kind", "model"), model, store)
+    try:
+        store.load_values(values)
+    except ad.GraphError as exc:
+        raise containers.CheckpointMismatchError(
+            f"the checkpoint does not fit its {model.kind} model: {exc}") from exc
+    return method_model(name or model.kind, model, store)
 
 
 def _safe(metric_fn, *args):

@@ -67,6 +67,7 @@ BAD_MODEL_CONFIGS = {
     "cell_not_an_object": ({"kind": "cirim", "cell": []}, "'cell'"),
     "n_cascades_a_string": ({"kind": "cirim", "cascade": {"n_cascades": "2"}},
                             "'cascade.n_cascades'"),
+    "cell_on_a_varnet": ({"kind": "varnet", "cell": {"channels": 4}}, "'cell'"),
 }
 
 

@@ -181,7 +181,9 @@ class TestPipeline:
         (["train", "--epochs", "0"], "TrainingError: need at least one epoch"),
         (["train", "--val-count", "-1", "--steps", "1"], "ValueError: --val-count"),
         (["phantom", "gen", "--count", "-2"], "ValueError: --count"),
-    ], ids=["epochs_0", "val_count_negative", "count_negative"])
+        (["train", "--kernels", "3,3", "--steps", "1"], "ConfigError: kernel_sizes"),
+        (["train", "--kernels", "3,x", "--steps", "1"], "ValueError: --kernels"),
+    ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
         extra = (["--model", "cirim", "--data", str(recs), "--cascades", "1", "--channels", "2",

@@ -322,6 +322,24 @@ class TestFactory:
         with pytest.raises(networks.ConfigError):
             build_model("unet")
 
+    @pytest.mark.parametrize("kind", ["irim", "cirim"])
+    def test_a_cell_without_a_unit_takes_the_kinds(self, kind):
+        assert build_model(kind, cell=RimCellConfig(channels=4)).cell.unit == "indrnn"
+
+    def test_a_varnet_cascade_without_a_dc_mode_is_explicit(self):
+        assert build_model("varnet", cascade=CascadeConfig(n_cascades=2)).cascade.explicit_dc
+
+    @pytest.mark.parametrize("config, unit, explicit_dc, n_cascades", [
+        ({"kind": "cirim", "cell": {"channels": 16, "iterations": 4}}, "indrnn", False, 5),
+        ({"kind": "irim", "cell": {"channels": 4}}, "indrnn", False, 1),
+        ({"kind": "rim", "cascade": {"explicit_dc": True}}, "gru", True, 1),
+        ({"kind": "varnet", "cascade": {"n_cascades": 2}}, None, True, 2),
+    ], ids=["cirim_cell", "irim_cell", "rim_cascade", "varnet_cascade"])
+    def test_a_partial_config_takes_the_kinds_fields(self, config, unit, explicit_dc, n_cascades):
+        model = networks.model_from_config(config)
+        assert model.config_dict().get("cell", {}).get("unit") == unit
+        assert (model.cascade.explicit_dc, model.cascade.n_cascades) == (explicit_dc, n_cascades)
+
     def test_config_roundtrip(self):
         model = build_model("cirim", cell=_tiny_cell(), cascade=CascadeConfig(n_cascades=2))
         clone = networks.model_from_config(model.config_dict())
@@ -336,3 +354,9 @@ class TestFactory:
             RimCellConfig(unit="lstm")
         with pytest.raises(networks.ConfigError):
             CascadeConfig(n_cascades=0)
+
+    @pytest.mark.parametrize("kernel_sizes", [(3, 3), (3, 3.0, 3), (3, -1, 3)],
+                             ids=["two", "a_float", "negative"])
+    def test_kernel_sizes_are_three_odd_positive_ints(self, kernel_sizes):
+        with pytest.raises(networks.ConfigError, match="kernel_sizes"):
+            RimCellConfig(kernel_sizes=kernel_sizes)

@@ -1,9 +1,11 @@
 """Callers outside the package still match it.
 
 The benchmark's tracer wraps layers by name, its workloads and the scripts
-read reconkit attributes and build a `TrainConfig`.  A rename or a deleted
-field breaks them without breaking any test of the package, and perfbench's
-own self-test is not part of the tier-1 suite, so they are checked here.
+read reconkit attributes and build its config dataclasses (`TrainConfig`,
+`RimCellConfig`, `CascadeConfig`, `UnetConfig`, `DeskConfig`).  A rename or a
+deleted field breaks them without breaking any test of the package, and
+perfbench's own self-test is not part of the tier-1 suite, so they are
+checked here.
 """
 
 import ast
@@ -18,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from reconkit import training
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
@@ -66,12 +67,12 @@ def _resolve(node, names: dict):
 def test_reconkit_names_and_train_config_keywords_resolve(path):
     tree = ast.parse(path.read_text())
     names = _imported(tree)
-    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
     for node in ast.walk(tree):
         _resolve(node, names)
-        if isinstance(node, ast.Call) and _resolve(node.func, names) is training.TrainConfig:
-            unknown = {k.arg for k in node.keywords} - fields
-            assert not unknown, f"line {node.lineno}: TrainConfig has no field {sorted(unknown)}"
+        cls = _resolve(node.func, names) if isinstance(node, ast.Call) else None
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
+            unknown = {k.arg for k in node.keywords} - {f.name for f in dataclasses.fields(cls)}
+            assert not unknown, f"line {node.lineno}: {cls.__name__} has no field {sorted(unknown)}"
 
 
 def _run_script(path: Path, *args: str) -> subprocess.CompletedProcess:

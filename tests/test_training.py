@@ -32,10 +32,8 @@ def _tiny_records(n, size=16, coils=2, seed=0, sigma=0.02, acc=2.0):
 def _tiny_model(kind="cirim", iterations=2, channels=4, cascades=1):
     if kind == "varnet":
         return build_model("varnet", unet=UnetConfig(pools=2, channels=4),
-                           cascade=CascadeConfig(n_cascades=cascades, explicit_dc=True,
-                                                 dc_weight_init=0.5))
-    return build_model(kind, cell=RimCellConfig(channels=channels, iterations=iterations,
-                                                unit="indrnn" if kind != "rim" else "gru"),
+                           cascade=CascadeConfig(n_cascades=cascades))
+    return build_model(kind, cell=RimCellConfig(channels=channels, iterations=iterations),
                        cascade=CascadeConfig(n_cascades=cascades))
 
 
@@ -434,6 +432,12 @@ class TestEvaluate:
         containers.save_checkpoint(path, config, values)
         with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.bias"):
             training.method_checkpoint(path)
+
+    def test_run_variants_names_an_empty_test_set(self):
+        from reconkit.experiments import DeskDataset, run_variants
+        data = DeskDataset(train=_tiny_records(1, seed=80))
+        with pytest.raises(training.TrainingError, match="test record"):
+            run_variants({"cirim": _tiny_model()}, data, steps=1, train_seed=0)
 
     @pytest.mark.parametrize("row", sorted(BAD_MODEL_CONFIGS))
     def test_malformed_checkpoint_config_names_the_field(self, tmp_path, row):
