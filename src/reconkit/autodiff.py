@@ -479,15 +479,16 @@ class Parameter:
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.array(value)
+        self.value = value
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
 
 class ParameterStore:
-    """Ordered registry of named real-valued parameters."""
+    """Ordered registry of named real-valued parameters, all in one dtype: the model's precision."""
 
-    def __init__(self) -> None:
+    def __init__(self, dtype="float64") -> None:
+        self.dtype = np.dtype(dtype)
         self._entries: dict[str, Parameter] = {}
         self.step_count = 0
 
@@ -496,7 +497,7 @@ class ParameterStore:
             raise GraphError(f"duplicate parameter name: {name}")
         if np.iscomplexobj(value):
             raise GraphError(f"parameters are stored as real tensors, got complex for {name}")
-        p = Parameter(name, value)
+        p = Parameter(name, np.array(value, dtype=self.dtype))
         self._entries[name] = p
         return p
 
@@ -518,21 +519,13 @@ class ParameterStore:
     def n_parameters(self) -> int:
         return sum(p.value.size for p in self._entries.values())
 
-    def leaves(self, tape: Tape, dtype=None) -> dict[str, Tensor]:
+    def leaves(self, tape: Tape) -> dict[str, Tensor]:
         """Fresh leaf tensors for one forward/backward pass."""
-        out = {}
-        for name, p in self._entries.items():
-            v = p.value if dtype is None else p.value.astype(dtype, copy=False)
-            out[name] = leaf(v, tape)
-        return out
+        return {name: leaf(p.value, tape) for name, p in self._entries.items()}
 
-    def frozen(self, dtype=None) -> dict[str, Tensor]:
+    def frozen(self) -> dict[str, Tensor]:
         """Constant tensors for inference (no tape, no gradients)."""
-        out = {}
-        for name, p in self._entries.items():
-            v = p.value if dtype is None else p.value.astype(dtype, copy=False)
-            out[name] = constant(v)
-        return out
+        return {name: constant(p.value) for name, p in self._entries.items()}
 
     def clamp(self, name: str, lo: float, hi: float) -> None:
         p = self._entries[name]
@@ -542,7 +535,7 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._entries.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Set every parameter, cast to its dtype, from exactly the store's names and shapes.
+        """Set every parameter, cast to the store's dtype, from exactly its names and shapes.
 
         Nothing is set unless all fit; the first name, in sorted order, that does not is named.
         """
@@ -556,4 +549,4 @@ class ParameterStore:
                 raise GraphError(f"parameter {name} has shape {values[name].shape}, "
                                  f"the store's is {shape}")
         for name, p in self._entries.items():
-            p.value = np.array(values[name], dtype=p.value.dtype)
+            p.value = np.array(values[name], dtype=self.dtype)

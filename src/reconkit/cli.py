@@ -64,7 +64,12 @@ def _per_kind(show) -> str:
 
 _MASK_MAKERS = {"gaussian2d": sampling.gaussian2d_mask,
                 "equidistant1d": sampling.equidistant1d_mask,
-                "poisson2d": sampling.poisson2d_mask}
+                "poisson2d": sampling.poisson2d_mask,
+                "full": sampling.full_mask}
+
+# each shape flag of `mask gen`, by its argparse name, and the generator keyword it sets
+_MASK_OPTIONS = {"acc": "acceleration", "fwhm": "fwhm_rel", "acs": "acs_frac",
+                 "center_frac": "center_frac", "offset_policy": "offset_policy"}
 
 
 def _given(**options) -> dict:
@@ -123,19 +128,15 @@ def cmd_phantom_gen(args) -> int:
 
 def cmd_mask_gen(args) -> int:
     h, w = _parse_size(args.size)
-    if args.kind == "gaussian2d":
-        mask = sampling.gaussian2d_mask(h, w, seed=args.seed, **_given(
-            acceleration=args.acc, fwhm_rel=args.fwhm, acs_frac=args.acs))
-    elif args.kind == "equidistant1d":
-        mask = sampling.equidistant1d_mask(h, w, seed=args.seed, **_given(
-            acceleration=args.acc, center_frac=args.center_frac, offset_policy=args.offset_policy))
-    elif args.kind == "poisson2d":
-        mask = sampling.poisson2d_mask(h, w, seed=args.seed,
-                                       **_given(acceleration=args.acc, acs_frac=args.acs))
-    elif args.kind == "full":
-        mask = sampling.full_mask(h, w)
-    else:
-        raise ValueError(f"unknown mask kind {args.kind!r}")
+    make = _MASK_MAKERS[args.kind]
+    takes = inspect.signature(make).parameters
+    given = _given(**{flag: getattr(args, flag) for flag in _MASK_OPTIONS})
+    for flag in given:
+        if _MASK_OPTIONS[flag] not in takes:
+            raise ValueError(f"--{flag.replace('_', '-')} is not an option of --kind {args.kind}")
+    # the selection seed always has a value; a kind that draws nothing takes none
+    seed = {"seed": args.seed} if "seed" in takes else {}
+    mask = make(h, w, **seed, **{_MASK_OPTIONS[flag]: val for flag, val in given.items()})
     containers.write_mask(args.out, mask)
     if args.pbm:
         containers.export_mask_pbm(mask, args.pbm)
@@ -300,13 +301,13 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     msub = mask.add_subparsers(dest="subcommand", required=strict)
     mg = msub.add_parser("gen", **quiet, help="generate a sampling mask", formatter_class=fmt,
                          description="Acceleration and shape flags left out keep the generator's "
-                                     "own defaults.")
-    mg.add_argument("--kind", required=strict, choices=[*_MASK_MAKERS, "full"])
+                                     "own defaults; a flag the kind does not take is an error.")
+    mg.add_argument("--kind", required=strict, choices=list(_MASK_MAKERS))
     mg.add_argument("--size", required=strict, help="grid size as HxW, e.g. 64x64")
     mg.add_argument("--acc", type=float, default=None,
                     help="acceleration factor (typical: 4, 6, 8, 10; defaults: " + ", ".join(
                         f"{kind} {inspect.signature(make).parameters['acceleration'].default}"
-                        for kind, make in _MASK_MAKERS.items()) + ")")
+                        for kind, make in _MASK_MAKERS.items() if kind != "full") + ")")
     mg.add_argument("--seed", type=int, default=_env_seed(), help="selection seed")
     mg.add_argument("--out", required=strict, help="output .cks mask file")
     mg.add_argument("--fwhm", type=float, default=None, help="gaussian2d FWHM relative to grid")

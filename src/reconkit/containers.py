@@ -275,6 +275,9 @@ def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     meta, arrays = _read_typed(path, "model", fields={"config": dict})
+    if meta.get("dtype", "float64") not in ("float32", "float64"):
+        raise FormatError(f"model meta field 'dtype' must be \"float32\" or \"float64\", "
+                          f"got {meta['dtype']!r}")
     config = meta.get("config", {})
     extra = {k: v for k, v in meta.items() if k != "config"}
     return config, arrays, extra

@@ -283,6 +283,8 @@ class CirimModel(CascadeModel):
     def __init__(self, cell: RimCellConfig | None = None,
                  cascade: CascadeConfig | None = None, kind: str = "cirim"):
         super().__init__(kind, cascade)
+        if MODEL_KINDS[kind].unit is None:
+            raise ConfigError(f"a {kind} model has no recurrent cell; build it with build_model")
         self.cell = _fill(cell or RimCellConfig(), kind)
 
     def _init_block(self, store: ParameterStore, rng, p: str) -> None:
@@ -380,7 +382,13 @@ class VarnetModel(CascadeModel):
 def build_model(kind: str, cell: RimCellConfig | None = None,
                 cascade: CascadeConfig | None = None,
                 unet: UnetConfig | None = None):
-    """A model of `kind`; a config or config field left out is the kind's (MODEL_KINDS)."""
+    """A model of `kind`; a config or config field left out is the kind's (MODEL_KINDS).
+
+    A config section the kind does not use raises a ConfigError naming it.
+    """
+    unused, given = ("cell", cell) if kind == "varnet" else ("unet", unet)
+    if given is not None:
+        raise ConfigError(f"config section {unused!r} is not used by a {kind} model")
     if kind == "varnet":
         return VarnetModel(unet, cascade)
     return CirimModel(cell, cascade, kind=kind)

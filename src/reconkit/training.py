@@ -90,7 +90,8 @@ def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float) -> 
     """One bias-corrected ADAM update over every parameter in the store.
 
     `grads` maps every parameter name to the leaf tensor whose gradient
-    `backward` filled; a leaf with no gradient counts as a zero gradient.
+    `backward` filled, in the leaf's dtype, the store's; a leaf with no
+    gradient counts as a zero gradient.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8    # the usual moment decays and denominator guard
     missing = [name for name in store.names() if name not in grads]
@@ -105,7 +106,7 @@ def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float) -> 
             p.m = np.zeros_like(p.value)
             p.v = np.zeros_like(p.value)
         g = grads[name].grad
-        g = np.zeros_like(p.value) if g is None else g.astype(p.value.dtype, copy=False)
+        g = np.zeros_like(p.value) if g is None else g
         p.m = beta1 * p.m + (1.0 - beta1) * g
         p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
         m_hat = p.m / bc1
@@ -122,7 +123,7 @@ class TrainConfig:
     lr: float = 1e-3
     loss: str = "cirim"              # "l1" | "cirim" | "ssim"
     weight_orientation: str = "late"  # "late" | "early"
-    dtype: str = "float64"           # "float32" trains faster at desk scale
+    dtype: str = "float64"           # the model's one precision; "float32" runs faster
     max_steps: int | None = None
 
 
@@ -174,7 +175,7 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
     without the clear the graph would wait for a cyclic garbage collection.
     """
     tape = Tape()
-    leaves = store.leaves(tape, dtype=cfg.dtype)
+    leaves = store.leaves(tape)
     try:
         x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves)
         loss = _loss_for(x, estimates, record, cfg)
@@ -197,7 +198,7 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
 def validation_score(model, records: Sequence[DatasetRecord], store: ParameterStore,
                      cfg: TrainConfig) -> tuple[float, float]:
     losses, ssims = [], []
-    params = store.frozen(dtype=cfg.dtype)
+    params = store.frozen()
     for rec in records:
         x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, params)
         losses.append(float(_loss_for(x, estimates, rec, cfg).data))
@@ -215,7 +216,7 @@ def train(model, train_records: Sequence[DatasetRecord],
     records) as `best_values`.  A DivergedError ends the run: from a step
     (non-finite reconstruction, loss or updated parameter; that step is not
     counted) or from the validation pass; `best_values` then holds the last
-    good parameters.  Either way `store` ends at `best_values`.
+    good parameters.  Either way `store` (in `cfg.dtype`) ends at `best_values`.
     """
     cfg = cfg or TrainConfig()
     _check_config(cfg)
@@ -224,7 +225,7 @@ def train(model, train_records: Sequence[DatasetRecord],
     if len(train_records) < 1:
         raise TrainingError("need at least one training record")
 
-    store = ParameterStore()
+    store = ParameterStore(cfg.dtype)
     model.init_params(store, seed)
     result = TrainResult(store=store, best_values=store.copy_values())
     best_val = np.inf
@@ -272,7 +273,8 @@ def training_log_csv(log: list[dict]) -> bytes:
 
 
 def save_trained(path, model, values: dict, extra_meta: dict | None = None) -> None:
-    containers.save_checkpoint(path, model.config_dict(), values, meta=extra_meta)
+    meta = {**(extra_meta or {}), "dtype": np.result_type(*values.values()).name}  # precision
+    containers.save_checkpoint(path, model.config_dict(), values, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,10 @@ def method_model(name: str, model, store: ParameterStore) -> MethodSpec:
 
 
 def method_checkpoint(path, name: str | None = None) -> MethodSpec:
-    config, values, _extra = containers.load_checkpoint(path)
+    """The model a checkpoint holds, run in its `dtype` (float64 when it has none)."""
+    config, values, extra = containers.load_checkpoint(path)
     model = model_from_config(config)
-    store = ParameterStore()
+    store = ParameterStore(extra.get("dtype", "float64"))
     model.init_params(store, seed=0)
     try:
         store.load_values(values)

@@ -57,6 +57,8 @@ BAD_TYPED_FILES = {
     "mask_seed_x": "'seed'",
     "mask_seed_true": "'seed'",
     "model_config_list": "'config'",
+    "model_dtype_float16": "'dtype'",
+    "model_dtype_32": "'dtype'",
 }
 
 
@@ -78,6 +80,9 @@ def write_bad_typed_file(row, path, record) -> None:
         containers.write_container(path, "mask", {"seed": seed}, {"keep": record.mask.keep})
     elif row == "model_config_list":
         containers.save_checkpoint(path, ["cirim"], {})
+    elif row.startswith("model_dtype_"):
+        dtype = {"model_dtype_float16": "float16", "model_dtype_32": 32}[row]
+        containers.save_checkpoint(path, {"kind": "cirim"}, {}, meta={"dtype": dtype})
     else:
         containers.write_record(path, record)
         kind, meta, arrays = containers.read_container(path)

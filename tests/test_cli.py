@@ -30,16 +30,30 @@ class TestMaskGen:
     def test_all_kinds(self, tmp_path):
         for kind in ("gaussian2d", "equidistant1d", "poisson2d", "full"):
             out = tmp_path / f"{kind}.cks"
+            acc = [] if kind == "full" else ["--acc", "3"]   # a full mask takes no --acc
             assert run(["mask", "gen", "--kind", kind, "--size", "32x32",
-                        "--acc", "3", "--seed", "1", "--out", str(out)]) == 0
+                        *acc, "--seed", "1", "--out", str(out)]) == 0
             mask = containers.read_mask(out)
             assert mask.kind == kind
 
     def test_pbm_preview(self, tmp_path):
         out, pbm = tmp_path / "m.cks", tmp_path / "m.pbm"
-        run(["mask", "gen", "--kind", "full", "--size", "8x8", "--acc", "1",
+        run(["mask", "gen", "--kind", "full", "--size", "8x8",
              "--out", str(out), "--pbm", str(pbm)])
         assert pbm.read_bytes().startswith(b"P4\n8 8\n")
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("poisson2d", "--fwhm", "0.1"), ("poisson2d", "--center-frac", "0.5"),
+        ("full", "--acc", "6"), ("full", "--acs", "0.1"), ("equidistant1d", "--acs", "0.1"),
+        ("gaussian2d", "--offset-policy", "random"),
+    ])
+    def test_flag_the_kind_does_not_take_is_named(self, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "m.cks"
+        assert run(["mask", "gen", "--kind", kind, "--size", "32x32", flag, value,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and kind in err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -248,7 +262,7 @@ class TestPipeline:
         run(["phantom", "gen", "--out", str(ph), "--count", "1", "--seed", "2",
              "--size", "16"])
         mask = tmp_path / "full.cks"
-        run(["mask", "gen", "--kind", "full", "--size", "16x16", "--acc", "1",
+        run(["mask", "gen", "--kind", "full", "--size", "16x16",
              "--out", str(mask)])
         rec_path = tmp_path / "rec.cks"
         run(["simulate", "--phantom", str(ph / "phantom_0000.cks"), "--mask", str(mask),

@@ -1,17 +1,18 @@
 """Callers outside the package still match it.
 
 The benchmark's tracer wraps layers by name, its workloads and the scripts
-read reconkit attributes and build its config dataclasses (`TrainConfig`,
-`RimCellConfig`, `CascadeConfig`, `UnetConfig`, `DeskConfig`).  A rename or a
+read reconkit attributes, build its config dataclasses (`TrainConfig`,
+`RimCellConfig`, `CascadeConfig`, `UnetConfig`, `DeskConfig`) and call its
+functions (`save_trained`, `method_checkpoint`, `train`, ...).  A rename or a
 deleted field breaks them without breaking any test of the package, and
 perfbench's own self-test is not part of the tier-1 suite, so they are
 checked here.
 """
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -65,14 +66,22 @@ def _resolve(node, names: dict):
 
 @pytest.mark.parametrize("path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_reconkit_names_and_train_config_keywords_resolve(path):
+    """Every reconkit name resolves, and every call of a reconkit function or class
+    binds its positional count and keyword names to the callee's signature."""
     tree = ast.parse(path.read_text())
     names = _imported(tree)
     for node in ast.walk(tree):
         _resolve(node, names)
-        cls = _resolve(node.func, names) if isinstance(node, ast.Call) else None
-        if isinstance(cls, type) and dataclasses.is_dataclass(cls):
-            unknown = {k.arg for k in node.keywords} - {f.name for f in dataclasses.fields(cls)}
-            assert not unknown, f"line {node.lineno}: {cls.__name__} has no field {sorted(unknown)}"
+        callee = _resolve(node.func, names) if isinstance(node, ast.Call) else None
+        unpacked = isinstance(node, ast.Call) and (
+            any(isinstance(a, ast.Starred) for a in node.args)
+            or any(k.arg is None for k in node.keywords))
+        if callable(callee) and not unpacked:
+            try:
+                inspect.signature(callee).bind_partial(*node.args,
+                                                       **{k.arg: k for k in node.keywords})
+            except TypeError as exc:
+                pytest.fail(f"line {node.lineno}: {ast.unparse(node.func)}: {exc}")
 
 
 def _run_script(path: Path, *args: str) -> subprocess.CompletedProcess:

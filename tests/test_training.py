@@ -202,10 +202,10 @@ def test_cirim_step_tape_records():
     rec = _tiny_records(1)[0]
     model = build_model("cirim", cell=RimCellConfig(channels=3, iterations=4, unit="indrnn"),
                         cascade=CascadeConfig(n_cascades=2))
-    store = ad.ParameterStore()
+    store = ad.ParameterStore(np.float32)
     model.init_params(store, 0)
     tape = ad.Tape()
-    x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, store.leaves(tape, np.float32))
+    x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, store.leaves(tape))
     training._loss_for(x, estimates, rec, TrainConfig(dtype="float32"))
     counts = {}
     for op, out, _inputs, _vjp in tape._records:
@@ -260,7 +260,7 @@ class TestStepMemory:
         """
         model = build_model("cirim", cell=RimCellConfig(channels=16, iterations=4, unit="indrnn"),
                             cascade=CascadeConfig(n_cascades=2))
-        store = ad.ParameterStore()
+        store = ad.ParameterStore(np.float32)
         model.init_params(store, 0)
         cfg = TrainConfig(dtype="float32")
         training._train_step(model, desk_record, store, cfg)   # ADAM's moments are made here
@@ -306,6 +306,14 @@ class TestTrainLoop:
         cfg = TrainConfig(max_steps=4, dtype="float32")
         result = train(_tiny_model(), records[1:], records[:1], epochs=10, seed=1, cfg=cfg)
         assert result.steps == 4
+
+    def test_float32_training_keeps_one_precision(self):
+        records = _tiny_records(3, seed=30)
+        result = train(_tiny_model(), records[1:], records[:1], epochs=1, seed=1,
+                       cfg=TrainConfig(dtype="float32"))
+        for name, p in result.store.items():
+            dtypes = {p.value.dtype, p.m.dtype, p.v.dtype, result.best_values[name].dtype}
+            assert dtypes == {np.dtype(np.float32)}, name
 
     def test_best_validation_checkpoint_kept(self):
         records = _tiny_records(4, seed=40)
@@ -419,6 +427,44 @@ class TestEvaluate:
         out = method.recon(small_record)
         assert out.shape == small_record.shape
         assert method.name == "cirim"
+
+    @pytest.mark.parametrize("dtype, image_dtype", [("float32", np.complex64),
+                                                    ("float64", np.complex128)])
+    def test_checkpoint_runs_in_its_training_precision(self, tmp_path, small_record,
+                                                       dtype, image_dtype):
+        from reconkit import containers
+        model = _tiny_model()
+        result = train(model, _tiny_records(2, seed=60), [], epochs=1, seed=4,
+                       cfg=TrainConfig(dtype=dtype))
+        path = tmp_path / "ckpt.cks"
+        training.save_trained(path, model, result.best_values)
+        assert containers.load_checkpoint(path)[2]["dtype"] == dtype
+        assert training.method_checkpoint(path).recon(small_record).dtype == image_dtype
+
+    def test_checkpoint_without_dtype_runs_in_float64(self, tmp_path, small_record):
+        # as every checkpoint written before the field was
+        from reconkit import containers
+        model = _tiny_model()
+        store = ad.ParameterStore()
+        model.init_params(store, 0)
+        path = tmp_path / "ckpt.cks"
+        containers.save_checkpoint(path, model.config_dict(), store.copy_values())
+        assert training.method_checkpoint(path).recon(small_record).dtype == np.complex128
+
+    def test_run_variants_evaluates_its_float32_models_in_float32(self, monkeypatch):
+        from reconkit.experiments import DeskDataset, run_variants
+        seen = {}
+        inner = training.evaluate
+
+        def evaluate(methods, records, **kwargs):
+            seen.update((m.name, m.recon(records[0]).dtype) for m in methods)
+            return inner(methods, records, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        data = DeskDataset(train=_tiny_records(1, seed=80), test=_tiny_records(1, seed=81))
+        run_variants({"cirim": _tiny_model(), "rim": _tiny_model("rim")}, data, steps=1,
+                     train_seed=0)
+        assert seen["cirim"] == seen["rim"] == np.complex64
 
     def test_checkpoint_with_tampered_config_rejected(self, tmp_path):
         from reconkit import containers
