@@ -6,6 +6,8 @@ The compressed-sensing solver minimizes
 
 with W an orthogonal Daubechies 4-tap wavelet transform (periodic, 3 levels)
 applied to the real and imaginary parts, using the monotone FISTA variant.
+A is linear, so each image the solver holds keeps its residual A(.) - y
+beside it, and an iteration runs one forward and one adjoint operator.
 Each wavelet level is an orthogonal matrix per size, applied to rows and
 columns as two GEMMs; synthesis is the transpose.
 Under the orthonormal-FFT / normalized-maps / binary-mask construction the
@@ -123,35 +125,57 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
 
     Stops at `max_iter` iterations or once the relative change between
     successive proximal candidates drops below `tol`.  Pass a list as
-    `history` to collect the objective value per iteration.
+    `history` to collect the objective value per iteration.  An iteration
+    runs the forward operator once, on the candidate: its residual serves
+    the objective and, combined like the images, the next gradient.
+    `alpha` must be finite and non-negative, `max_iter` and `levels`
+    non-negative.
     """
-    if alpha < 0:
-        raise ValueError(f"regularization weight must be non-negative, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if levels < 0:
+        raise ValueError(f"levels must be non-negative, got {levels}")
 
-    def objective(x):
-        r = mri.forward_op(x, maps, mask) - y
+    def objective(x, r):
         f = 0.5 * float(np.sum(np.abs(r) ** 2))
         if alpha > 0:
             f += alpha * _wavelet_l1(x, levels)
         return f
 
+    def residual(x):
+        r = mri.forward_op(x, maps, mask)
+        r -= y
+        return r
+
     x = mri.adjoint_op(y, maps, mask)
-    z = x.copy()
-    x_prev = x.copy()
+    r_x = residual(x)
+    z, r_z = x, r_x
     t = 1.0
-    fx = objective(x)
+    fx = objective(x, r_x)
     if history is not None:
         history.append(fx)
     cand_prev = None
     for _ in range(max_iter):
-        u = z - mri.loglik_gradient(z, y, maps, mask)   # unit step: ||A|| <= 1 by construction
+        u = z - mri.adjoint_op(r_z, maps, mask)   # unit step: ||A|| <= 1 by construction
         cand = _wavelet_shrink(u, alpha, levels) if alpha > 0 else u
-        f_cand = objective(cand)
-        x_prev = x
-        if f_cand <= fx:                   # monotone selection
-            x, fx = cand, f_cand
+        r_cand = residual(cand)
+        f_cand = objective(cand, r_cand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x + (t / t_next) * (cand - x) + ((t - 1.0) / t_next) * (x - x_prev)
+        x_prev, r_prev = x, r_x
+        if f_cand <= fx:                   # monotone selection
+            x, r_x, fx = cand, r_cand, f_cand
+            step, r_z = (t - 1.0) / t_next, r_prev
+        else:
+            step, r_z = t / t_next, r_cand
+        # z = x + (t / t_next) * (cand - x) + ((t - 1) / t_next) * (x - x_prev) has one
+        # nonzero difference, cand - x_prev.  A is linear, so r_z is the same combination
+        # of residuals, formed in the residual buffer the selection left unused.
+        z = x + step * (cand - x_prev)
+        np.subtract(r_cand, r_prev, out=r_z)
+        r_z *= step
+        r_z += r_x
         t = t_next
         if history is not None:
             history.append(fx)

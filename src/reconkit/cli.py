@@ -67,8 +67,9 @@ _MASK_MAKERS = {"gaussian2d": sampling.gaussian2d_mask,
                 "poisson2d": sampling.poisson2d_mask,
                 "full": sampling.full_mask}
 
-# each shape flag of `mask gen`, by its argparse name, and the generator keyword it sets
-_MASK_OPTIONS = {"acc": "acceleration", "fwhm": "fwhm_rel", "acs": "acs_frac",
+# each flag of `mask gen` that only some kinds take, by its argparse name, and the
+# generator keyword it sets
+_MASK_OPTIONS = {"acc": "acceleration", "seed": "seed", "fwhm": "fwhm_rel", "acs": "acs_frac",
                  "center_frac": "center_frac", "offset_policy": "offset_policy"}
 
 
@@ -134,9 +135,10 @@ def cmd_mask_gen(args) -> int:
     for flag in given:
         if _MASK_OPTIONS[flag] not in takes:
             raise ValueError(f"--{flag.replace('_', '-')} is not an option of --kind {args.kind}")
-    # the selection seed always has a value; a kind that draws nothing takes none
-    seed = {"seed": args.seed} if "seed" in takes else {}
-    mask = make(h, w, **seed, **{_MASK_OPTIONS[flag]: val for flag, val in given.items()})
+    # RECON_SEED is read only for a kind that draws its mask
+    if "seed" in takes and "seed" not in given:
+        given["seed"] = _env_seed()
+    mask = make(h, w, **{_MASK_OPTIONS[flag]: val for flag, val in given.items()})
     containers.write_mask(args.out, mask)
     if args.pbm:
         containers.export_mask_pbm(mask, args.pbm)
@@ -308,7 +310,8 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="acceleration factor (typical: 4, 6, 8, 10; defaults: " + ", ".join(
                         f"{kind} {inspect.signature(make).parameters['acceleration'].default}"
                         for kind, make in _MASK_MAKERS.items() if kind != "full") + ")")
-    mg.add_argument("--seed", type=int, default=_env_seed(), help="selection seed")
+    mg.add_argument("--seed", type=int, default=None,
+                    help="selection seed of a kind that draws; left out: RECON_SEED, else 0")
     mg.add_argument("--out", required=strict, help="output .cks mask file")
     mg.add_argument("--fwhm", type=float, default=None, help="gaussian2d FWHM relative to grid")
     mg.add_argument("--acs", type=float, default=None,

@@ -9,8 +9,9 @@ a centered orthonormal FFT and a binary sampling mask:
 With sensitivity maps normalized so that sum_i |S_i|^2 == 1 everywhere, the
 pair is an exact adjoint pair and ``adjoint_op(forward_op(x)) == x`` under
 full sampling.  ``loglik_gradient`` is the data-fidelity gradient
-A*(A(x) - y) that both the CS baseline and the networks' data consistency
-use; the networks' image-space soft DC is x - d * loglik_gradient(x), and
+A*(A(x) - y) of the networks' data consistency (the CS baseline keeps its
+residuals and runs the two operators itself); the networks' image-space
+soft DC is x - d * loglik_gradient(x), and
 ``soft_dc_kspace`` is the k-space rule it is checked against.  All functions
 are pure and operate on plain numpy arrays; the networks put them on the
 autodiff tape as single ``autodiff.linear`` nodes.

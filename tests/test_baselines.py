@@ -122,6 +122,54 @@ class TestZeroFilled:
         assert rel_error(lhs, rhs) < 1e-12
 
 
+def two_forward_fista(y, maps, mask, alpha=baselines.CS_ALPHA, max_iter=baselines.CS_MAX_ITER,
+                      levels=3, tol=1e-6, history=None):
+    """Reference monotone FISTA that runs A twice per iteration: for the gradient at z
+    and for the objective at the candidate."""
+    def objective(x):
+        r = mri.forward_op(x, maps, mask) - y
+        f = 0.5 * float(np.sum(np.abs(r) ** 2))
+        if alpha > 0:
+            f += alpha * baselines._wavelet_l1(x, levels)
+        return f
+
+    x = mri.adjoint_op(y, maps, mask)
+    z = x.copy()
+    x_prev = x.copy()
+    t = 1.0
+    fx = objective(x)
+    if history is not None:
+        history.append(fx)
+    cand_prev = None
+    for _ in range(max_iter):
+        u = z - mri.loglik_gradient(z, y, maps, mask)
+        cand = baselines._wavelet_shrink(u, alpha, levels) if alpha > 0 else u
+        f_cand = objective(cand)
+        x_prev = x
+        if f_cand <= fx:
+            x, fx = cand, f_cand
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x + (t / t_next) * (cand - x) + ((t - 1.0) / t_next) * (x - x_prev)
+        t = t_next
+        if history is not None:
+            history.append(fx)
+        if cand_prev is not None:
+            denom = np.linalg.norm(cand)
+            if denom > 0 and np.linalg.norm(cand - cand_prev) / denom < tol:
+                break
+        cand_prev = cand
+    return x
+
+
+def padded_record():
+    """20x20, 2 coils: not divisible by 8, so CS pads symmetrically before the wavelet."""
+    spec = phantom.PhantomSpec(size=20, ellipses=[phantom.Ellipse(0, 0, 0.7, 0.7, 0, 0.8)])
+    img, _, _ = phantom.make_phantom(spec)
+    maps = phantom.make_coils(2, 20, 20)
+    mask = sampling.gaussian2d_mask(20, 20, 2.0, seed=10)
+    return phantom.simulate_acquisition(img, maps, mask, 0.01, seed=11)
+
+
 class TestCsL1Wavelet:
     def test_alpha_zero_full_mask_recovers_reference(self):
         spec = phantom.default_brain_spec(32, seed=8)
@@ -154,13 +202,46 @@ class TestCsL1Wavelet:
         with pytest.raises(ValueError):
             baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, alpha=-1.0)
 
+    @pytest.mark.parametrize("option, name", [
+        ({"alpha": float("nan")}, "alpha"), ({"alpha": float("inf")}, "alpha"),
+        ({"max_iter": -1}, "max_iter"), ({"levels": -1}, "levels"),
+    ], ids=["alpha_nan", "alpha_inf", "max_iter_negative", "levels_negative"])
+    def test_argument_out_of_range_is_named(self, small_record, option, name):
+        rec = small_record
+        with pytest.raises(ValueError, match=f"^{name} "):
+            baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, **option)
+
     def test_non_power_of_two_padding(self):
-        # 20x20 is not divisible by 8: exercised via internal symmetric padding
-        spec = phantom.PhantomSpec(size=20, ellipses=[phantom.Ellipse(0, 0, 0.7, 0.7, 0, 0.8)])
-        img, _, _ = phantom.make_phantom(spec)
-        maps = phantom.make_coils(2, 20, 20)
-        mask = sampling.gaussian2d_mask(20, 20, 2.0, seed=10)
-        rec = phantom.simulate_acquisition(img, maps, mask, 0.01, seed=11)
+        rec = padded_record()
         x = baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=10)
         assert x.shape == (20, 20)
         assert np.isfinite(x).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_one_forward_and_one_adjoint_per_iteration(self, small_record, monkeypatch, n):
+        calls = {"forward_op": 0, "adjoint_op": 0}
+        for name in calls:
+            op = getattr(mri, name)
+
+            def counted(*args, _op=op, _name=name):
+                calls[_name] += 1
+                return _op(*args)
+            monkeypatch.setattr(mri, name, counted)
+        rec = small_record
+        history = []
+        baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, tol=0.0,
+                               history=history)
+        assert len(history) == 1 + n
+        assert calls == {"forward_op": 1 + n, "adjoint_op": 1 + n}
+
+    @pytest.mark.parametrize("case", ["desk", "padded_20x20", "alpha_zero"])
+    def test_matches_two_forward_reference(self, desk_record, case):
+        rec = padded_record() if case == "padded_20x20" else desk_record
+        options = {"alpha": 0.0} if case == "alpha_zero" else {}
+        got_history, want_history = [], []
+        got = baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, history=got_history,
+                                     **options)
+        want = two_forward_fista(rec.kspace, rec.maps, rec.mask, history=want_history,
+                                 **options)
+        assert rel_error(got, want) < 1e-12
+        np.testing.assert_allclose(got_history, want_history, rtol=1e-12, atol=0)

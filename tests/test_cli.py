@@ -30,9 +30,10 @@ class TestMaskGen:
     def test_all_kinds(self, tmp_path):
         for kind in ("gaussian2d", "equidistant1d", "poisson2d", "full"):
             out = tmp_path / f"{kind}.cks"
-            acc = [] if kind == "full" else ["--acc", "3"]   # a full mask takes no --acc
+            # a full mask draws nothing, so it takes no --acc and no --seed
+            drawn = [] if kind == "full" else ["--acc", "3", "--seed", "1"]
             assert run(["mask", "gen", "--kind", kind, "--size", "32x32",
-                        *acc, "--seed", "1", "--out", str(out)]) == 0
+                        *drawn, "--out", str(out)]) == 0
             mask = containers.read_mask(out)
             assert mask.kind == kind
 
@@ -45,7 +46,7 @@ class TestMaskGen:
     @pytest.mark.parametrize("kind, flag, value", [
         ("poisson2d", "--fwhm", "0.1"), ("poisson2d", "--center-frac", "0.5"),
         ("full", "--acc", "6"), ("full", "--acs", "0.1"), ("equidistant1d", "--acs", "0.1"),
-        ("gaussian2d", "--offset-policy", "random"),
+        ("gaussian2d", "--offset-policy", "random"), ("full", "--seed", "5"),
     ])
     def test_flag_the_kind_does_not_take_is_named(self, tmp_path, capsys, kind, flag, value):
         out = tmp_path / "m.cks"
@@ -61,6 +62,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run(["mask", "gen", "--does-not-exist", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--iters", "-1", "max_iter"), ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+    ])
+    def test_cs_argument_out_of_range_exits_one(self, tmp_path, capsys, small_record,
+                                                flag, value, name):
+        rec, out = tmp_path / "rec.cks", tmp_path / "cs.pgm"
+        containers.write_record(rec, small_record)
+        assert run(["recon", "--model", "cs", "--in", str(rec), flag, value,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: " + name)
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_runtime_failure_returns_one(self, tmp_path, capsys):
         rc = run(["recon", "--model", "zerofill", "--in", str(tmp_path / "missing.cks"),
@@ -368,6 +383,8 @@ class TestConfigMerging:
         assert run(["mask", "gen", "--kind", "gaussian2d", "--size", "16x16",
                     "--acc", "2", "--out", str(out)]) == 0
         assert containers.read_mask(out).seed == 123
+        # a kind that draws nothing ignores RECON_SEED rather than rejecting it
+        assert run(["mask", "gen", "--kind", "full", "--size", "16x16", "--out", str(out)]) == 0
 
 
 class TestHelp:
