@@ -18,10 +18,20 @@ The op vocabulary is the fixed set the reconstruction networks use
 There is no broadcasting beyond channel/bias expansion, no graph compiler and
 no higher-order derivatives.  Tensors are value-semantic; a tape is
 single-threaded while recording and during backward.
+
+A tape also owns a buffer pool keyed by (shape, dtype).  On a tape,
+``conv2d`` (output, input gradient, scratch), ``add``, ``mul`` (output, VJP
+products), ``relu`` and gradient accumulation take their arrays from it, and
+``Tape.clear`` takes back each array it lent that nothing outside the pool
+still refers to, directly or through a view.  Training builds the same graph
+every step, so a tape kept across steps (``training.train`` keeps one per
+epoch) hands step k+1 the memory of step k instead of fresh pages from the
+OS.  Untaped passes allocate with ``np.empty``.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,24 +41,63 @@ class GraphError(ValueError):
     """Contract violation in graph construction or backward."""
 
 
-class Tape:
-    """Ordered record of differentiable ops, replayed in reverse by backward."""
+def _refs(lent: dict, key: int) -> int:
+    arr = lent[key]
+    return sys.getrefcount(arr)
 
-    __slots__ = ("_records",)
+
+# what _refs reads for an array that only the pool refers to
+_POOL_ONLY = _refs({0: np.empty(0)}, 0)
+
+
+class Tape:
+    """Ordered record of differentiable ops, replayed in reverse by backward.
+
+    Its buffer pool lives as long as the tape: records are per pass, buffers
+    are kept for the next pass on the same tape until the tape is dropped.
+    """
+
+    __slots__ = ("_records", "_free", "_lent")
 
     def __init__(self) -> None:
         # each record: (op name, output tensor, input tensors, vjp callable)
         self._records: list[tuple[str, "Tensor", tuple["Tensor", ...], Callable]] = []
+        self._free: dict[tuple, list[np.ndarray]] = {}     # (shape, dtype) -> idle buffers
+        self._lent: dict[int, np.ndarray] = {}             # id -> buffer handed out
 
     def __len__(self) -> int:
         return len(self._records)
 
     def clear(self) -> None:
-        """Drop every record, and with them the graph's tensors and VJP closures."""
+        """Drop every record, and with them the graph's tensors and VJP closures.
+
+        Every lent buffer that nothing else refers to goes back to the pool;
+        the rest (a gradient or an image the caller kept) now belong to
+        their holders.
+        """
         self._records.clear()
+        for key in list(self._lent):
+            self._reclaim(key)
+        self._lent.clear()
 
     def record(self, op: str, out: "Tensor", inputs: tuple["Tensor", ...], vjp: Callable) -> None:
         self._records.append((op, out, inputs, vjp))
+
+    def _take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        idle = self._free.get((shape, dtype))
+        buf = idle.pop() if idle else np.empty(shape, dtype)
+        self._lent[id(buf)] = buf
+        return buf
+
+    def _give(self, buf: np.ndarray) -> None:
+        """Take back a lent buffer its borrower is done with and never let out."""
+        if self._lent.pop(id(buf), None) is not None:
+            self._free.setdefault((buf.shape, buf.dtype), []).append(buf)
+
+    def _reclaim(self, key: int) -> None:
+        """Take back the lent buffer with this id if only the pool refers to it."""
+        if key in self._lent and _refs(self._lent, key) == _POOL_ONLY:
+            self._give(self._lent[key])
 
 
 class Tensor:
@@ -111,12 +160,40 @@ def leaf(x, tape: Tape) -> Tensor:
     return Tensor(np.asarray(x), tape=tape)
 
 
+def _tape_of(inputs: Sequence[Tensor]) -> Tape | None:
+    return next((t.tape for t in inputs if t.tape is not None), None)
+
+
 def _apply(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
-    tape = next((t.tape for t in inputs if t.tape is not None), None)
+    tape = _tape_of(inputs)
     out = Tensor(out_data, tape=tape)
     if tape is not None:
         tape.record(op, out, inputs, vjp)
     return out
+
+
+def _empty(tape: Tape | None, shape, dtype) -> np.ndarray:
+    """An uninitialised array: from the tape's pool, or np.empty when there is no tape."""
+    if tape is None:
+        return np.empty(shape, dtype)
+    return tape._take(tuple(shape), np.dtype(dtype))
+
+
+def _give(tape: Tape | None, buf: np.ndarray) -> None:
+    """Hand a scratch buffer from _empty back to its tape's pool; any other array is left alone."""
+    if tape is not None:
+        tape._give(buf)
+
+
+def _binary(tape: Tape | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ufunc(a, b) written into a buffer from _empty: the same bits as the operator gives."""
+    return ufunc(a, b, out=_empty(tape, np.broadcast_shapes(a.shape, b.shape),
+                                  np.result_type(a, b)))
+
+
+def _owner_id(a: np.ndarray) -> int:
+    """The id of the array that owns a's memory: pool buffers are owners, results may be views."""
+    return id(a if a.base is None else a.base)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -124,12 +201,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
     No stored gradient is changed in place: a VJP may hand one array, or
     views of it, to several inputs, so the first write stores g itself and
-    a later one stores a new sum.
+    a later one stores a new sum.  The gradient a sum replaces goes back to
+    the pool at once when nothing else refers to it.
     """
     if t.grad is None:
         t.grad = g.astype(t.dtype, copy=False)
-    else:
-        t.grad = (t.grad + g).astype(t.dtype, copy=False)
+        return
+    total = _binary(t.tape, np.add, t.grad, g)
+    replaced = _owner_id(t.grad)
+    t.grad = total.astype(t.dtype, copy=False)
+    if t.grad is not total:
+        _give(t.tape, total)
+    t.tape._reclaim(replaced)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -152,13 +235,20 @@ def backward(loss: Tensor) -> None:
     if loss.tape is None:
         raise GraphError("loss is not attached to a tape")
     loss.grad = np.ones_like(loss.data)
-    for _op, out, inputs, vjp in reversed(loss.tape._records):
-        g = out.grad
-        if g is None:
-            continue
-        for t, gi in zip(inputs, vjp(g)):
-            if gi is not None and t.requires_grad:
-                _accumulate(t, gi)
+    tape = loss.tape
+    for _op, out, inputs, vjp in reversed(tape._records):
+        if out.grad is not None:
+            # a VJP result that went into a sum, not into a .grad, is free once its record is done
+            for key in _accumulate_vjp(inputs, vjp(out.grad)):
+                tape._reclaim(key)
+
+
+def _accumulate_vjp(inputs: tuple[Tensor, ...], grads: tuple) -> list[int]:
+    """Accumulate one record's VJP results into its inputs; the ids of the arrays behind them."""
+    for t, gi in zip(inputs, grads):
+        if gi is not None and t.requires_grad:
+            _accumulate(t, gi)
+    return [_owner_id(gi) for gi in grads if gi is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +262,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return (_unbroadcast(g, a.shape) if na else None, _unbroadcast(g, b.shape) if nb else None)
 
-    return _apply("add", (a, b), a.data + b.data, vjp)
+    return _apply("add", (a, b), _binary(_tape_of((a, b)), np.add, a.data, b.data), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -189,13 +279,21 @@ def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     na, nb = a.requires_grad, b.requires_grad
     ad, bd = a.data, b.data
+    tape = _tape_of((a, b))
+
+    def product_gradient(g, other, shape):
+        prod = _binary(tape, np.multiply, g, other)
+        reduced = _unbroadcast(prod, shape)
+        if reduced is not prod:
+            _give(tape, prod)
+        return reduced
 
     def vjp(g):
-        ga = _unbroadcast(g * bd, a.shape) if na else None
-        gb = _unbroadcast(g * ad, b.shape) if nb else None
+        ga = product_gradient(g, bd, a.shape) if na else None
+        gb = product_gradient(g, ad, b.shape) if nb else None
         return (ga, gb)
 
-    return _apply("mul", (a, b), ad * bd, vjp)
+    return _apply("mul", (a, b), _binary(tape, np.multiply, ad, bd), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -255,7 +353,7 @@ def magnitude(x) -> Tensor:
 
 def relu(a) -> Tensor:
     a = astensor(a)
-    out = np.maximum(a.data, 0)
+    out = np.maximum(a.data, 0, out=_empty(a.tape, a.shape, a.dtype))
 
     def vjp(g):
         return (g * (a.data > 0),)
@@ -369,11 +467,14 @@ def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
 # convolution and resampling (real tensors, channels-first)
 # ---------------------------------------------------------------------------
 
-def _zero_padded(a: np.ndarray, corner: tuple[int, int], size: tuple[int, int]) -> np.ndarray:
-    """A (c, h, w) array placed at `corner` of a zeroed (c, *size) buffer, flattened to rows."""
-    buf = np.zeros((a.shape[0], *size), dtype=a.dtype)
-    buf[:, corner[0]:corner[0] + a.shape[1], corner[1]:corner[1] + a.shape[2]] = a
-    return buf.reshape(a.shape[0], -1)
+def _zero_padded(tape: Tape | None, a: np.ndarray, corner: tuple[int, int],
+                 size: tuple[int, int]) -> np.ndarray:
+    """A (c, h, w) array placed at `corner` of a zeroed (c, *size) buffer, as (c, size0*size1) rows."""
+    buf = _empty(tape, (a.shape[0], size[0] * size[1]), a.dtype)
+    buf.fill(0)
+    buf.reshape(a.shape[0], *size)[:, corner[0]:corner[0] + a.shape[1],
+                                   corner[1]:corner[1] + a.shape[2]] = a
+    return buf
 
 
 def conv2d(x, kernel, bias) -> Tensor:
@@ -385,7 +486,9 @@ def conv2d(x, kernel, bias) -> Tensor:
     wrap-around columns of each output row are cropped.  An extra zero row
     at the bottom keeps the last slice in bounds.  A 1x1 kernel is one GEMM
     on the input as it is.  Each tap's product goes to one reused buffer,
-    and the padded image is rebuilt in the VJP rather than kept by it.
+    and the padded image is rebuilt in the VJP rather than kept by it; the
+    padded arrays and the product buffer go back to the tape's pool as soon
+    as the pass is done with them.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -403,39 +506,50 @@ def conv2d(x, kernel, bias) -> Tensor:
     n = h * wp
     xd, wk = x.data, kernel.data
     taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
+    tape = _tape_of((x, kernel, bias))
 
     def padded_input():
         if pad == 0:
             return xd.reshape(c_in, n)
-        return _zero_padded(xd, (pad, pad), (h + 2 * pad + 1, wp))
+        return _zero_padded(tape, xd, (pad, pad), (h + 2 * pad + 1, wp))
 
+    # _give takes back only what the pool lent: a reshape of x or g (pad 0) stays untouched
     xp = padded_input()
-    acc = np.broadcast_to(bias.data[:, None], (c_out, n)).astype(np.result_type(xp, wk, bias.data))
-    prod = np.empty((c_out, n), dtype=np.result_type(wk, xp))
+    acc = _empty(tape, (c_out, n), np.result_type(xp, wk, bias.data))
+    acc[...] = bias.data[:, None]
+    prod = _empty(tape, (c_out, n), np.result_type(wk, xp))
     for dy, dx, o in taps:
         acc += np.matmul(wk[:, :, dy, dx], xp[:, o:o + n], out=prod)
+    _give(tape, xp)
+    _give(tape, prod)
     out = acc.reshape(c_out, h, wp)[:, :, :w]
 
     nx, nk, nb = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
     def vjp(g):
-        gfull = g.reshape(c_out, n) if pad == 0 else _zero_padded(g, (0, 0), (h, wp))
+        gfull = g.reshape(c_out, n) if pad == 0 else _zero_padded(tape, g, (0, 0), (h, wp))
         gx = gk = gb = None
         if nx and pad == 0:
-            gx = (wk[:, :, 0, 0].T @ gfull).reshape(c_in, h, w)
+            gx = np.matmul(wk[:, :, 0, 0].T, gfull,
+                           out=_empty(tape, (c_in, n), np.result_type(wk, gfull)))
+            gx = gx.reshape(c_in, h, w)
         elif nx:
-            gxp = np.zeros((c_in, (h + 2 * pad + 1) * wp), dtype=np.result_type(g, wk))
-            prod = np.empty((c_in, n), dtype=gxp.dtype)
+            gxp = _empty(tape, (c_in, (h + 2 * pad + 1) * wp), np.result_type(g, wk))
+            gxp.fill(0)
+            prod = _empty(tape, (c_in, n), gxp.dtype)
             for dy, dx, o in taps:
                 gxp[:, o:o + n] += np.matmul(wk[:, :, dy, dx].T, gfull, out=prod)
+            _give(tape, prod)
             gx = gxp.reshape(c_in, -1, wp)[:, pad:pad + h, pad:pad + w]
         if nk:
             xp = padded_input()
-            gk = np.empty(wk.shape, dtype=np.result_type(g, xp))
+            gk = _empty(tape, wk.shape, np.result_type(g, xp))
             for dy, dx, o in taps:
                 gk[:, :, dy, dx] = gfull @ xp[:, o:o + n].T
+            _give(tape, xp)
         if nb:
             gb = g.sum(axis=(1, 2))
+        _give(tape, gfull)
         return (gx, gk, gb)
 
     return _apply("conv2d", (x, kernel, bias), out, vjp)

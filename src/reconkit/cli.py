@@ -100,9 +100,14 @@ def _gen_one_phantom(job) -> None:
                              meta={"spec": spec.to_dict(), "seed": seed})
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_phantom_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    _at_least("--count", args.count, 1)
+    _at_least("--jobs", args.jobs, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec_dict = None
@@ -170,8 +175,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.val_count < 0:
-        raise ValueError(f"--val-count must be at least 0, got {args.val_count}")
+    _at_least("--val-count", args.val_count, 0)
     paths = _records_in(Path(args.data))
     if not paths:
         raise ValueError(f"no records found under {args.data}")
@@ -237,6 +241,7 @@ def _eval_worker(payload):
 
 
 def cmd_eval(args) -> int:
+    _at_least("--jobs", args.jobs, 1)
     paths = [str(p) for p in _records_in(Path(args.data))]
     if not paths:
         raise ValueError(f"no records found under {args.data}")
@@ -246,11 +251,10 @@ def cmd_eval(args) -> int:
     dataset_name = Path(args.data).stem or "records"
     timing = not args.no_timing
 
-    jobs = max(args.jobs, 1)
-    chunks = np.array_split(np.array(paths, dtype=object), jobs)
+    chunks = np.array_split(np.array(paths, dtype=object), args.jobs)
     payloads = [(descs, list(c), dataset_name, timing) for c in chunks if len(c)]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    if args.jobs > 1:
+        with multiprocessing.Pool(args.jobs) as pool:
             parts = pool.map(_eval_worker, payloads)
     else:
         parts = map(_eval_worker, payloads)

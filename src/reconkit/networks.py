@@ -49,6 +49,8 @@ class RimCellConfig:
     iterations: int = 8
 
     def __post_init__(self):
+        if self.channels < 1:
+            raise ConfigError(f"channels must be at least 1, got {self.channels}")
         if self.iterations < 1:
             raise ConfigError(f"need at least one unroll iteration, got {self.iterations}")
         ks = self.kernel_sizes

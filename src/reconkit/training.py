@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -137,6 +139,8 @@ def _check_config(cfg: TrainConfig) -> None:
         value = getattr(cfg, name)
         if value not in choices:
             raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
+    if not (isinstance(cfg.lr, numbers.Real) and 0 < cfg.lr < math.inf):
+        raise TrainingError(f"TrainConfig.lr must be finite and positive, got {cfg.lr!r}")
     if cfg.max_steps is not None and cfg.max_steps < 1:
         raise TrainingError(
             f"TrainConfig.max_steps must be None or at least 1, got {cfg.max_steps}")
@@ -167,14 +171,17 @@ def _loss_for(x, estimates, record, cfg: TrainConfig):
 
 
 def _train_step(model, record: DatasetRecord, store: ParameterStore,
-                cfg: TrainConfig) -> tuple[float, float]:
+                cfg: TrainConfig, tape: Tape | None = None) -> tuple[float, float]:
     """One forward/backward/ADAM step; raises DivergedError instead of taking a bad one.
 
     The step's graph is freed as soon as backward has run, or the pass
     failed: a tape and the tensors it records refer to each other, so
     without the clear the graph would wait for a cyclic garbage collection.
+    The clear hands the step's buffers back to the tape's pool, so a step
+    run on the tape of the step before reuses that step's memory (without
+    `tape`, the step gets a fresh tape of its own).
     """
-    tape = Tape()
+    tape = Tape() if tape is None else tape
     leaves = store.leaves(tape)
     try:
         x, estimates = model.forward(record.kspace, record.maps, record.mask, leaves)
@@ -183,6 +190,7 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
         if not np.isfinite(loss_val):
             raise DivergedError(f"non-finite loss {loss_val}")
         ad.backward(loss)
+        del estimates, loss     # only the image outlives the clear, which takes back the rest
     finally:
         tape.clear()
     adam_step(store, grads=leaves, lr=cfg.lr)
@@ -213,10 +221,13 @@ def train(model, train_records: Sequence[DatasetRecord],
 
     Logs one training and one validation row per epoch; keeps the parameter
     snapshot with the best validation loss (the last one without validation
-    records) as `best_values`.  A DivergedError ends the run: from a step
-    (non-finite reconstruction, loss or updated parameter; that step is not
-    counted) or from the validation pass; `best_values` then holds the last
-    good parameters.  Either way `store` (in `cfg.dtype`) ends at `best_values`.
+    records) as `best_values`.  The steps of an epoch share one tape, so
+    each step reuses the buffers of the step before; the tape and its
+    buffers are dropped before the validation pass.  A DivergedError ends
+    the run: from a step (non-finite reconstruction, loss or updated
+    parameter; that step is not counted) or from the validation pass;
+    `best_values` then holds the last good parameters.  Either way `store`
+    (in `cfg.dtype`) ends at `best_values`.
     """
     cfg = cfg or TrainConfig()
     _check_config(cfg)
@@ -237,13 +248,15 @@ def train(model, train_records: Sequence[DatasetRecord],
             if cfg.max_steps is not None:
                 order = order[:cfg.max_steps - result.steps]
             losses, ssims = [], []
+            tape = Tape()
             try:
                 for idx in order:
-                    loss_val, ssim_val = _train_step(model, train_records[idx], store, cfg)
+                    loss_val, ssim_val = _train_step(model, train_records[idx], store, cfg, tape)
                     losses.append(loss_val)
                     ssims.append(ssim_val)
                     result.steps += 1
             finally:  # a diverged epoch still logs the steps it took
+                del tape  # the pool is not kept through the validation pass
                 if losses:
                     result.log.append({"epoch": epoch, "split": "train",
                                        "loss": float(np.mean(losses)),

@@ -364,3 +364,58 @@ class TestParameterStore:
         with pytest.raises(ad.GraphError, match="parameter b is missing"):
             store.load_values({"w": np.ones(3)})
         assert not store["w"].value.any()      # a snapshot that does not fit sets nothing
+
+
+def _idle(tape: ad.Tape) -> list:
+    return [buf for bufs in tape._free.values() for buf in bufs]
+
+
+class TestBufferPool:
+    def test_clear_takes_back_a_dropped_buffer(self):
+        tape = ad.Tape()
+        x = ad.leaf(np.arange(-4.0, 4.0), tape)
+        ad.relu(x)
+        assert _idle(tape) == []
+        tape.clear()
+        (buf,) = _idle(tape)
+        assert ad.relu(x).data is buf and _idle(tape) == []
+
+    @pytest.mark.parametrize("keep", ["array", "view"])
+    def test_clear_never_takes_back_a_kept_buffer(self, keep):
+        tape = ad.Tape()
+        x = ad.leaf(np.arange(-4.0, 4.0), tape)
+        out = ad.relu(x).data
+        kept = out if keep == "array" else out[2:5]
+        before = kept.copy()
+        del out
+        tape.clear()
+        again = ad.relu(ad.mul(x, -1.0))
+        assert not np.shares_memory(again.data, kept)
+        assert np.array_equal(kept, before)
+
+    def test_second_pass_reuses_buffers_and_keeps_the_first_results(self):
+        # a conv/relu/add/mul graph, twice on one tape: the second pass's results
+        # land in the first pass's buffers, except those the caller kept
+        rng = np.random.default_rng(12)
+        tape = ad.Tape()
+        w = ad.leaf(rng.standard_normal((3, 2, 3, 3)), tape)
+        b = ad.leaf(rng.standard_normal(3), tape)
+
+        def run(x0):
+            h = ad.relu(ad.conv2d(ad.constant(x0), w, b))
+            y = ad.add(ad.mul(h, h), h)
+            ad.backward(ad.reduce_sum(y))
+            return y.data, h.data[1]
+
+        img, view = run(rng.standard_normal((2, 6, 5)))
+        grad = w.grad
+        kept = [img.copy(), view.copy(), grad.copy()]
+        w.grad = b.grad = None
+        tape.clear()
+        free = len(_idle(tape))
+        assert free > 0
+        img2, _ = run(rng.standard_normal((2, 6, 5)))
+        assert len(_idle(tape)) < free   # taken from the pool
+        for a, before in zip((img, view, grad), kept):
+            assert np.array_equal(a, before)
+            assert not np.shares_memory(a, img2) and not np.shares_memory(a, w.grad)

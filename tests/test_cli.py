@@ -212,15 +212,38 @@ class TestPipeline:
         (["phantom", "gen", "--count", "-2"], "ValueError: --count"),
         (["train", "--kernels", "3,3", "--steps", "1"], "ConfigError: kernel_sizes"),
         (["train", "--kernels", "3,x", "--steps", "1"], "ValueError: --kernels"),
-    ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints"])
+        (["train", "--channels", "0", "--steps", "1"], "ConfigError: channels"),
+        (["train", "--channels", "-2", "--steps", "1"], "ConfigError: channels"),
+        (["train", "--lr", "-1", "--steps", "1"], "TrainingError: TrainConfig.lr"),
+        (["train", "--lr", "0", "--steps", "1"], "TrainingError: TrainConfig.lr"),
+        (["train", "--lr", "nan", "--steps", "1"], "TrainingError: TrainConfig.lr"),
+        (["train", "--lr", "inf", "--steps", "1"], "TrainingError: TrainConfig.lr"),
+        (["phantom", "gen", "--jobs", "0"], "ValueError: --jobs"),
+        (["phantom", "gen", "--jobs", "-3"], "ValueError: --jobs"),
+    ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
+            "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
+            "jobs_0", "jobs_negative"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
+        # the defaults come first, so the case's own flags win
         extra = (["--model", "cirim", "--data", str(recs), "--cascades", "1", "--channels", "2",
                   "--iterations", "1"] if argv[0] == "train" else [])
         out = base / "out"
-        assert run(argv + extra + ["--out", str(out)]) == 1
+        assert run(argv[:1] + extra + argv[1:] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: " + message)
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_eval_jobs_below_one_exits_one(self, workspace, capsys, jobs):
+        base, _ph, recs, _mask = workspace
+        out = base / "report.csv"
+        assert run(["eval", "--methods", "zerofill", "--data", str(recs), "--jobs", jobs,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: --jobs")
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_varnet_with_implicit_dc_is_an_error(self, workspace, capsys):

@@ -355,6 +355,11 @@ class TestFactory:
         with pytest.raises(networks.ConfigError):
             CascadeConfig(n_cascades=0)
 
+    @pytest.mark.parametrize("channels", [0, -2])
+    def test_channels_below_one_named(self, channels):
+        with pytest.raises(networks.ConfigError, match="channels"):
+            RimCellConfig(channels=channels)
+
     @pytest.mark.parametrize("kernel_sizes", [(3, 3), (3, 3.0, 3), (3, -1, 3)],
                              ids=["two", "a_float", "negative"])
     def test_kernel_sizes_are_three_odd_positive_ints(self, kernel_sizes):

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -198,21 +199,31 @@ def _assert_store_holds_best_values(result):
 
 
 def test_cirim_step_tape_records():
-    """One float32 CIRIM step (K=2, T=4) records these ops, and no complex array."""
+    """One float32 CIRIM step (K=2, T=4) records these ops, and no complex array.
+
+    A second step on the same tape records the same: the tape's records are
+    per step even though its buffers are kept.
+    """
     rec = _tiny_records(1)[0]
     model = build_model("cirim", cell=RimCellConfig(channels=3, iterations=4, unit="indrnn"),
                         cascade=CascadeConfig(n_cascades=2))
     store = ad.ParameterStore(np.float32)
     model.init_params(store, 0)
     tape = ad.Tape()
-    x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, store.leaves(tape))
-    training._loss_for(x, estimates, rec, TrainConfig(dtype="float32"))
-    counts = {}
-    for op, out, _inputs, _vjp in tape._records:
-        counts[op] = counts.get(op, 0) + 1
-        assert not np.iscomplexobj(out.data), op
-    assert counts == {"conv2d": 40, "add": 31, "mul": 24, "reshape": 16, "relu": 16,
-                      "magnitude": 8, "sub": 8, "abs": 8, "mean": 8, "linear": 7, "concat": 7}
+    for step in range(2):
+        leaves = store.leaves(tape)
+        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
+        loss = training._loss_for(x, estimates, rec, TrainConfig(dtype="float32"))
+        counts = {}
+        for op, out, _inputs, _vjp in tape._records:
+            counts[op] = counts.get(op, 0) + 1
+            assert not np.iscomplexobj(out.data), op
+        assert counts == {"conv2d": 40, "add": 31, "mul": 24, "reshape": 16, "relu": 16,
+                          "magnitude": 8, "sub": 8, "abs": 8, "mean": 8, "linear": 7,
+                          "concat": 7}, step
+        ad.backward(loss)
+        assert len(tape) == 173
+        tape.clear()
 
 
 def _unreachable_graph_objects(run) -> list:
@@ -253,25 +264,119 @@ class TestStepMemory:
     def test_desk_step_footprint(self, desk_record):
         """tracemalloc's peak for one desk float32 CIRIM step (K=2, T=4, 16 channels, 64x64).
 
-        It counts allocations, not time, so it repeats exactly: about 38 MB
-        with the copy-free conv2d and gradient accumulation, 57 MB when
-        conv2d's VJP kept its padded input and every first gradient was
-        copied.
+        It counts allocations, not time, so it repeats exactly.  A step on a
+        fresh tape reads about 40 MB: the graph's buffers come from the
+        tape's pool, and the pool takes back scratch, replaced sums and
+        summed VJP results as soon as they are done with.  It read 38 MB
+        before the pool, 43 MB with the pool but only the scratch taken back
+        at once, and 57 MB when conv2d's VJP kept its padded input and every
+        first gradient was copied.
         """
-        model = build_model("cirim", cell=RimCellConfig(channels=16, iterations=4, unit="indrnn"),
-                            cascade=CascadeConfig(n_cascades=2))
+        model, store, cfg = _desk_cirim()
+        training._train_step(model, desk_record, store, cfg)   # ADAM's moments are made here
+        assert _step_peak_mb(lambda: training._train_step(model, desk_record, store, cfg)) < 45.0
+
+    def test_step_on_a_kept_tape_reuses_its_buffers(self, desk_record):
+        """A second desk step on the same tape allocates far less than a step on a fresh one.
+
+        tracemalloc reads about 7 MB for it (the leaves' gradients, ADAM and
+        the arrays no op takes from the pool), against about 40 MB on a
+        fresh tape.
+        """
+        model, store, cfg = _desk_cirim()
+        tape = ad.Tape()
+        training._train_step(model, desk_record, store, cfg, tape)
+        assert _step_peak_mb(lambda: training._train_step(model, desk_record, store, cfg,
+                                                          tape)) < 10.0
+
+    def test_pool_dropped_before_validation(self, monkeypatch):
+        records = _tiny_records(3, seed=92)
+        tapes, live = [], []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        inner = training.validation_score
+
+        def validation_score(*args, **kwargs):
+            live.append([t() is not None for t in tapes])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(training, "Tape", TrackedTape)
+        monkeypatch.setattr(training, "validation_score", validation_score)
+        train(_tiny_model(), records[1:], records[:1], epochs=2, seed=0)
+        assert live == [[False], [False, False]]
+
+
+def _desk_cirim():
+    model = build_model("cirim", cell=RimCellConfig(channels=16, iterations=4, unit="indrnn"),
+                        cascade=CascadeConfig(n_cascades=2))
+    store = ad.ParameterStore(np.float32)
+    model.init_params(store, 0)
+    return model, store, TrainConfig(dtype="float32")
+
+
+def _step_peak_mb(step) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepsShareATape:
+    @pytest.mark.parametrize("kind, unit, dtype", [("cirim", "indrnn", "float32"),
+                                                   ("rim", "gru", "float64")])
+    def test_train_matches_steps_on_fresh_tapes(self, kind, unit, dtype):
+        """One epoch of train, whose steps share a tape, gives the bits of fresh-tape steps."""
+        records = _tiny_records(4, seed=93)
+        cfg = TrainConfig(dtype=dtype)
+
+        def model():
+            return build_model(kind, cell=RimCellConfig(channels=4, iterations=3, unit=unit),
+                               cascade=CascadeConfig(n_cascades=2) if kind == "cirim" else None)
+
+        result = train(model(), records[1:], records[:1], epochs=1, seed=5, cfg=cfg)
+
+        m = model()
+        store = ad.ParameterStore(dtype)
+        m.init_params(store, 5)
+        order = np.random.default_rng(5).permutation(3)
+        steps = [training._train_step(m, records[1:][i], store, cfg) for i in order]
+        val_loss, val_ssim = training.validation_score(m, records[:1], store, cfg)
+        log = [{"epoch": 0, "split": "train", "loss": float(np.mean([s[0] for s in steps])),
+                "ssim": float(np.mean([s[1] for s in steps]))},
+               {"epoch": 0, "split": "val", "loss": val_loss, "ssim": val_ssim}]
+        assert result.log == log
+        assert result.steps == 3
+        for name, value in store.copy_values().items():
+            assert value.dtype == result.best_values[name].dtype
+            assert value.tobytes() == result.best_values[name].tobytes(), name
+
+    def test_kept_results_survive_the_next_step(self):
+        """The image, a leaf's gradient and a view of an intermediate outlive the next step."""
+        records = _tiny_records(2, seed=94)
+        model = _tiny_model(cascades=2)
         store = ad.ParameterStore(np.float32)
         model.init_params(store, 0)
         cfg = TrainConfig(dtype="float32")
-        training._train_step(model, desk_record, store, cfg)   # ADAM's moments are made here
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            training._train_step(model, desk_record, store, cfg)
-            peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
-        finally:
-            tracemalloc.stop()
-        assert peak_mb < 45.0
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        rec = records[0]
+        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
+        ad.backward(training._loss_for(x, estimates, rec, cfg))
+        kept = {"image": x.data, "grad": leaves["cascade0.conv1.weight"].grad,
+                "view": estimates[0][0].data[1, 2:5]}
+        before = {name: a.copy() for name, a in kept.items()}
+        del leaves, x, estimates
+        tape.clear()
+        training._train_step(model, records[1], store, cfg, tape)
+        for name, a in kept.items():
+            assert np.array_equal(a, before[name]), name
 
 
 class TestTrainLoop:
@@ -365,7 +470,9 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [("dtype", "float16"), ("loss", "l2"),
                                               ("weight_orientation", "middle"),
-                                              ("max_steps", 0)])
+                                              ("max_steps", 0), ("lr", -1.0), ("lr", 0.0),
+                                              ("lr", float("nan")), ("lr", float("inf")),
+                                              ("lr", "1e-3")])
     def test_unknown_config_value_rejected_before_any_step(self, monkeypatch, field, value):
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
