@@ -21,9 +21,9 @@ single-threaded while recording and during backward.
 
 A tape also owns a buffer pool keyed by (shape, dtype).  On a tape,
 ``conv2d`` (output, input gradient, scratch), ``add``, ``mul`` (output, VJP
-products), ``relu`` and gradient accumulation take their arrays from it, and
-``Tape.clear`` takes back each array it lent that nothing outside the pool
-still refers to, directly or through a view.  Training builds the same graph
+products), ``relu`` and gradient accumulation take their arrays from it.  The
+pool keeps every buffer it lends, and lends one again once nothing else
+refers to it, directly or through a view.  Training builds the same graph
 every step, so a tape kept across steps (``training.train`` keeps one per
 epoch) hands step k+1 the memory of step k instead of fresh pages from the
 OS.  Untaped passes allocate with ``np.empty``.
@@ -41,13 +41,13 @@ class GraphError(ValueError):
     """Contract violation in graph construction or backward."""
 
 
-def _refs(lent: dict, key: int) -> int:
-    arr = lent[key]
-    return sys.getrefcount(arr)
+def _refs(bufs: list, i: int) -> int:
+    buf = bufs[i]
+    return sys.getrefcount(buf)
 
 
-# what _refs reads for an array that only the pool refers to
-_POOL_ONLY = _refs({0: np.empty(0)}, 0)
+# what _refs reads for a buffer that only the pool refers to
+_POOL_ONLY = _refs([np.empty(0)], 0)
 
 
 class Tape:
@@ -57,13 +57,12 @@ class Tape:
     are kept for the next pass on the same tape until the tape is dropped.
     """
 
-    __slots__ = ("_records", "_free", "_lent")
+    __slots__ = ("_records", "_pool")
 
     def __init__(self) -> None:
         # each record: (op name, output tensor, input tensors, vjp callable)
         self._records: list[tuple[str, "Tensor", tuple["Tensor", ...], Callable]] = []
-        self._free: dict[tuple, list[np.ndarray]] = {}     # (shape, dtype) -> idle buffers
-        self._lent: dict[int, np.ndarray] = {}             # id -> buffer handed out
+        self._pool: dict[tuple, list[np.ndarray]] = {}     # (shape, dtype) -> every buffer lent
 
     def __len__(self) -> int:
         return len(self._records)
@@ -71,33 +70,24 @@ class Tape:
     def clear(self) -> None:
         """Drop every record, and with them the graph's tensors and VJP closures.
 
-        Every lent buffer that nothing else refers to goes back to the pool;
-        the rest (a gradient or an image the caller kept) now belong to
-        their holders.
+        This breaks the cycle of a tape and the tensors it records.  The
+        buffers only the records held are then idle in the pool; the rest (an
+        image or a gradient the caller kept) are lent again once let go.
         """
         self._records.clear()
-        for key in list(self._lent):
-            self._reclaim(key)
-        self._lent.clear()
 
     def record(self, op: str, out: "Tensor", inputs: tuple["Tensor", ...], vjp: Callable) -> None:
         self._records.append((op, out, inputs, vjp))
 
     def _take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        idle = self._free.get((shape, dtype))
-        buf = idle.pop() if idle else np.empty(shape, dtype)
-        self._lent[id(buf)] = buf
-        return buf
-
-    def _give(self, buf: np.ndarray) -> None:
-        """Take back a lent buffer its borrower is done with and never let out."""
-        if self._lent.pop(id(buf), None) is not None:
-            self._free.setdefault((buf.shape, buf.dtype), []).append(buf)
-
-    def _reclaim(self, key: int) -> None:
-        """Take back the lent buffer with this id if only the pool refers to it."""
-        if key in self._lent and _refs(self._lent, key) == _POOL_ONLY:
-            self._give(self._lent[key])
+        # the most recently lent idle buffer, likely still in cache; else a new one
+        bufs = self._pool.setdefault((shape, dtype), [])
+        for i in range(len(bufs) - 1, -1, -1):
+            if _refs(bufs, i) == _POOL_ONLY:
+                bufs.append(bufs.pop(i))
+                return bufs[-1]
+        bufs.append(np.empty(shape, dtype))
+        return bufs[-1]
 
 
 class Tensor:
@@ -179,21 +169,10 @@ def _empty(tape: Tape | None, shape, dtype) -> np.ndarray:
     return tape._take(tuple(shape), np.dtype(dtype))
 
 
-def _give(tape: Tape | None, buf: np.ndarray) -> None:
-    """Hand a scratch buffer from _empty back to its tape's pool; any other array is left alone."""
-    if tape is not None:
-        tape._give(buf)
-
-
 def _binary(tape: Tape | None, ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ufunc(a, b) written into a buffer from _empty: the same bits as the operator gives."""
     return ufunc(a, b, out=_empty(tape, np.broadcast_shapes(a.shape, b.shape),
                                   np.result_type(a, b)))
-
-
-def _owner_id(a: np.ndarray) -> int:
-    """The id of the array that owns a's memory: pool buffers are owners, results may be views."""
-    return id(a if a.base is None else a.base)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -201,18 +180,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
     No stored gradient is changed in place: a VJP may hand one array, or
     views of it, to several inputs, so the first write stores g itself and
-    a later one stores a new sum.  The gradient a sum replaces goes back to
-    the pool at once when nothing else refers to it.
+    a later one stores a new sum.  The gradient a sum replaces is idle in the
+    pool as soon as nothing else refers to it.
     """
     if t.grad is None:
         t.grad = g.astype(t.dtype, copy=False)
-        return
-    total = _binary(t.tape, np.add, t.grad, g)
-    replaced = _owner_id(t.grad)
-    t.grad = total.astype(t.dtype, copy=False)
-    if t.grad is not total:
-        _give(t.tape, total)
-    t.tape._reclaim(replaced)
+    else:
+        t.grad = _binary(t.tape, np.add, t.grad, g).astype(t.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,20 +209,11 @@ def backward(loss: Tensor) -> None:
     if loss.tape is None:
         raise GraphError("loss is not attached to a tape")
     loss.grad = np.ones_like(loss.data)
-    tape = loss.tape
-    for _op, out, inputs, vjp in reversed(tape._records):
+    for _op, out, inputs, vjp in reversed(loss.tape._records):
         if out.grad is not None:
-            # a VJP result that went into a sum, not into a .grad, is free once its record is done
-            for key in _accumulate_vjp(inputs, vjp(out.grad)):
-                tape._reclaim(key)
-
-
-def _accumulate_vjp(inputs: tuple[Tensor, ...], grads: tuple) -> list[int]:
-    """Accumulate one record's VJP results into its inputs; the ids of the arrays behind them."""
-    for t, gi in zip(inputs, grads):
-        if gi is not None and t.requires_grad:
-            _accumulate(t, gi)
-    return [_owner_id(gi) for gi in grads if gi is not None]
+            for t, gi in zip(inputs, vjp(out.grad)):
+                if gi is not None and t.requires_grad:
+                    _accumulate(t, gi)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +247,7 @@ def mul(a, b) -> Tensor:
     tape = _tape_of((a, b))
 
     def product_gradient(g, other, shape):
-        prod = _binary(tape, np.multiply, g, other)
-        reduced = _unbroadcast(prod, shape)
-        if reduced is not prod:
-            _give(tape, prod)
-        return reduced
+        return _unbroadcast(_binary(tape, np.multiply, g, other), shape)
 
     def vjp(g):
         ga = product_gradient(g, bd, a.shape) if na else None
@@ -487,8 +448,8 @@ def conv2d(x, kernel, bias) -> Tensor:
     at the bottom keeps the last slice in bounds.  A 1x1 kernel is one GEMM
     on the input as it is.  Each tap's product goes to one reused buffer,
     and the padded image is rebuilt in the VJP rather than kept by it; the
-    padded arrays and the product buffer go back to the tape's pool as soon
-    as the pass is done with them.
+    padded arrays and the product buffer are idle in the tape's pool as soon
+    as the pass that made them returns.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -513,15 +474,12 @@ def conv2d(x, kernel, bias) -> Tensor:
             return xd.reshape(c_in, n)
         return _zero_padded(tape, xd, (pad, pad), (h + 2 * pad + 1, wp))
 
-    # _give takes back only what the pool lent: a reshape of x or g (pad 0) stays untouched
     xp = padded_input()
     acc = _empty(tape, (c_out, n), np.result_type(xp, wk, bias.data))
     acc[...] = bias.data[:, None]
     prod = _empty(tape, (c_out, n), np.result_type(wk, xp))
     for dy, dx, o in taps:
         acc += np.matmul(wk[:, :, dy, dx], xp[:, o:o + n], out=prod)
-    _give(tape, xp)
-    _give(tape, prod)
     out = acc.reshape(c_out, h, wp)[:, :, :w]
 
     nx, nk, nb = x.requires_grad, kernel.requires_grad, bias.requires_grad
@@ -539,17 +497,14 @@ def conv2d(x, kernel, bias) -> Tensor:
             prod = _empty(tape, (c_in, n), gxp.dtype)
             for dy, dx, o in taps:
                 gxp[:, o:o + n] += np.matmul(wk[:, :, dy, dx].T, gfull, out=prod)
-            _give(tape, prod)
             gx = gxp.reshape(c_in, -1, wp)[:, pad:pad + h, pad:pad + w]
         if nk:
             xp = padded_input()
             gk = _empty(tape, wk.shape, np.result_type(g, xp))
             for dy, dx, o in taps:
                 gk[:, :, dy, dx] = gfull @ xp[:, o:o + n].T
-            _give(tape, xp)
         if nb:
             gb = g.sum(axis=(1, 2))
-        _give(tape, gfull)
         return (gx, gk, gb)
 
     return _apply("conv2d", (x, kernel, bias), out, vjp)

@@ -78,6 +78,14 @@ def _given(**options) -> dict:
     return {key: val for key, val in options.items() if val is not None}
 
 
+def _map_jobs(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, results in job order: in `workers` processes, or in this one for 1."""
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, jobs)
+    return [fn(job) for job in jobs]
+
+
 def _records_in(path: Path) -> list[Path]:
     if path.is_dir():
         return sorted(p for p in path.glob("*.cks"))
@@ -122,12 +130,7 @@ def cmd_phantom_gen(args) -> int:
             family = None
     jobs = [(str(out / f"phantom_{i:04d}.cks"), spec_dict, family, args.seed + i)
             for i in range(args.count)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            pool.map(_gen_one_phantom, jobs)
-    else:
-        for job in jobs:
-            _gen_one_phantom(job)
+    _map_jobs(_gen_one_phantom, jobs, args.jobs)
     print(f"wrote {len(jobs)} phantom(s) to {out}")
     return 0
 
@@ -253,11 +256,7 @@ def cmd_eval(args) -> int:
 
     chunks = np.array_split(np.array(paths, dtype=object), args.jobs)
     payloads = [(descs, list(c), dataset_name, timing) for c in chunks if len(c)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            parts = pool.map(_eval_worker, payloads)
-    else:
-        parts = map(_eval_worker, payloads)
+    parts = _map_jobs(_eval_worker, payloads, args.jobs)
     rows = []
     offset = 0
     for part, payload in zip(parts, payloads):

@@ -5,7 +5,8 @@ Container layout::
     bytes 0..7    magic  b"CKS1\\x00\\x00\\x00\\x00"
     bytes 8..11   u32 little-endian: length of the JSON header
     header        UTF-8 JSON: {"kind", "version", "meta", "arrays": [{name, shape, dtype}]}
-    arrays        raw little-endian float32 / complex64 bytes, header order
+    arrays        raw little-endian float32 / complex64 bytes, header order; a
+                  model's float64 parameters are float64 bytes
     trailer       u32 little-endian CRC32 over header bytes + array bytes
 
 Every failure mode is a distinct exception so callers can tell a truncated
@@ -28,7 +29,7 @@ from .phantom import DatasetRecord
 MAGIC = b"CKS1\x00\x00\x00\x00"
 VERSION = 1
 
-_DTYPES = {"float32": "<f4", "complex64": "<c8"}
+_DTYPES = {"float32": "<f4", "float64": "<f8", "complex64": "<c8"}
 
 
 class ContainerError(Exception):
@@ -61,10 +62,13 @@ class CheckpointMismatchError(ContainerError):
     """Checkpoint parameters do not match the model its config builds."""
 
 
-def _canonical(arr: np.ndarray) -> tuple[np.ndarray, str]:
+def _canonical(arr: np.ndarray, kind: str) -> tuple[np.ndarray, str]:
+    """The stored form of an array: a model keeps float64 parameters, all else is single."""
     arr = np.asarray(arr)
     if np.iscomplexobj(arr):
         return arr.astype("<c8"), "complex64"
+    if kind == "model" and arr.dtype == np.float64:
+        return arr.astype("<f8"), "float64"
     return arr.astype("<f4"), "float32"
 
 
@@ -72,7 +76,7 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
     entries = []
     blobs = []
     for name, arr in arrays.items():
-        canon, dtype = _canonical(arr)
+        canon, dtype = _canonical(arr, kind)
         entries.append({"name": name, "shape": list(canon.shape), "dtype": dtype})
         blobs.append(np.ascontiguousarray(canon).tobytes())
     header = json.dumps(

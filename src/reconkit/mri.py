@@ -113,8 +113,8 @@ def adjoint_op(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
 
 def add_noise(y: np.ndarray, sigma: float, mask, seed: int) -> np.ndarray:
     """Add iid complex Gaussian noise (std sigma) at sampled positions only."""
-    if sigma < 0:
-        raise ValueError(f"noise level must be non-negative, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma (the noise level) must be finite and non-negative, got {sigma}")
     y = np.asarray(y)
     if sigma == 0:
         return y.copy()

@@ -71,6 +71,8 @@ class CascadeConfig:
     def __post_init__(self):
         if self.n_cascades is not None and self.n_cascades < 1:
             raise ConfigError(f"need at least one cascade, got {self.n_cascades}")
+        if not np.isfinite(self.dc_weight_init):
+            raise ConfigError(f"dc_weight_init must be finite, got {self.dc_weight_init}")
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,8 @@ def full_mask(h: int, w: int) -> SamplingMask:
 def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float = 0.7,
                     acs_frac: float = 0.02, seed: int = 0) -> SamplingMask:
     """Random 2D Gaussian-density mask with an exact sample budget."""
-    if acceleration <= 1:
-        raise ValueError(f"acceleration must exceed 1, got {acceleration}")
+    if not 1 < acceleration < np.inf:
+        raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 < fwhm_rel <= 2:
         raise ValueError(f"fwhm_rel must be in (0, 2], got {fwhm_rel}")
     if not 0 <= acs_frac < 1:
@@ -101,8 +101,8 @@ def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float =
 def equidistant1d_mask(h: int, w: int, acceleration: int = 4, center_frac: float = 0.08,
                        offset_policy: str = "fixed", seed: int = 0) -> SamplingMask:
     """Regularly spaced full phase-encode columns plus a central band."""
-    if int(acceleration) != acceleration or acceleration < 2:
-        raise ValueError(f"acceleration must be an integer >= 2, got {acceleration}")
+    if not 2 <= acceleration < np.inf or int(acceleration) != acceleration:
+        raise ValueError(f"acceleration must be a finite integer >= 2, got {acceleration}")
     if center_frac >= 1:
         raise ValueError(f"center_frac must be < 1, got {center_frac}")
     acceleration = int(acceleration)
@@ -232,8 +232,8 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
     """Variable-density Poisson-disc mask calibrated to the target density."""
     if h < 1 or w < 1:
         raise ValueError(f"h and w must be at least 1, got size {h}x{w}")
-    if acceleration <= 1:
-        raise ValueError(f"acceleration must exceed 1, got {acceleration}")
+    if not 1 < acceleration < np.inf:
+        raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 <= acs_frac < 1:
         raise ValueError(f"acs_frac must be in [0, 1), got {acs_frac}")
     if not radius_offset > 0:

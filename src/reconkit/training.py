@@ -177,9 +177,9 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
     The step's graph is freed as soon as backward has run, or the pass
     failed: a tape and the tensors it records refer to each other, so
     without the clear the graph would wait for a cyclic garbage collection.
-    The clear hands the step's buffers back to the tape's pool, so a step
-    run on the tape of the step before reuses that step's memory (without
-    `tape`, the step gets a fresh tape of its own).
+    The step's buffers stay in the tape's pool, so a step run on the tape of
+    the step before reuses that step's memory (without `tape`, the step gets
+    a fresh tape of its own).
     """
     tape = Tape() if tape is None else tape
     leaves = store.leaves(tape)
@@ -190,7 +190,6 @@ def _train_step(model, record: DatasetRecord, store: ParameterStore,
         if not np.isfinite(loss_val):
             raise DivergedError(f"non-finite loss {loss_val}")
         ad.backward(loss)
-        del estimates, loss     # only the image outlives the clear, which takes back the rest
     finally:
         tape.clear()
     adam_step(store, grads=leaves, lr=cfg.lr)

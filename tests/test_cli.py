@@ -91,6 +91,31 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("kind, acc", [("gaussian2d", "nan"), ("poisson2d", "nan"),
+                                           ("equidistant1d", "nan"), ("gaussian2d", "inf"),
+                                           ("poisson2d", "inf"), ("equidistant1d", "inf")])
+    def test_non_finite_acceleration_is_named(self, tmp_path, capsys, kind, acc):
+        out = tmp_path / "m.cks"
+        assert run(["mask", "gen", "--kind", kind, "--size", "16x16", "--acc", acc,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: acceleration must be")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_bad_sigma_is_named(self, tmp_path, capsys, sigma):
+        ph, mask, out = tmp_path / "ph", tmp_path / "m.cks", tmp_path / "rec.cks"
+        assert run(["phantom", "gen", "--out", str(ph), "--size", "16"]) == 0
+        assert run(["mask", "gen", "--kind", "full", "--size", "16x16", "--out", str(mask)]) == 0
+        capsys.readouterr()
+        assert run(["simulate", "--phantom", str(ph), "--mask", str(mask), "--sigma", sigma,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: sigma")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_empty_poisson_grid_names_size(self, tmp_path, capsys):
         rc = run(["mask", "gen", "--kind", "poisson2d", "--size", "0x64",
                   "--out", str(tmp_path / "m.cks")])
@@ -220,9 +245,13 @@ class TestPipeline:
         (["train", "--lr", "inf", "--steps", "1"], "TrainingError: TrainConfig.lr"),
         (["phantom", "gen", "--jobs", "0"], "ValueError: --jobs"),
         (["phantom", "gen", "--jobs", "-3"], "ValueError: --jobs"),
+        (["train", "--dc", "explicit", "--dc-weight", "nan", "--steps", "1"],
+         "ConfigError: dc_weight_init"),
+        (["train", "--dc", "explicit", "--dc-weight", "inf", "--steps", "1"],
+         "ConfigError: dc_weight_init"),
     ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
             "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
-            "jobs_0", "jobs_negative"])
+            "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
         # the defaults come first, so the case's own flags win

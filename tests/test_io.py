@@ -237,6 +237,18 @@ class TestContainer:
         assert extra["steps"] == 5
         assert np.array_equal(back_vals["cascade0.conv1.weight"], values["cascade0.conv1.weight"])
 
+    def test_only_a_models_float64_arrays_stay_float64(self, tmp_path):
+        # a float64 parameter is stored as it is; a float64 mask is stored as float32
+        rng = np.random.default_rng(1)
+        weight = rng.standard_normal((2, 3))
+        containers.save_checkpoint(tmp_path / "ckpt.cks", {"kind": "rim"},
+                                   {"w": weight, "b": weight[0].astype(np.float32)})
+        _config, back, _extra = containers.load_checkpoint(tmp_path / "ckpt.cks")
+        assert back["w"].dtype == np.float64 and back["w"].tobytes() == weight.tobytes()
+        assert back["b"].dtype == np.float32
+        containers.write_container(tmp_path / "m.cks", "mask", {}, {"keep": weight})
+        assert containers.read_container(tmp_path / "m.cks")[2]["keep"].dtype == np.float32
+
 
 class TestImages:
     def test_zero_image_all_zero_pgm(self, tmp_path):

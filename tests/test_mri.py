@@ -113,6 +113,13 @@ class TestNoise:
         with pytest.raises(ValueError):
             mri.add_noise(y, -0.1, mask, seed=1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_named(self, sigma):
+        _, x, maps, mask = _setup(11)
+        y = mri.forward_op(x, maps, mask)
+        with pytest.raises(ValueError, match="sigma"):
+            mri.add_noise(y, sigma, mask, seed=1)
+
     def test_noise_only_at_sampled_positions(self):
         _, x, maps, mask = _setup(12)
         y = mri.forward_op(x, maps, mask)

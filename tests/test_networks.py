@@ -201,10 +201,11 @@ class TestCirim:
 
     def test_non_finite_dc_output_names_cascade(self, small_record):
         rec = small_record
-        model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, explicit_dc=True,
-                                                       dc_weight_init=np.inf), kind="cirim")
+        model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, explicit_dc=True),
+                           kind="cirim")
         store = ad.ParameterStore()
         model.init_params(store, 0)
+        store["cascade0.dc_weight"].value[:] = np.inf     # a config rejects a non-finite init
         with np.errstate(invalid="ignore"), \
                 pytest.raises(networks.DivergedError, match="after cascade 0"):
             model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
@@ -354,6 +355,11 @@ class TestFactory:
             RimCellConfig(unit="lstm")
         with pytest.raises(networks.ConfigError):
             CascadeConfig(n_cascades=0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_dc_weight_named(self, weight):
+        with pytest.raises(networks.ConfigError, match="dc_weight_init"):
+            CascadeConfig(dc_weight_init=weight)
 
     @pytest.mark.parametrize("channels", [0, -2])
     def test_channels_below_one_named(self, channels):

@@ -39,6 +39,13 @@ class TestGaussian2d:
         with pytest.raises(ValueError):
             sampling.gaussian2d_mask(32, 32, 4.0, acs_frac=1.0, seed=0)
 
+    @pytest.mark.parametrize("make", [sampling.gaussian2d_mask, sampling.poisson2d_mask,
+                                      sampling.equidistant1d_mask])
+    @pytest.mark.parametrize("acceleration", [float("nan"), float("inf")])
+    def test_non_finite_acceleration_named(self, make, acceleration):
+        with pytest.raises(ValueError, match="acceleration"):
+            make(32, 32, acceleration=acceleration)
+
     def test_density_concentrates_at_center(self):
         mask = sampling.gaussian2d_mask(128, 128, 6.0, seed=4)
         center = mask.keep[32:96, 32:96].mean()

@@ -9,7 +9,7 @@ import pytest
 
 from reconkit import autodiff as ad
 from reconkit import metrics, phantom, sampling, training
-from reconkit.networks import CascadeConfig, RimCellConfig, UnetConfig, build_model
+from reconkit.networks import CascadeConfig, RimCellConfig, UnetConfig, build_model, reconstruct
 from reconkit.training import (TrainConfig, adam_step, cirim_loss, evaluate,
                                iteration_loss_weights, l1_loss, ssim_loss, train)
 
@@ -266,11 +266,12 @@ class TestStepMemory:
 
         It counts allocations, not time, so it repeats exactly.  A step on a
         fresh tape reads about 40 MB: the graph's buffers come from the
-        tape's pool, and the pool takes back scratch, replaced sums and
-        summed VJP results as soon as they are done with.  It read 38 MB
-        before the pool, 43 MB with the pool but only the scratch taken back
-        at once, and 57 MB when conv2d's VJP kept its padded input and every
-        first gradient was copied.
+        tape's pool, which lends a buffer again as soon as nothing else
+        refers to it, so scratch, replaced sums and summed VJP results are
+        reused within the step.  It read 38 MB before the pool, 43 MB with
+        the pool but only the scratch reused within the step, and 57 MB when
+        conv2d's VJP kept its padded input and every first gradient was
+        copied.
         """
         model, store, cfg = _desk_cirim()
         training._train_step(model, desk_record, store, cfg)   # ADAM's moments are made here
@@ -356,6 +357,38 @@ class TestStepsShareATape:
         for name, value in store.copy_values().items():
             assert value.dtype == result.best_values[name].dtype
             assert value.tobytes() == result.best_values[name].tobytes(), name
+
+    def test_pool_is_steady_and_spares_kept_results(self):
+        """On a kept tape the pool holds as many buffers after step 3 as after step 2.
+
+        Step 1's image and a leaf's gradient, kept by the caller, are pool
+        buffers that are never lent again, so they are unchanged after step 3.
+        """
+        records = _tiny_records(3, seed=95)
+        model = _tiny_model(cascades=2)
+        store = ad.ParameterStore(np.float32)
+        model.init_params(store, 0)
+        cfg = TrainConfig(dtype="float32")
+        tape = ad.Tape()
+        leaves = store.leaves(tape)
+        rec = records[0]
+        x, estimates = model.forward(rec.kspace, rec.maps, rec.mask, leaves)
+        ad.backward(training._loss_for(x, estimates, rec, cfg))
+        kept = {"image": x.data, "grad": leaves["cascade0.conv1.weight"].grad}
+        before = {name: a.copy() for name, a in kept.items()}
+        del leaves, x, estimates
+        tape.clear()
+        pooled = [buf for bufs in tape._pool.values() for buf in bufs]
+        for name, a in kept.items():
+            assert any(buf is (a if a.base is None else a.base) for buf in pooled), name
+        del pooled
+        sizes = []
+        for rec in records[1:]:
+            training._train_step(model, rec, store, cfg, tape)
+            sizes.append(sum(len(bufs) for bufs in tape._pool.values()))
+        assert sizes[0] == sizes[1]
+        for name, a in kept.items():
+            assert np.array_equal(a, before[name]), name
 
     def test_kept_results_survive_the_next_step(self):
         """The image, a leaf's gradient and a view of an intermediate outlive the next step."""
@@ -547,6 +580,28 @@ class TestEvaluate:
         training.save_trained(path, model, result.best_values)
         assert containers.load_checkpoint(path)[2]["dtype"] == dtype
         assert training.method_checkpoint(path).recon(small_record).dtype == image_dtype
+
+    def test_float64_checkpoint_reconstructs_the_bits_of_its_store(self, tmp_path, small_record):
+        model = _tiny_model()
+        result = train(model, _tiny_records(2, seed=61), [], epochs=1, seed=4)
+        path = tmp_path / "ckpt.cks"
+        training.save_trained(path, model, result.best_values)
+        out = training.method_checkpoint(path).recon(small_record)
+        assert out.tobytes() == reconstruct(model, result.store, small_record).tobytes()
+
+    def test_float64_checkpoint_with_float32_arrays_still_loads(self, tmp_path, small_record):
+        # as every float64 checkpoint written before they kept their precision
+        from reconkit import containers
+        model = _tiny_model()
+        result = train(model, _tiny_records(2, seed=61), [], epochs=1, seed=4)
+        path = tmp_path / "ckpt.cks"
+        containers.save_checkpoint(path, model.config_dict(),
+                                   {k: v.astype(np.float32) for k, v in result.best_values.items()},
+                                   meta={"dtype": "float64"})
+        out = training.method_checkpoint(path).recon(small_record)
+        ref = reconstruct(model, result.store, small_record)
+        assert out.dtype == np.complex128
+        assert np.allclose(out, ref, rtol=1e-4, atol=1e-6 * np.abs(ref).max())
 
     def test_checkpoint_without_dtype_runs_in_float64(self, tmp_path, small_record):
         # as every checkpoint written before the field was
