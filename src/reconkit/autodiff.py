@@ -428,28 +428,19 @@ def linear(x, apply: Callable, adjoint: Callable) -> Tensor:
 # convolution and resampling (real tensors, channels-first)
 # ---------------------------------------------------------------------------
 
-def _zero_padded(tape: Tape | None, a: np.ndarray, corner: tuple[int, int],
-                 size: tuple[int, int]) -> np.ndarray:
-    """A (c, h, w) array placed at `corner` of a zeroed (c, *size) buffer, as (c, size0*size1) rows."""
-    buf = _empty(tape, (a.shape[0], size[0] * size[1]), a.dtype)
-    buf.fill(0)
-    buf.reshape(a.shape[0], *size)[:, corner[0]:corner[0] + a.shape[1],
-                                   corner[1]:corner[1] + a.shape[2]] = a
-    return buf
-
-
 def conv2d(x, kernel, bias) -> Tensor:
     """Same-size 2D cross-correlation with zero padding.
 
     x: (c_in, h, w), kernel: (c_out, c_in, k, k) with k odd, bias: (c_out,).
-    A sum of k*k GEMMs, one per tap: in the padded image flattened to rows of
-    width wp, tap (dy, dx) reads the slice at dy*wp + dx, and the 2*pad
-    wrap-around columns of each output row are cropped.  An extra zero row
-    at the bottom keeps the last slice in bounds.  A 1x1 kernel is one GEMM
-    on the input as it is.  Each tap's product goes to one reused buffer,
-    and the padded image is rebuilt in the VJP rather than kept by it; the
-    padded arrays and the product buffer are idle in the tape's pool as soon
-    as the pass that made them returns.
+    One correlation, a sum of k*k GEMMs, serves the forward pass and the
+    input gradient.  An image is padded and flattened to rows of width wp,
+    with one spare zero row; tap (dy, dx) reads the slice at dy*wp + dx, and
+    the 2*pad wrap-around columns of each output row are cropped.  The input
+    gradient correlates the padded output gradient g with the kernel flipped
+    and its channel axes swapped; the kernel gradient reads g through a view
+    of that padded g.  A 1x1 kernel is one GEMM on the input as it is.  The
+    padded arrays and the one reused product buffer come from the tape's
+    pool, and the padded image is rebuilt in the VJP rather than kept by it.
     """
     x, kernel, bias = astensor(x), astensor(kernel), astensor(bias)
     if x.ndim != 3 or kernel.ndim != 4:
@@ -465,44 +456,49 @@ def conv2d(x, kernel, bias) -> Tensor:
     pad = (k - 1) // 2
     wp = w + 2 * pad
     n = h * wp
-    xd, wk = x.data, kernel.data
+    last = (k - 1) * (wp + 1)       # the offset of the final tap
+    wk = kernel.data
     taps = [(dy, dx, dy * wp + dx) for dy in range(k) for dx in range(k)]
     tape = _tape_of((x, kernel, bias))
 
-    def padded_input():
+    def padded(a):
+        # a (c, h, w) array as rows of width wp, inside a zero border plus a spare row
         if pad == 0:
-            return xd.reshape(c_in, n)
-        return _zero_padded(tape, xd, (pad, pad), (h + 2 * pad + 1, wp))
+            return a.reshape(a.shape[0], n)
+        buf = _empty(tape, (a.shape[0], (h + 2 * pad + 1) * wp), a.dtype)
+        buf.fill(0)
+        buf.reshape(a.shape[0], -1, wp)[:, pad:pad + h, pad:pad + w] = a
+        return buf
 
-    xp = padded_input()
-    acc = _empty(tape, (c_out, n), np.result_type(xp, wk, bias.data))
-    acc[...] = bias.data[:, None]
-    prod = _empty(tape, (c_out, n), np.result_type(wk, xp))
-    for dy, dx, o in taps:
-        acc += np.matmul(wk[:, :, dy, dx], xp[:, o:o + n], out=prod)
-    out = acc.reshape(c_out, h, wp)[:, :, :w]
+    def correlate(src, pairs, start=None):
+        # [start +] the sum of mat @ src[:, o:o + n] over (mat, o), in order, as (c, h, wp);
+        # the first product is written into the sum, so a 1x1 input gradient is one GEMM
+        (mat, o), *rest = pairs
+        dtype = np.result_type(src, mat) if start is None else np.result_type(src, mat, start)
+        acc = np.matmul(mat, src[:, o:o + n], out=_empty(tape, (mat.shape[0], n), dtype))
+        if start is not None:
+            acc += start
+        prod = _empty(tape, acc.shape, np.result_type(mat, src))
+        for mat, o in rest:
+            acc += np.matmul(mat, src[:, o:o + n], out=prod)
+        return acc.reshape(-1, h, wp)
+
+    out = correlate(padded(x.data), [(wk[:, :, dy, dx], o) for dy, dx, o in taps],
+                    bias.data[:, None])[:, :, :w]
 
     nx, nk, nb = x.requires_grad, kernel.requires_grad, bias.requires_grad
 
     def vjp(g):
-        gfull = g.reshape(c_out, n) if pad == 0 else _zero_padded(tape, g, (0, 0), (h, wp))
+        gp = padded(g)
         gx = gk = gb = None
-        if nx and pad == 0:
-            gx = np.matmul(wk[:, :, 0, 0].T, gfull,
-                           out=_empty(tape, (c_in, n), np.result_type(wk, gfull)))
-            gx = gx.reshape(c_in, h, w)
-        elif nx:
-            gxp = _empty(tape, (c_in, (h + 2 * pad + 1) * wp), np.result_type(g, wk))
-            gxp.fill(0)
-            prod = _empty(tape, (c_in, n), gxp.dtype)
-            for dy, dx, o in taps:
-                gxp[:, o:o + n] += np.matmul(wk[:, :, dy, dx].T, gfull, out=prod)
-            gx = gxp.reshape(c_in, -1, wp)[:, pad:pad + h, pad:pad + w]
+        if nx:
+            gx = correlate(gp, [(wk[:, :, dy, dx].T, last - o) for dy, dx, o in taps])[:, :, :w]
         if nk:
-            xp = padded_input()
+            xp = padded(x.data)
+            gn = gp[:, last // 2:last // 2 + n]     # g as rows of width wp
             gk = _empty(tape, wk.shape, np.result_type(g, xp))
             for dy, dx, o in taps:
-                gk[:, :, dy, dx] = gfull @ xp[:, o:o + n].T
+                gk[:, :, dy, dx] = gn @ xp[:, o:o + n].T
         if nb:
             gb = g.sum(axis=(1, 2))
         return (gx, gk, gb)

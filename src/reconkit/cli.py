@@ -104,6 +104,8 @@ def _gen_one_phantom(job) -> None:
         spec = PhantomSpec.from_dict(spec_dict)
         spec.seed = seed
     image, lesion_mask, wm_mask = make_phantom(spec)
+    # the directory is made once a phantom is drawn, so a spec that cannot be leaves none
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     containers.write_phantom(out_path, image, lesion_mask, wm_mask,
                              meta={"spec": spec.to_dict(), "seed": seed})
 
@@ -117,7 +119,6 @@ def cmd_phantom_gen(args) -> int:
     _at_least("--count", args.count, 1)
     _at_least("--jobs", args.jobs, 1)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec_dict = None
     family = _given(size=args.size, n_lesions=args.lesions, jitter=args.jitter)
     if args.spec:

@@ -105,11 +105,10 @@ def run_variants(models: dict, data: DeskDataset, steps: int, train_seed: int,
         results=results)
 
 
-def desk_pipeline(cfg: DeskConfig = DeskConfig(), dataset: DeskDataset | None = None,
-                  timing: bool = False) -> DeskRunResult:
+def desk_pipeline(cfg: DeskConfig = DeskConfig(), timing: bool = False) -> DeskRunResult:
     """CIRIM and its budget-matched GRU RIM through `run_variants`, with fixed seeds."""
     cell = RimCellConfig(channels=cfg.channels, iterations=cfg.iterations)
     cirim = build_model("cirim", cell=cell, cascade=CascadeConfig(n_cascades=cfg.cascades))
     return run_variants({"rim": matched_rim(cirim, cfg.iterations), "cirim": cirim},
-                        dataset or build_desk_dataset(seed=cfg.data_seed),
+                        build_desk_dataset(seed=cfg.data_seed),
                         cfg.steps, cfg.train_seed, timing=timing)

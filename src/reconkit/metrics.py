@@ -29,41 +29,39 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def _box_mean(a: np.ndarray, window: int) -> np.ndarray:
-    """Mean over every fully interior window x window box."""
-    return sliding_window_view(a, (window, window)).mean(axis=(-2, -1))
+def _box_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over every fully interior SSIM_WINDOW x SSIM_WINDOW box."""
+    return sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW)).mean(axis=(-2, -1))
 
 
-def ssim_tensor(test, ref: np.ndarray, window: int = SSIM_WINDOW,
-                k1: float = SSIM_K1, k2: float = SSIM_K2) -> ad.Tensor:
+def ssim_tensor(test, ref: np.ndarray) -> ad.Tensor:
     """Mean local SSIM as an autodiff tensor, differentiable in `test`.
 
     Local means/variances use population statistics over each fully interior
     window, so the score is the mean of the SSIM map on the valid region;
     the data range is max(ref).  Each box mean of `test` is one
     ``autodiff.linear`` node whose VJP box-averages the gradient zero-padded
-    by window - 1.
+    by SSIM_WINDOW - 1.
     """
     test = ad.astensor(test)
     ref = np.asarray(ref, dtype=np.float64)
     if test.shape != ref.shape:
         raise MetricError(f"image shapes differ: {test.shape} vs {ref.shape}")
-    if min(test.shape) < window:
-        raise MetricError(f"image smaller than the {window}x{window} SSIM window")
+    if min(test.shape) < SSIM_WINDOW:
+        raise MetricError(f"image smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
 
     data_range = ref.max()
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
 
     def box(t: ad.Tensor) -> ad.Tensor:
-        return ad.linear(t, lambda a: _box_mean(a, window),
-                         lambda g: _box_mean(np.pad(g, window - 1), window))
+        return ad.linear(t, _box_mean, lambda g: _box_mean(np.pad(g, SSIM_WINDOW - 1)))
 
     # tensors stay on the left of each operator so numpy never sees them
     mu_t = box(test)
-    mu_r = _box_mean(ref, window)
+    mu_r = _box_mean(ref)
     var_t = box(test * test) - mu_t * mu_t
-    var_r = _box_mean(ref * ref, window) - mu_r * mu_r
+    var_r = _box_mean(ref * ref) - mu_r * mu_r
     cov = box(test * ref) - mu_t * mu_r
 
     num = (2 * mu_t * mu_r + c1) * (2 * cov + c2)
@@ -71,10 +69,9 @@ def ssim_tensor(test, ref: np.ndarray, window: int = SSIM_WINDOW,
     return ad.reduce_mean(num / den)
 
 
-def ssim(test: np.ndarray, ref: np.ndarray, window: int = SSIM_WINDOW,
-         k1: float = SSIM_K1, k2: float = SSIM_K2) -> float:
-    """Mean local SSIM over a uniform window; data range is max(ref)."""
-    return float(ssim_tensor(np.asarray(test, dtype=np.float64), ref, window, k1, k2).data)
+def ssim(test: np.ndarray, ref: np.ndarray) -> float:
+    """Mean local SSIM over a uniform SSIM_WINDOW window; data range is max(ref)."""
+    return float(ssim_tensor(np.asarray(test, dtype=np.float64), ref).data)
 
 
 def psnr(test: np.ndarray, ref: np.ndarray) -> float:
@@ -93,11 +90,16 @@ def psnr(test: np.ndarray, ref: np.ndarray) -> float:
 # reference-free metrics
 # ---------------------------------------------------------------------------
 
-def contrast_resolution(img: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray,
-                        dilation: int = 4) -> float:
+CR_DILATION = 4         # voxels around a lesion that CR compares it with
+WMN_BINS = 256          # histogram bins of the WMN gradient mode
+OTSU_BINS = 256         # histogram bins of the Otsu tissue threshold
+SNR_CORNER_FRAC = 0.05  # side of SNR's k-space corner squares, per smaller grid dimension
+
+
+def contrast_resolution(img: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray) -> float:
     """Lesion-versus-surrounding-white-matter contrast.
 
-    The comparison region is the lesion mask dilated by `dilation` voxels,
+    The comparison region is the lesion mask dilated by CR_DILATION voxels,
     intersected with the white-matter mask and stripped of the lesion itself.
     """
     img = np.abs(np.asarray(img))
@@ -105,7 +107,7 @@ def contrast_resolution(img: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.nd
     wm_mask = np.asarray(wm_mask, dtype=bool)
     if not lesion_mask.any():
         raise MetricError("lesion mask is empty")
-    surrounding = binary_dilation(lesion_mask, iterations=dilation) & wm_mask & ~lesion_mask
+    surrounding = binary_dilation(lesion_mask, iterations=CR_DILATION) & wm_mask & ~lesion_mask
     if not surrounding.any():
         raise MetricError("no surrounding white matter after dilation and intersection")
     s_les = img[lesion_mask].mean()
@@ -113,12 +115,13 @@ def contrast_resolution(img: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.nd
     return float((s_les - s_wm) / (s_les + s_wm))
 
 
-def wm_noise(img: np.ndarray, wm_mask: np.ndarray, bins: int = 256) -> float:
+def wm_noise(img: np.ndarray, wm_mask: np.ndarray) -> float:
     """Mode of the gradient-magnitude image inside the white-matter mask.
 
     The image is first normalized by its mean white-matter intensity, the
     gradient magnitude comes from central differences, and the mode is taken
-    over a histogram spanning [0, 99th percentile] of the in-mask values.
+    over a WMN_BINS-bin histogram spanning [0, 99th percentile] of the
+    in-mask values.
     """
     img = np.abs(np.asarray(img, dtype=np.float64))
     wm_mask = np.asarray(wm_mask, dtype=bool)
@@ -133,7 +136,7 @@ def wm_noise(img: np.ndarray, wm_mask: np.ndarray, bins: int = 256) -> float:
     hi = np.percentile(gmag, 99)
     if hi == 0:
         return 0.0
-    hist, edges = np.histogram(gmag, bins=bins, range=(0.0, hi))
+    hist, edges = np.histogram(gmag, bins=WMN_BINS, range=(0.0, hi))
     k = int(np.argmax(hist))
     return float(0.5 * (edges[k] + edges[k + 1]))
 
@@ -148,12 +151,12 @@ def bg_noise(img: np.ndarray) -> float:
     return float(np.percentile(mag[background], 99))
 
 
-def snr(img: np.ndarray, kspace: np.ndarray, corner_frac: float = 0.05) -> float:
+def snr(img: np.ndarray, kspace: np.ndarray) -> float:
     """Foreground mean over k-space periphery median.
 
     Numerator: mean magnitude above the Otsu tissue threshold.  Denominator:
-    median magnitude pooled over four corner squares (side = corner_frac of
-    the smaller grid dimension), averaged across coils.
+    median magnitude pooled over four corner squares (side = SNR_CORNER_FRAC
+    of the smaller grid dimension), averaged across coils.
     """
     mag = np.abs(np.asarray(img, dtype=np.float64))
     kspace = np.asarray(kspace)
@@ -166,7 +169,7 @@ def snr(img: np.ndarray, kspace: np.ndarray, corner_frac: float = 0.05) -> float
     numerator = fg.mean()
 
     _, h, w = kspace.shape
-    side = max(1, int(round(corner_frac * min(h, w))))
+    side = max(1, int(round(SNR_CORNER_FRAC * min(h, w))))
     kmag = np.abs(kspace)
     corners = np.concatenate([
         kmag[:, :side, :side].reshape(kspace.shape[0], -1),
@@ -184,8 +187,8 @@ def snr(img: np.ndarray, kspace: np.ndarray, corner_frac: float = 0.05) -> float
     return float(numerator / denominator)
 
 
-def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
-    """Histogram threshold maximizing between-class variance.
+def otsu_threshold(values: np.ndarray) -> float:
+    """OTSU_BINS-bin histogram threshold maximizing between-class variance.
 
     When several cut points maximize the variance (a plateau across empty
     bins between well-separated clusters) the middle one is returned.
@@ -194,7 +197,7 @@ def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
     lo, hi = v.min(), v.max()
     if lo == hi:
         raise MetricError("cannot threshold a constant input")
-    hist, edges = np.histogram(v, bins=bins, range=(lo, hi))
+    hist, edges = np.histogram(v, bins=OTSU_BINS, range=(lo, hi))
     p = hist.astype(np.float64) / hist.sum()
     omega = np.cumsum(p)
     centers = 0.5 * (edges[:-1] + edges[1:])

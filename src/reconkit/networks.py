@@ -374,6 +374,10 @@ class VarnetModel(CascadeModel):
         return x, [x]
 
     def forward(self, y, maps, mask, params):
+        h, w = np.shape(y)[-2:]
+        if h % (1 << self.unet.pools) or w % (1 << self.unet.pools):
+            raise ConfigError(f"pools={self.unet.pools} needs an image size divisible by "
+                              f"{1 << self.unet.pools}, got {h}x{w}")
         # the losses see only the final image
         x, _ = super().forward(y, maps, mask, params)
         return x, [[x]]

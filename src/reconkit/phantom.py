@@ -86,6 +86,8 @@ def _check_in_fov(e: Ellipse) -> None:
 def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build (complex image, lesion mask, white-matter mask) from a spec."""
     n = spec.size
+    if n < 1:
+        raise PhantomSpecError(f"size must be at least 1, got {n}")
     mag = np.zeros((n, n), dtype=np.float64)
     wm_mask = np.zeros((n, n), dtype=bool)
     lesion_mask = np.zeros((n, n), dtype=bool)
@@ -205,6 +207,10 @@ def default_brain_spec(size: int = 64, seed: int = 0, n_lesions: int = 2,
     of the WM level.  Lesions sit on a mid-radius ring inside the host, away
     from the deep structures.
     """
+    if n_lesions < 0:
+        raise PhantomSpecError(f"n_lesions must be at least 0, got {n_lesions}")
+    if not 0 <= jitter < np.inf:
+        raise PhantomSpecError(f"jitter must be finite and non-negative, got {jitter}")
     rng = np.random.default_rng(seed)
 
     def j(scale=1.0):

@@ -38,6 +38,11 @@ class MaskCalibrationError(RuntimeError):
     """Poisson-disc radius calibration failed to reach the target density."""
 
 
+def _check_grid(h: int, w: int) -> None:
+    if h < 1 or w < 1:
+        raise ValueError(f"h and w must be at least 1, got size {h}x{w}")
+
+
 def _center_offsets(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     return yy - h // 2, xx - w // 2
@@ -52,12 +57,14 @@ def acs_ellipse(h: int, w: int, acs_frac: float) -> np.ndarray:
 
 
 def full_mask(h: int, w: int) -> SamplingMask:
+    _check_grid(h, w)
     return SamplingMask(np.ones((h, w)), kind="full", requested_acceleration=1.0, seed=0)
 
 
 def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float = 0.7,
                     acs_frac: float = 0.02, seed: int = 0) -> SamplingMask:
     """Random 2D Gaussian-density mask with an exact sample budget."""
+    _check_grid(h, w)
     if not 1 < acceleration < np.inf:
         raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 < fwhm_rel <= 2:
@@ -101,6 +108,7 @@ def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float =
 def equidistant1d_mask(h: int, w: int, acceleration: int = 4, center_frac: float = 0.08,
                        offset_policy: str = "fixed", seed: int = 0) -> SamplingMask:
     """Regularly spaced full phase-encode columns plus a central band."""
+    _check_grid(h, w)
     if not 2 <= acceleration < np.inf or int(acceleration) != acceleration:
         raise ValueError(f"acceleration must be a finite integer >= 2, got {acceleration}")
     if center_frac >= 1:
@@ -230,8 +238,7 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
                    seed: int = 0, radius_offset: float = 0.05, tol: float = 0.05,
                    max_bisections: int = 50) -> SamplingMask:
     """Variable-density Poisson-disc mask calibrated to the target density."""
-    if h < 1 or w < 1:
-        raise ValueError(f"h and w must be at least 1, got size {h}x{w}")
+    _check_grid(h, w)
     if not 1 < acceleration < np.inf:
         raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 <= acs_frac < 1:

@@ -118,19 +118,24 @@ class TestConv2d:
 
     def test_adjoint_identity_via_vjp(self):
         # conv is linear in x and in the kernel: <conv(x, k), b> = <x, gx> = <k, gk>
+        # images smaller than the kernel, one row, one column, one pixel; and one float32
+        # pass, whose sums of a few dozen products keep the identity to 1e-5
         rng = np.random.default_rng(5)
-        for ksize, h, w in [(3, 5, 5), (1, 4, 6), (5, 4, 6)]:
-            x = rng.standard_normal((2, h, w))
-            k = rng.standard_normal((3, 2, ksize, ksize))
-            b = rng.standard_normal((3, h, w))
+        cases = [(3, 5, 5), (1, 4, 6), (5, 4, 6), (5, 2, 3), (3, 1, 7), (3, 6, 1), (3, 1, 1)]
+        for dtype, tol, (ksize, h, w) in ([(np.float64, 1e-8, c) for c in cases]
+                                          + [(np.float32, 1e-5, (3, 5, 5))]):
+            x = rng.standard_normal((2, h, w)).astype(dtype)
+            k = rng.standard_normal((3, 2, ksize, ksize)).astype(dtype)
+            b = rng.standard_normal((3, h, w)).astype(dtype)
             tape = ad.Tape()
             xt, kt = ad.leaf(x, tape), ad.leaf(k, tape)
-            out = ad.conv2d(xt, kt, ad.constant(np.zeros(3)))
+            out = ad.conv2d(xt, kt, ad.constant(np.zeros(3, dtype)))
             loss = ad.reduce_sum(ad.mul(out, ad.constant(b)))
             ad.backward(loss)
+            assert out.dtype == xt.grad.dtype == kt.grad.dtype == dtype
             lhs = np.vdot(out.data, b)
-            assert abs(lhs - np.vdot(x, xt.grad)) / (np.linalg.norm(x) * np.linalg.norm(b)) < 1e-8
-            assert abs(lhs - np.vdot(k, kt.grad)) / (np.linalg.norm(k) * np.linalg.norm(b)) < 1e-8
+            assert abs(lhs - np.vdot(x, xt.grad)) / (np.linalg.norm(x) * np.linalg.norm(b)) < tol
+            assert abs(lhs - np.vdot(k, kt.grad)) / (np.linalg.norm(k) * np.linalg.norm(b)) < tol
 
     def test_float32_stays_single_precision(self):
         rng = np.random.default_rng(6)

@@ -116,13 +116,17 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    def test_empty_poisson_grid_names_size(self, tmp_path, capsys):
-        rc = run(["mask", "gen", "--kind", "poisson2d", "--size", "0x64",
-                  "--out", str(tmp_path / "m.cks")])
-        assert rc == 1
+    @pytest.mark.parametrize("kind, size", [("poisson2d", "0x64"), ("gaussian2d", "0x0"),
+                                            ("full", "0x0"), ("equidistant1d", "8x0"),
+                                            ("gaussian2d", "8x-8")])
+    def test_empty_mask_grid_names_size(self, tmp_path, capsys, kind, size):
+        out = tmp_path / "m.cks"
+        assert run(["mask", "gen", "--kind", kind, "--size", size, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ")
-        assert "size 0x64" in err
+        assert err.startswith("error: ValueError: h and w must be at least 1")
+        assert f"size {size}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_malformed_record_header_exits_one(self, tmp_path, capsys, small_record):
         rec = tmp_path / "rec.cks"
@@ -249,9 +253,16 @@ class TestPipeline:
          "ConfigError: dc_weight_init"),
         (["train", "--dc", "explicit", "--dc-weight", "inf", "--steps", "1"],
          "ConfigError: dc_weight_init"),
+        (["train", "--model", "varnet", "--pools", "5", "--steps", "1"], "ConfigError: pools"),
+        (["phantom", "gen", "--size", "0"], "PhantomSpecError: size"),
+        (["phantom", "gen", "--size", "-3"], "PhantomSpecError: size"),
+        (["phantom", "gen", "--lesions", "-1"], "PhantomSpecError: n_lesions"),
+        (["phantom", "gen", "--jitter", "nan"], "PhantomSpecError: jitter"),
+        (["phantom", "gen", "--jitter", "-0.1"], "PhantomSpecError: jitter"),
     ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
             "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
-            "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf"])
+            "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf", "pools_too_deep",
+            "size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_negative"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
         # the defaults come first, so the case's own flags win

@@ -309,8 +309,11 @@ class TestVarnet:
                             CascadeConfig(n_cascades=1, explicit_dc=False))
         store = ad.ParameterStore()
         model.init_params(store, 9)
-        with pytest.raises(ad.GraphError):
+        with pytest.raises(networks.ConfigError, match=r"^pools=5 .* 32, got 16x16$"):
             model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
+        # checked before the first cascade, on the width as on the height
+        with pytest.raises(networks.ConfigError, match=r"^pools=3 .* 8, got 16x12$"):
+            VarnetModel(UnetConfig(pools=3)).forward(np.zeros((1, 16, 12)), None, None, {})
 
 
 class TestFactory:

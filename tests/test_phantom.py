@@ -50,6 +50,19 @@ class TestMakePhantom:
         with pytest.raises(phantom.PhantomSpecError):
             phantom.make_phantom(spec)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: phantom.make_phantom(PhantomSpec(size=0)), "size"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=-3)), "size"),
+        (lambda: phantom.default_brain_spec(16, n_lesions=-1), "n_lesions"),
+        (lambda: phantom.default_brain_spec(16, jitter=float("nan")), "jitter"),
+        (lambda: phantom.default_brain_spec(16, jitter=float("inf")), "jitter"),
+        (lambda: phantom.default_brain_spec(16, jitter=-0.01), "jitter"),
+    ], ids=["size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_inf",
+            "jitter_negative"])
+    def test_undrawable_spec_names_its_field(self, make, field):
+        with pytest.raises(phantom.PhantomSpecError, match=f"^{field} "):
+            make()
+
     def test_phase_model_applied(self):
         coeffs = np.zeros((3, 3))
         coeffs[0, 1] = 1.0
