@@ -210,15 +210,18 @@ def _mask_meta(mask: SamplingMask) -> dict:
     }
 
 
-def _mask_from(keep: np.ndarray, meta: dict, where: str) -> SamplingMask:
+def _mask_from(keep: np.ndarray, meta: dict, where: str, name: str) -> SamplingMask:
     _check_fields(where, meta, _MASK_FIELDS)
-    return SamplingMask(
-        keep.astype(np.float64),
-        kind=meta.get("kind", "full"),
-        requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
-        seed=meta.get("seed", 0),
-        extra=meta.get("extra", {}),
-    )
+    try:
+        return SamplingMask(
+            keep.astype(np.float64),
+            kind=meta.get("kind", "full"),
+            requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
+            seed=meta.get("seed", 0),
+            extra=meta.get("extra", {}),
+        )
+    except ValueError as exc:   # not 2D, not binary, or keeps no sample
+        raise FormatError(f"array {name!r}: {exc}") from None
 
 
 # a record's arrays: its DatasetRecord fields of these names, with its mask's keep as mask_keep
@@ -235,7 +238,8 @@ def write_record(path, record: DatasetRecord) -> None:
 
 def read_record(path) -> DatasetRecord:
     meta, arrays = _read_typed(path, "record", _RECORD_ARRAYS, {"mask": dict})
-    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}), "record meta 'mask'")
+    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}), "record meta 'mask'",
+                      "mask_keep")
     return DatasetRecord(
         reference=arrays["reference"].astype(np.complex128),
         maps=arrays["maps"].astype(np.complex128),
@@ -253,7 +257,7 @@ def write_mask(path, mask: SamplingMask) -> None:
 
 def read_mask(path) -> SamplingMask:
     meta, arrays = _read_typed(path, "mask", ("keep",))
-    return _mask_from(arrays["keep"], meta, "mask meta")
+    return _mask_from(arrays["keep"], meta, "mask meta", "keep")
 
 
 def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray,

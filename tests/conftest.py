@@ -54,8 +54,10 @@ def set_container_header(path, header) -> None:
 BAD_TYPED_FILES = {
     "record_without_mask_keep": "'mask_keep'",
     "record_mask_seed_x": "'seed'",
+    "record_mask_keep_two": "'mask_keep'",
     "mask_seed_x": "'seed'",
     "mask_seed_true": "'seed'",
+    "mask_keep_nan": "'keep'",
     "model_config_list": "'config'",
     "model_dtype_float16": "'dtype'",
     "model_dtype_32": "'dtype'",
@@ -78,6 +80,10 @@ def write_bad_typed_file(row, path, record) -> None:
     if row.startswith("mask_seed_"):
         seed = {"mask_seed_x": "x", "mask_seed_true": True}[row]
         containers.write_container(path, "mask", {"seed": seed}, {"keep": record.mask.keep})
+    elif row == "mask_keep_nan":
+        keep = record.mask.keep.copy()
+        keep[0, 0] = np.nan
+        containers.write_container(path, "mask", {}, {"keep": keep})
     elif row == "model_config_list":
         containers.save_checkpoint(path, ["cirim"], {})
     elif row.startswith("model_dtype_"):
@@ -88,6 +94,8 @@ def write_bad_typed_file(row, path, record) -> None:
         kind, meta, arrays = containers.read_container(path)
         if row == "record_without_mask_keep":
             del arrays["mask_keep"]
+        elif row == "record_mask_keep_two":
+            arrays["mask_keep"] = 2 * arrays["mask_keep"]
         else:
             meta["mask"]["seed"] = "x"
         containers.write_container(path, kind, meta, arrays)

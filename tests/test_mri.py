@@ -1,11 +1,14 @@
-"""Forward model: expand/reduce, forward/adjoint, noise, soft DC."""
+"""Forward model: expand/reduce, forward/adjoint, the folded centring, noise, soft DC."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from reconkit import autodiff as ad
-from reconkit import metrics, mri, networks, phantom, sampling
+from reconkit import fourier, metrics, mri, networks, phantom, sampling
 from reconkit.fourier import fft2c
 
 from conftest import random_complex, rel_error
@@ -99,6 +102,147 @@ class TestForwardAdjoint:
         lhs = mri.forward_op(al * a + be * b, maps, mask)
         rhs = al * mri.forward_op(a, maps, mask) + be * mri.forward_op(b, maps, mask)
         assert rel_error(lhs, rhs) < 1e-11
+
+
+class TestMaskValues:
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan, np.inf])
+    def test_keep_outside_zero_one_is_named(self, bad):
+        keep = np.ones((4, 4))
+        keep[1, 2] = bad
+        with pytest.raises(ValueError, match="keep"):
+            mri.SamplingMask(keep)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float32, np.float64])
+    def test_binary_keep_accepted(self, dtype):
+        keep = np.eye(4, dtype=dtype)
+        assert mri.SamplingMask(keep).n_kept == 4
+
+
+# --- the folded centring against the roll form it replaces -------------------
+
+def _roll_fft2c(v):
+    axes = (-2, -1)
+    return np.fft.fftshift(scipy.fft.fft2(np.fft.ifftshift(v, axes=axes), axes=axes,
+                                          norm="ortho"), axes=axes)
+
+
+def _roll_ifft2c(k):
+    axes = (-2, -1)
+    return np.fft.fftshift(scipy.fft.ifft2(np.fft.ifftshift(k, axes=axes), axes=axes,
+                                           norm="ortho"), axes=axes)
+
+
+# the products take named operands: numpy may reuse a large temporary right operand as
+# the output and swap the operands, and its complex multiply is not bitwise commutative
+def _roll_forward(x, maps, keep):
+    k = _roll_fft2c(maps * x[None])
+    return keep[None] * k
+
+
+def _roll_adjoint(y, maps, keep):
+    stack = _roll_ifft2c(keep[None] * y)
+    return np.sum(np.conjugate(maps) * stack, axis=0)
+
+
+def _operands(n, cdtype, mdtype=np.float64, coils=4, seed=0):
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, (n, n)).astype(cdtype)
+    y = random_complex(rng, (coils, n, n)).astype(cdtype)
+    maps = phantom.make_coils(coils, n, n).astype(cdtype)
+    keep = sampling.gaussian2d_mask(n, n, 2.0, seed=seed).keep.astype(mdtype)
+    return x, y, maps, keep
+
+
+def _pairs(x, y, maps, keep):
+    """(folded, roll reference) for each of the four functions."""
+    return [(fft2c(y), _roll_fft2c(y)), (fourier.ifft2c(y), _roll_ifft2c(y)),
+            (mri.forward_op(x, maps, keep), _roll_forward(x, maps, keep)),
+            (mri.adjoint_op(y, maps, keep), _roll_adjoint(y, maps, keep))]
+
+
+class TestFoldedCentring:
+    @pytest.mark.parametrize("cdtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_power_of_two_sizes_are_bitwise_the_roll_form(self, n, cdtype):
+        for got, want in _pairs(*_operands(n, cdtype)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cdtype, tol", [(np.complex64, 1e-6), (np.complex128, 1e-14)])
+    @pytest.mark.parametrize("n", [5, 7, 17, 18, 20, 31, 48])
+    def test_other_sizes_match_the_roll_form(self, n, cdtype, tol):
+        for got, want in _pairs(*_operands(n, cdtype)):
+            assert got.dtype == want.dtype
+            assert rel_error(got, want) < tol
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12, 17])
+    def test_ramps_are_the_shift_theorem_phases(self, n):
+        img, k = fourier.centring_ramps(n, 1, np.dtype(np.complex128))
+        c = n // 2
+        j = np.arange(n)
+        want_img = np.exp(2j * np.pi * j * c / n)
+        assert np.allclose(img[:, 0], want_img, rtol=0, atol=1e-14)
+        assert np.allclose(k[:, 0], want_img * np.exp(-2j * np.pi * c * c / n), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, constant", [(6, -1), (10, -1), (8, 1), (12, 1)])
+    def test_even_ramps_are_exact_checkerboards(self, n, constant):
+        img, k = fourier.centring_ramps(n, 4, np.dtype(np.complex128))
+        sign = (-1.0) ** np.arange(n)
+        assert np.array_equal(img, np.outer(sign, (-1.0) ** np.arange(4)))
+        assert np.array_equal(k, constant * img)   # the w = 4 axis's own constant is +1
+        assert not img.imag.any() and not k.imag.any()
+
+    def test_ramps_are_cached_read_only_in_the_asked_dtype(self):
+        for dtype in (np.complex64, np.complex128):
+            ramps = fourier.centring_ramps(6, 7, np.dtype(dtype))
+            assert ramps is fourier.centring_ramps(6, 7, np.dtype(dtype))
+            for r in ramps:
+                assert r.shape == (6, 7) and r.dtype == dtype and not r.flags.writeable
+
+
+class TestResultDtypes:
+    """The dtype numpy's promotion of the operands gives, as the plain products did."""
+
+    @pytest.mark.parametrize("mdtype", [np.float32, np.float64, bool])
+    @pytest.mark.parametrize("cdtype", [np.complex64, np.complex128])
+    def test_operator_dtypes(self, cdtype, mdtype):
+        x, y, maps, keep = _operands(16, cdtype, mdtype)
+        want = np.result_type(keep, maps, np.complex64)
+        assert mri.forward_op(x, maps, keep).dtype == want
+        assert mri.adjoint_op(y, maps, keep).dtype == want
+        assert fft2c(y).dtype == cdtype
+        assert fourier.ifft2c(y).dtype == cdtype
+
+    def test_single_precision_image_with_double_maps(self):
+        x, y, maps, keep = _operands(16, np.complex64, np.float32)
+        maps = maps.astype(np.complex128)
+        assert mri.forward_op(x, maps, keep).dtype == np.complex128
+        assert mri.adjoint_op(y, maps, keep).dtype == np.complex128
+
+    def test_results_are_fresh_arrays(self):
+        x, y, maps, keep = _operands(16, np.complex128)
+        inputs = (x, y, maps, keep) + fourier.centring_ramps(16, 16, np.dtype(np.complex128))
+        for _ in range(2):   # the second round would see a buffer the first one wrote to
+            for got, want in _pairs(x, y, maps, keep):
+                assert got.flags.writeable
+                assert not any(np.shares_memory(got, a) for a in inputs)
+                assert np.array_equal(got, want)
+                got[...] = np.nan
+
+
+class TestOperatorMemory:
+    @pytest.mark.parametrize("op", ["forward_op", "adjoint_op"])
+    def test_peak_is_at_most_two_and_a_half_coil_stacks(self, op):
+        x, y, maps, keep = _operands(64, np.complex128)
+        arg = x if op == "forward_op" else y
+        getattr(mri, op)(arg, maps, keep)   # the ramps are cached on the first call
+        tracemalloc.start()
+        try:
+            getattr(mri, op)(arg, maps, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * maps.nbytes
 
 
 class TestNoise:
