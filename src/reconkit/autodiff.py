@@ -346,15 +346,19 @@ def sigmoid(a) -> Tensor:
 # reductions and structure
 # ---------------------------------------------------------------------------
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    """g copied back over the axis a reduction removed (every axis for None)."""
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def reduce_sum(a, axis=None) -> Tensor:
     a = astensor(a)
     shape = a.data.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (_spread(g, shape, axis),)
 
     return _apply("sum", (a,), a.data.sum(axis=axis), vjp)
 
@@ -365,30 +369,18 @@ def reduce_mean(a, axis=None) -> Tensor:
     n = a.data.size if axis is None else shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        g = np.expand_dims(g / n, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (_spread(g / n, shape, axis),)
 
     return _apply("mean", (a,), a.data.mean(axis=axis), vjp)
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     ts = tuple(astensor(p) for p in parts)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-    needs = [t.requires_grad for t in ts]
+    cuts = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
 
-    def vjp(g):
-        out = []
-        for t, n, o0, o1 in zip(ts, needs, offsets[:-1], offsets[1:]):
-            if not n:
-                out.append(None)
-                continue
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(o0), int(o1))
-            out.append(g[tuple(sl)])
-        return tuple(out)
+    def vjp(g):    # views of g, one per input on the tape
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(ts, np.split(g, cuts, axis)))
 
     return _apply("concat", ts, np.concatenate([t.data for t in ts], axis=axis), vjp)
 
@@ -515,8 +507,7 @@ def avg_pool2(x) -> Tensor:
     out = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
     def vjp(g):
-        g4 = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) / 4.0
-        return (g4,)
+        return (_repeat2(g) / 4.0,)
 
     return _apply("avg_pool2", (x,), out, vjp)
 
@@ -525,12 +516,16 @@ def upsample2(x) -> Tensor:
     """Nearest-neighbour 2x upsampling on (c, h, w)."""
     x = astensor(x)
     c, h, w = x.shape
-    out = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
 
     def vjp(g):
         return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
 
-    return _apply("upsample2", (x,), out, vjp)
+    return _apply("upsample2", (x,), _repeat2(x.data), vjp)
+
+
+def _repeat2(a: np.ndarray) -> np.ndarray:
+    """Each pixel of a (c, h, w) array as a 2x2 block: nearest-neighbour upsampling."""
+    return np.repeat(np.repeat(a, 2, axis=1), 2, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +563,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Parameter:
         return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self) -> list[str]:
         return list(self._entries)

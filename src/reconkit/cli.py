@@ -12,6 +12,7 @@ failures with code 1 and a single machine-parsable error line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import multiprocessing
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import containers, baselines, sampling, training
 from .networks import MODEL_KINDS, CascadeConfig, RimCellConfig, UnetConfig, build_model
-from .phantom import PhantomSpec, default_brain_spec, make_coils, make_phantom, simulate_acquisition
+from .phantom import (PhantomSpec, PhantomSpecError, default_brain_spec, make_coils, make_phantom,
+                      read_number, simulate_acquisition)
 
 
 def _env_seed(default: int = 0) -> int:
@@ -73,6 +75,12 @@ _MASK_OPTIONS = {"acc": "acceleration", "seed": "seed", "fwhm": "fwhm_rel", "acs
                  "center_frac": "center_frac", "offset_policy": "offset_policy"}
 
 
+# phantom gen's family flags: the default_brain_spec keyword each sets, and whether a
+# family file must give it as an integer
+_FAMILY_FLAGS = {"size": ("--size", True), "n_lesions": ("--lesions", True),
+                 "jitter": ("--jitter", False)}
+
+
 def _given(**options) -> dict:
     """The keyword options whose flag was given; the rest keep the library's defaults."""
     return {key: val for key, val in options.items() if val is not None}
@@ -87,9 +95,13 @@ def _map_jobs(fn, jobs: list, workers: int) -> list:
 
 
 def _records_in(path: Path) -> list[Path]:
-    if path.is_dir():
-        return sorted(p for p in path.glob("*.cks"))
-    return [path]
+    """The .cks files of a directory, in name order, or the one file `path` names."""
+    if not path.is_dir():
+        return [path]
+    paths = sorted(path.glob("*.cks"))
+    if not paths:
+        raise ValueError(f"no records found under {path}")
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +109,32 @@ def _records_in(path: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def _gen_one_phantom(job) -> None:
-    out_path, spec_dict, family, seed = job     # family: default_brain_spec options, or None
-    if family is not None:
-        spec = default_brain_spec(seed=seed, **family)
-    else:
-        spec = PhantomSpec.from_dict(spec_dict)
-        spec.seed = seed
+    out_path, spec = job
     image, lesion_mask, wm_mask = make_phantom(spec)
     # the directory is made once a phantom is drawn, so a spec that cannot be leaves none
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     containers.write_phantom(out_path, image, lesion_mask, wm_mask,
-                             meta={"spec": spec.to_dict(), "seed": seed})
+                             meta={"spec": spec.to_dict(), "seed": spec.seed})
+
+
+def _phantom_specs(args) -> list[PhantomSpec]:
+    """One spec per phantom: the brain family, its flags winning over a family file's
+    options, or a full spec file with each phantom's seed."""
+    seeds = range(args.seed, args.seed + args.count)
+    family = _given(size=args.size, n_lesions=args.lesions, jitter=args.jitter)
+    spec = json.loads(Path(args.spec).read_text()) if args.spec else {"family": "brain"}
+    if isinstance(spec, dict) and spec.get("family") == "brain":
+        for key in sorted(spec.keys() - {"family"}):
+            if key not in _FAMILY_FLAGS:
+                raise PhantomSpecError(f"{key} is not an option of the brain family "
+                                       f"({', '.join(_FAMILY_FLAGS)})")
+            family.setdefault(key, read_number(spec[key], key, integer=_FAMILY_FLAGS[key][1]))
+        return [default_brain_spec(seed=seed, **family) for seed in seeds]
+    if family:
+        raise ValueError(f"{_FAMILY_FLAGS[next(iter(family))][0]} is not an option of a full "
+                         f"--spec file")
+    base = PhantomSpec.from_dict(spec)
+    return [dataclasses.replace(base, seed=seed) for seed in seeds]
 
 
 def _at_least(flag: str, value: int, low: int) -> None:
@@ -119,18 +146,8 @@ def cmd_phantom_gen(args) -> int:
     _at_least("--count", args.count, 1)
     _at_least("--jobs", args.jobs, 1)
     out = Path(args.out)
-    spec_dict = None
-    family = _given(size=args.size, n_lesions=args.lesions, jitter=args.jitter)
-    if args.spec:
-        spec_dict = json.loads(Path(args.spec).read_text())
-        if spec_dict.get("family") == "brain":
-            family.update((key, kind(spec_dict[key])) for key, kind in
-                          (("size", int), ("n_lesions", int), ("jitter", float))
-                          if key in spec_dict)
-        else:
-            family = None
-    jobs = [(str(out / f"phantom_{i:04d}.cks"), spec_dict, family, args.seed + i)
-            for i in range(args.count)]
+    jobs = [(str(out / f"phantom_{i:04d}.cks"), spec)
+            for i, spec in enumerate(_phantom_specs(args))]
     _map_jobs(_gen_one_phantom, jobs, args.jobs)
     print(f"wrote {len(jobs)} phantom(s) to {out}")
     return 0
@@ -181,8 +198,6 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     _at_least("--val-count", args.val_count, 0)
     paths = _records_in(Path(args.data))
-    if not paths:
-        raise ValueError(f"no records found under {args.data}")
     records = [containers.read_record(p) for p in paths]
     n_val = min(args.val_count, max(0, len(records) - 1))
     val_records = records[:n_val]
@@ -221,14 +236,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_recon(args) -> int:
+    method = _build_method(args.model, **_given(alpha=args.alpha, max_iter=args.iters))
     rec = containers.read_record(args.input)
-    method = _build_method(args.model, alpha=args.alpha, max_iter=args.iters)
     containers.export_image(method.recon(rec), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
+_CS_FLAGS = {"alpha": "--alpha", "max_iter": "--iters"}     # method_cs keyword -> recon flag
+
+
 def _build_method(desc: str, **cs_options) -> training.MethodSpec:
+    """The method a descriptor names; `cs_options` are the method_cs keywords given."""
+    if cs_options and desc != "cs":
+        raise ValueError(f"{_CS_FLAGS[next(iter(cs_options))]} is an option of --model cs only")
     if desc == "zerofill":
         return training.method_zero_filled()
     if desc == "cs":
@@ -247,25 +268,16 @@ def _eval_worker(payload):
 def cmd_eval(args) -> int:
     _at_least("--jobs", args.jobs, 1)
     paths = [str(p) for p in _records_in(Path(args.data))]
-    if not paths:
-        raise ValueError(f"no records found under {args.data}")
     descs = [d.strip() for d in args.methods.split(",") if d.strip()]
-    if "zerofill" not in descs:
-        descs.insert(0, "zerofill")
     dataset_name = Path(args.data).stem or "records"
-    timing = not args.no_timing
 
     chunks = np.array_split(np.array(paths, dtype=object), args.jobs)
-    payloads = [(descs, list(c), dataset_name, timing) for c in chunks if len(c)]
-    parts = _map_jobs(_eval_worker, payloads, args.jobs)
-    rows = []
-    offset = 0
-    for part, payload in zip(parts, payloads):
-        for r in part:
-            r["id"] = f"{int(r['id']) + offset:04d}"
-        offset += len(payload[1])
-        rows.extend(part)
-    rows.extend(training.summarize_rows(rows, [Path(d).stem for d in descs], dataset_name))
+    payloads = [(descs, list(c), dataset_name, not args.no_timing) for c in chunks if len(c)]
+    rows = [r for part in _map_jobs(_eval_worker, payloads, args.jobs) for r in part]
+    per_record = len(rows) // len(paths)    # every record gets one row per method
+    for i, r in enumerate(rows):
+        r["id"] = f"{i // per_record:04d}"
+    rows.extend(training.summarize_rows(rows, dataset_name))
     containers.write_metrics_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -372,9 +384,10 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help="checkpoint .cks path, or 'zerofill' / 'cs'")
     rc.add_argument("--in", dest="input", required=strict, help="record .cks file")
     rc.add_argument("--out", required=strict, help="output 16-bit PGM image")
-    rc.add_argument("--alpha", type=float, default=baselines.CS_ALPHA,
-                    help="cs regularization weight")
-    rc.add_argument("--iters", type=int, default=baselines.CS_MAX_ITER, help="cs iteration cap")
+    rc.add_argument("--alpha", type=float, default=None,
+                    help=f"cs only: regularization weight; left out: {baselines.CS_ALPHA}")
+    rc.add_argument("--iters", type=int, default=None,
+                    help=f"cs only: iteration cap; left out: {baselines.CS_MAX_ITER}")
 
     ev = sub.add_parser("eval", **quiet, help="score methods over a record set", formatter_class=fmt)
     ev.add_argument("--methods", required=strict,

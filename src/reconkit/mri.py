@@ -68,10 +68,6 @@ class SamplingMask:
             raise ValueError("mask keeps no samples")
 
     @property
-    def shape(self):
-        return self.keep.shape
-
-    @property
     def n_kept(self) -> int:
         return int(np.count_nonzero(self.keep))
 

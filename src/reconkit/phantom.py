@@ -10,7 +10,7 @@ that sum_i |S_i|^2 == 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,14 +56,73 @@ class PhantomSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
+        """The spec a JSON object describes, as `to_dict` writes it; `size` is required.
+
+        Anything else is a PhantomSpecError that names the field.
+        """
+        if not isinstance(d, dict):
+            raise PhantomSpecError(f"a phantom spec must be an object, got {type(d).__name__}")
+        _check_keys(d, "", [f.name for f in fields(cls)], ["size"])
+        wm_index = d.get("wm_index")
         return cls(
-            size=int(d["size"]),
-            ellipses=[Ellipse(**e) for e in d.get("ellipses", [])],
-            lesions=[Ellipse(**e) for e in d.get("lesions", [])],
-            wm_index=d.get("wm_index"),
-            phase_coeffs=None if d.get("phase_coeffs") is None else np.asarray(d["phase_coeffs"], dtype=float),
-            seed=int(d.get("seed", 0)),
+            size=read_number(d["size"], "size", integer=True),
+            ellipses=_read_ellipses(d, "ellipses"),
+            lesions=_read_ellipses(d, "lesions"),
+            wm_index=None if wm_index is None else read_number(wm_index, "wm_index", integer=True),
+            phase_coeffs=_read_phase(d.get("phase_coeffs")),
+            seed=read_number(d.get("seed", 0), "seed", integer=True),
         )
+
+
+def read_number(value, name: str, integer: bool = False):
+    """A JSON number as it is: an int, or with `integer` off a finite float too.
+
+    Anything else is a PhantomSpecError that names `name`.
+    """
+    number = isinstance(value, int) or (not integer and isinstance(value, float)
+                                        and np.isfinite(value))
+    if isinstance(value, bool) or not number:
+        raise PhantomSpecError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
+                               f"got {value!r}")
+    return value
+
+
+def _check_keys(d: dict, where: str, known: list[str], required: list[str]) -> None:
+    unknown = sorted(d.keys() - set(known))
+    if unknown:
+        raise PhantomSpecError(f"{where}{unknown[0]} is not a field (fields: {', '.join(known)})")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise PhantomSpecError(f"{where}{missing[0]} is missing")
+
+
+def _read_ellipses(d: dict, key: str) -> list[Ellipse]:
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise PhantomSpecError(f"{key} must be a list of ellipses, got {items!r}")
+    known = [f.name for f in fields(Ellipse)]
+    required = [f.name for f in fields(Ellipse) if f.default is MISSING]
+    out = []
+    for i, e in enumerate(items):
+        where = f"{key}[{i}]"
+        if not isinstance(e, dict):
+            raise PhantomSpecError(f"{where} must be an object, got {e!r}")
+        _check_keys(e, where + ".", known, required)
+        out.append(Ellipse(**{k: read_number(v, f"{where}.{k}") for k, v in e.items()}))
+    return out
+
+
+def _read_phase(coeffs) -> np.ndarray | None:
+    if coeffs is None:
+        return None
+    try:
+        c = np.asarray(coeffs, dtype=float)
+    except (TypeError, ValueError):
+        c = None
+    if c is None or c.ndim != 2 or not np.isfinite(c).all():
+        raise PhantomSpecError(f"phase_coeffs must be a 2-D array of finite numbers (row i, column "
+                               f"j weighs y**i * x**j), got {coeffs!r}")
+    return c
 
 
 def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
@@ -77,10 +136,13 @@ def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
     return (u / e.ax) ** 2 + (v / e.ay) ** 2 <= 1.0
 
 
-def _check_in_fov(e: Ellipse) -> None:
+def _check_ellipse(e: Ellipse, where: str) -> None:
+    for axis in ("ay", "ax"):
+        if not getattr(e, axis) > 0:
+            raise PhantomSpecError(f"{where}.{axis} must be positive, got {getattr(e, axis)}")
     reach = max(abs(e.cy) + max(e.ay, e.ax), abs(e.cx) + max(e.ay, e.ax))
     if reach > 1.0 + 1e-9:
-        raise PhantomSpecError(f"ellipse extends outside the field of view: {e}")
+        raise PhantomSpecError(f"{where} extends outside the field of view: {e}")
 
 
 def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,18 +150,21 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     n = spec.size
     if n < 1:
         raise PhantomSpecError(f"size must be at least 1, got {n}")
+    if spec.wm_index is not None and not 0 <= spec.wm_index < len(spec.ellipses):
+        raise PhantomSpecError(f"wm_index must index one of the {len(spec.ellipses)} ellipses, "
+                               f"got {spec.wm_index}")
     mag = np.zeros((n, n), dtype=np.float64)
     wm_mask = np.zeros((n, n), dtype=bool)
     lesion_mask = np.zeros((n, n), dtype=bool)
 
     for i, e in enumerate(spec.ellipses):
-        _check_in_fov(e)
+        _check_ellipse(e, f"ellipses[{i}]")
         inside = _ellipse_mask(e, n)
         mag[inside] += e.intensity
-        if spec.wm_index is not None and i == spec.wm_index:
+        if i == spec.wm_index:
             wm_mask = inside
-    for e in spec.lesions:
-        _check_in_fov(e)
+    for i, e in enumerate(spec.lesions):
+        _check_ellipse(e, f"lesions[{i}]")
         inside = _ellipse_mask(e, n)
         mag[inside] += e.intensity
         lesion_mask |= inside
@@ -167,10 +232,6 @@ class DatasetRecord:
     @property
     def shape(self):
         return self.reference.shape
-
-    @property
-    def n_coils(self) -> int:
-        return self.maps.shape[0]
 
 
 def simulate_acquisition(image: np.ndarray, maps: np.ndarray, mask: SamplingMask,

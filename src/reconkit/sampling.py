@@ -111,8 +111,8 @@ def equidistant1d_mask(h: int, w: int, acceleration: int = 4, center_frac: float
     _check_grid(h, w)
     if not 2 <= acceleration < np.inf or int(acceleration) != acceleration:
         raise ValueError(f"acceleration must be a finite integer >= 2, got {acceleration}")
-    if center_frac >= 1:
-        raise ValueError(f"center_frac must be < 1, got {center_frac}")
+    if not 0 <= center_frac < 1:
+        raise ValueError(f"center_frac must be in [0, 1), got {center_frac}")
     acceleration = int(acceleration)
 
     n_center = int(round(center_frac * w))
@@ -320,8 +320,8 @@ class MaskReport:
         self.width = w
         self.seed = mask.seed
         self.requested_acceleration = mask.requested_acceleration
-        self.n_kept = int(keep.sum())
-        self.achieved_acceleration = keep.size / self.n_kept
+        self.n_kept = mask.n_kept
+        self.achieved_acceleration = mask.achieved_acceleration
         self.density_y = keep.mean(axis=1)   # marginal along ky (rows)
         self.density_x = keep.mean(axis=0)   # marginal along kx (columns)
         # ACS extent: longest fully sampled run through the center, per axis

@@ -340,11 +340,16 @@ def evaluate(methods: Sequence[MethodSpec], records: Sequence[DatasetRecord],
 
     Returns per-record rows plus one "mean" summary row per method carrying
     the cohort-relative weighted average.  With `timing` off, wall_ms is
-    written as zero so repeated runs are byte-identical.
+    written as zero so repeated runs are byte-identical.  Two methods with
+    one name are a ValueError: their rows could not be told apart.
     """
     methods = list(methods)
     if not any(m.name == "zerofill" for m in methods):
         methods.insert(0, method_zero_filled())
+    names = [m.name for m in methods]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"two methods are named {name!r}")
 
     rows: list[dict] = []
     for rid, rec in enumerate(records):
@@ -369,15 +374,15 @@ def evaluate(methods: Sequence[MethodSpec], records: Sequence[DatasetRecord],
                 "wall_ms": wall_ms,
             })
 
-    rows.extend(summarize_rows(rows, [m.name for m in methods], dataset_name))
+    rows.extend(summarize_rows(rows, dataset_name))
     return rows
 
 
-def summarize_rows(rows: list[dict], method_names: Sequence[str], dataset_name: str) -> list[dict]:
-    """Per-method mean rows with the cohort-relative weighted average."""
+def summarize_rows(rows: list[dict], dataset_name: str) -> list[dict]:
+    """Per-method mean rows, in the order of `rows`, with the cohort-relative weighted average."""
     summary = []
     cohort = []
-    for name in method_names:
+    for name in dict.fromkeys(r["method"] for r in rows):
         sub = [r for r in rows if r["method"] == name and r["id"] != "mean"]
         means = {}
         for key in ("acc", "ssim", "psnr_db", "cr", "wmn", "bgn", "snr", "wall_ms"):

@@ -101,6 +101,38 @@ def write_bad_typed_file(row, path, record) -> None:
         containers.write_container(path, kind, meta, arrays)
 
 
+_DISC = {"cy": 0, "cx": 0, "ay": 0.5, "ax": 0.5}
+
+# malformed phantom spec files, each with the start of the PhantomSpecError that
+# PhantomSpec.from_dict or make_phantom must raise for it
+BAD_PHANTOM_SPECS = {
+    "not_an_object": ([16], "a phantom spec must be an object"),
+    "no_size": ({"ellipses": []}, "size is missing"),
+    "size_text": ({"size": "big"}, "size must be an integer"),
+    "size_fraction": ({"size": 16.5}, "size must be an integer"),
+    "unknown_field": ({"size": 16, "elipses": []}, "elipses is not a field"),
+    "ellipses_not_a_list": ({"size": 16, "ellipses": _DISC}, "ellipses must be a list"),
+    "ellipse_not_an_object": ({"size": 16, "ellipses": [1]}, "ellipses[0] must be an object"),
+    "ellipse_without_ax": ({"size": 16, "ellipses": [{"cy": 0, "cx": 0, "ay": 0.5}]},
+                           "ellipses[0].ax is missing"),
+    "ellipse_unknown_field": ({"size": 16, "ellipses": [{**_DISC, "r": 1}]},
+                              "ellipses[0].r is not a field"),
+    "ellipse_cy_text": ({"size": 16, "ellipses": [{**_DISC, "cy": "0"}]},
+                        "ellipses[0].cy must be a finite number"),
+    "ellipse_ay_0": ({"size": 16, "ellipses": [{**_DISC, "ay": 0}]},
+                     "ellipses[0].ay must be positive"),
+    "lesion_ax_negative": ({"size": 16, "lesions": [{**_DISC, "ax": -0.1}]},
+                           "lesions[0].ax must be positive"),
+    "phase_coeffs_1d": ({"size": 16, "phase_coeffs": [1, 2]}, "phase_coeffs must be"),
+    "phase_coeffs_ragged": ({"size": 16, "phase_coeffs": [[1, 2], [3]]}, "phase_coeffs must be"),
+    "wm_index_outside": ({"size": 16, "ellipses": [_DISC], "wm_index": 7},
+                         "wm_index must index"),
+    "wm_index_fraction": ({"size": 16, "ellipses": [_DISC], "wm_index": 0.5},
+                          "wm_index must be an integer"),
+    "seed_text": ({"size": 16, "seed": "1"}, "seed must be an integer"),
+}
+
+
 def rel_error(a, b):
     denom = np.linalg.norm(np.asarray(b).ravel())
     if denom == 0:

@@ -1,17 +1,29 @@
 """CLI surface: pipeline wiring, determinism, exit codes, config merging."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconkit import containers, sampling
-from reconkit.cli import main
-from reconkit.networks import MODEL_KINDS, build_model
-from reconkit.phantom import default_brain_spec, make_phantom
+from reconkit import containers, sampling, training
+from reconkit.autodiff import ParameterStore
+from reconkit.cli import build_parser, main
+from reconkit.networks import MODEL_KINDS, CascadeConfig, RimCellConfig, build_model
+from reconkit.phantom import PhantomSpec, default_brain_spec, make_phantom
 
-from conftest import (BAD_MODEL_CONFIGS, BAD_TYPED_FILES, poison_adam_step,
+from conftest import (BAD_MODEL_CONFIGS, BAD_PHANTOM_SPECS, BAD_TYPED_FILES, poison_adam_step,
                       set_container_header, write_bad_typed_file)
+
+
+# every malformed spec, and the brain-family files that `phantom gen` itself rejects
+BAD_SPEC_FILES = {
+    **BAD_PHANTOM_SPECS,
+    "family_size_text": ({"family": "brain", "size": "big"}, "size must be an integer"),
+    "family_unknown_option": ({"family": "brain", "lesions": 3},
+                              "lesions is not an option of the brain family"),
+}
 
 
 def run(argv):
@@ -74,6 +86,76 @@ class TestExitCodes:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: " + name)
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, flag, value", [
+        ("zerofill", "--alpha", "7"), ("zerofill", "--iters", "5"), ("cirim.cks", "--alpha", "0.01"),
+    ])
+    def test_cs_flag_beside_another_method_exits_one(self, tmp_path, capsys, small_record,
+                                                     model, flag, value):
+        rec, out = tmp_path / "rec.cks", tmp_path / "r.pgm"
+        containers.write_record(rec, small_record)
+        assert run(["recon", "--model", model, "--in", str(rec), flag, value,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {flag} is an option of --model cs only")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods, name", [("a/cirim.cks,b/cirim.cks", "cirim"),
+                                               ("cs,zerofill,cs", "cs")])
+    def test_eval_of_two_methods_with_one_name_exits_one(self, tmp_path, capsys, small_record,
+                                                         methods, name):
+        rec, out = tmp_path / "rec.cks", tmp_path / "r.csv"
+        containers.write_record(rec, small_record)
+        model = build_model("cirim", cell=RimCellConfig(channels=2, iterations=1),
+                            cascade=CascadeConfig(n_cascades=1))
+        store = ParameterStore()
+        model.init_params(store, 0)
+        for d in ("a", "b"):        # one model under one file name in two directories
+            (tmp_path / d).mkdir()
+            training.save_trained(tmp_path / d / "cirim.cks", model, store.copy_values())
+        methods = ",".join(m if m in ("cs", "zerofill") else str(tmp_path / m)
+                           for m in methods.split(","))
+        assert run(["eval", "--methods", methods, "--data", str(rec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: two methods are named {name!r}")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_simulate_of_an_empty_directory_exits_one(self, tmp_path, capsys):
+        empty, mask, out = tmp_path / "empty", tmp_path / "m.cks", tmp_path / "records"
+        empty.mkdir()
+        assert run(["mask", "gen", "--kind", "full", "--size", "8x8", "--out", str(mask)]) == 0
+        capsys.readouterr()
+        assert run(["simulate", "--phantom", str(empty), "--mask", str(mask),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: no records found under {empty}")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", sorted(BAD_SPEC_FILES))
+    def test_malformed_spec_file_exits_one(self, tmp_path, capsys, row):
+        spec, message = BAD_SPEC_FILES[row]
+        path, out = tmp_path / "spec.json", tmp_path / "ph"
+        path.write_text(json.dumps(spec))
+        assert run(["phantom", "gen", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PhantomSpecError: " + message)
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--size", "32"), ("--lesions", "1"),
+                                             ("--jitter", "0.1")])
+    def test_family_flag_beside_a_full_spec_exits_one(self, tmp_path, capsys, flag, value):
+        path, out = tmp_path / "spec.json", tmp_path / "ph"
+        path.write_text(json.dumps({"size": 16, "ellipses": [{"cy": 0, "cx": 0, "ay": 0.5,
+                                                              "ax": 0.5}]}))
+        assert run(["phantom", "gen", "--spec", str(path), flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {flag} is not an option of a full --spec")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
@@ -259,10 +341,15 @@ class TestPipeline:
         (["phantom", "gen", "--lesions", "-1"], "PhantomSpecError: n_lesions"),
         (["phantom", "gen", "--jitter", "nan"], "PhantomSpecError: jitter"),
         (["phantom", "gen", "--jitter", "-0.1"], "PhantomSpecError: jitter"),
+        (["mask", "gen", "--kind", "equidistant1d", "--size", "16x16", "--center-frac", "nan"],
+         "ValueError: center_frac"),
+        (["mask", "gen", "--kind", "equidistant1d", "--size", "16x16", "--center-frac", "-0.5"],
+         "ValueError: center_frac"),
     ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
             "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
             "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf", "pools_too_deep",
-            "size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_negative"])
+            "size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_negative",
+            "center_frac_nan", "center_frac_negative"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
         # the defaults come first, so the case's own flags win
@@ -372,6 +459,24 @@ class TestPipeline:
         assert (tmp_path / "ph" / "phantom_0000.cks").read_bytes() == \
             (tmp_path / "ref.cks").read_bytes()
 
+    def test_spec_files_make_the_library_phantoms(self, tmp_path):
+        full = {"size": 16, "ellipses": [{"cy": 0, "cx": 0, "ay": 0.6, "ax": 0.5, "angle": 0.2}],
+                "lesions": [{"cy": 0.1, "cx": 0, "ay": 0.1, "ax": 0.1, "intensity": 0.2}],
+                "wm_index": 0, "phase_coeffs": [[0, 0.5, 0], [0.3, 0, 0], [0, 0, 0]]}
+        family = {"family": "brain", "size": 16, "n_lesions": 1, "jitter": 0.01}
+        # a family file fills the options no flag gives, so --size wins over its size
+        for spec, flags, expected in (
+                (full, [], PhantomSpec.from_dict({**full, "seed": 5})),
+                (family, ["--size", "32"], default_brain_spec(32, seed=5, n_lesions=1,
+                                                              jitter=0.01))):
+            path, out, ref = tmp_path / "spec.json", tmp_path / "ph", tmp_path / "ref.cks"
+            path.write_text(json.dumps(spec))
+            assert run(["phantom", "gen", "--spec", str(path), "--seed", "5", *flags,
+                        "--out", str(out)]) == 0
+            containers.write_phantom(ref, *make_phantom(expected),
+                                     meta={"spec": expected.to_dict(), "seed": 5})
+            assert (out / "phantom_0000.cks").read_bytes() == ref.read_bytes()
+
     def test_phantom_gen_jobs_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(["phantom", "gen", "--out", str(a), "--count", "3", "--seed", "1",
@@ -478,3 +583,15 @@ class TestHelp:
         with pytest.raises(SystemExit):
             run(["recon", "--help"])
         assert "0.005" in capsys.readouterr().out
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["reconkit"]]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])     # argparse exits 2 on a flag it does not know

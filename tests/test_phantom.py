@@ -6,7 +6,7 @@ import pytest
 from reconkit import metrics, mri, phantom, sampling
 from reconkit.phantom import Ellipse, PhantomSpec
 
-from conftest import rel_error
+from conftest import BAD_PHANTOM_SPECS, rel_error
 
 
 class TestMakePhantom:
@@ -57,11 +57,27 @@ class TestMakePhantom:
         (lambda: phantom.default_brain_spec(16, jitter=float("nan")), "jitter"),
         (lambda: phantom.default_brain_spec(16, jitter=float("inf")), "jitter"),
         (lambda: phantom.default_brain_spec(16, jitter=-0.01), "jitter"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.0)])),
+         r"ellipses\[0\]\.ax"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=8, lesions=[Ellipse(0, 0, -0.1, 0.1)])),
+         r"lesions\[0\]\.ay"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.5)],
+                                                  wm_index=1)), "wm_index"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.5)],
+                                                  wm_index=-1)), "wm_index"),
     ], ids=["size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_inf",
-            "jitter_negative"])
+            "jitter_negative", "ellipse_ax_0", "lesion_ay_negative", "wm_index_past_end",
+            "wm_index_negative"])
     def test_undrawable_spec_names_its_field(self, make, field):
         with pytest.raises(phantom.PhantomSpecError, match=f"^{field} "):
             make()
+
+    @pytest.mark.parametrize("row", sorted(BAD_PHANTOM_SPECS))
+    def test_malformed_spec_dict_names_its_field(self, row):
+        d, message = BAD_PHANTOM_SPECS[row]
+        with pytest.raises(phantom.PhantomSpecError) as err:
+            phantom.make_phantom(PhantomSpec.from_dict(d))
+        assert str(err.value).startswith(message)
 
     def test_phase_model_applied(self):
         coeffs = np.zeros((3, 3))

@@ -92,8 +92,9 @@ class TestEquidistant1d:
         assert all(0 <= o < 8 for o in offs)
 
     def test_center_frac_bound(self):
-        with pytest.raises(ValueError):
-            sampling.equidistant1d_mask(8, 16, center_frac=1.0)
+        for frac in (1.0, float("nan"), -0.5, -float("inf")):
+            with pytest.raises(ValueError, match="^center_frac"):
+                sampling.equidistant1d_mask(8, 16, center_frac=frac)
 
 
 def _reference_select(h, w, scale, radius_offset, acs, order):
