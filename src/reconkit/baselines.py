@@ -113,13 +113,14 @@ def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
     return mri.adjoint_op(y, maps, mask)
 
 
-# the CS working point: l1-wavelet weight and iteration cap
+# the CS working point: l1-wavelet weight, iteration cap and wavelet levels
 CS_ALPHA = 0.005
 CS_MAX_ITER = 60
+CS_LEVELS = 3
 
 
 def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
-                 max_iter: int = CS_MAX_ITER, levels: int = 3, tol: float = 1e-6,
+                 max_iter: int = CS_MAX_ITER, tol: float = 1e-6,
                  history: list | None = None) -> np.ndarray:
     """Monotone FISTA for the l1-wavelet regularized reconstruction.
 
@@ -128,20 +129,17 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
     `history` to collect the objective value per iteration.  An iteration
     runs the forward operator once, on the candidate: its residual serves
     the objective and, combined like the images, the next gradient.
-    `alpha` must be finite and non-negative, `max_iter` and `levels`
-    non-negative.
+    `alpha` must be finite and non-negative, `max_iter` non-negative.
     """
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
-    if levels < 0:
-        raise ValueError(f"levels must be non-negative, got {levels}")
 
     def objective(x, r):
         f = 0.5 * float(np.sum(np.abs(r) ** 2))
         if alpha > 0:
-            f += alpha * _wavelet_l1(x, levels)
+            f += alpha * _wavelet_l1(x, CS_LEVELS)
         return f
 
     def residual(x):
@@ -159,7 +157,7 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
     cand_prev = None
     for _ in range(max_iter):
         u = z - mri.adjoint_op(r_z, maps, mask)   # unit step: ||A|| <= 1 by construction
-        cand = _wavelet_shrink(u, alpha, levels) if alpha > 0 else u
+        cand = _wavelet_shrink(u, alpha, CS_LEVELS) if alpha > 0 else u
         r_cand = residual(cand)
         f_cand = objective(cand, r_cand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))

@@ -179,9 +179,6 @@ def cmd_simulate(args) -> int:
     src = Path(args.phantom)
     paths = _records_in(src)
     out = Path(args.out)
-    many = len(paths) > 1
-    if many:
-        out.mkdir(parents=True, exist_ok=True)
     maps = None
     for i, p in enumerate(paths):
         image, lesion_mask, wm_mask, _meta = containers.read_phantom(p)
@@ -189,7 +186,10 @@ def cmd_simulate(args) -> int:
             maps = make_coils(args.coils, *image.shape)
         rec = simulate_acquisition(image, maps, mask, args.sigma, args.seed + i,
                                    lesion_mask=lesion_mask, wm_mask=wm_mask)
-        dest = out / f"record_{i:04d}.cks" if many else out
+        # a directory of phantoms gives a directory of records, however many it holds;
+        # it is made once a record is simulated, so a bad flag leaves none
+        dest = out / f"record_{i:04d}.cks" if src.is_dir() else out
+        dest.parent.mkdir(parents=True, exist_ok=True)
         containers.write_record(dest, rec)
     print(f"wrote {len(paths)} record(s) to {out}")
     return 0
@@ -203,23 +203,24 @@ def cmd_train(args) -> int:
     val_records = records[:n_val]
     train_records = records[n_val:]
 
-    # a flag left out is the model kind's value, or its config's default
-    cascade = CascadeConfig(n_cascades=args.cascades, dc_weight_init=args.dc_weight,
-                            explicit_dc=None if args.dc is None else args.dc == "explicit")
-    channels = _given(channels=args.channels)
-    if MODEL_KINDS[args.model].unit is None:
-        model = build_model(args.model, cascade=cascade,
-                            unet=UnetConfig(pools=args.pools, **channels))
-        if not model.cascade.explicit_dc:
-            raise ValueError(f"{args.model} has no gradient input, so it needs --dc explicit")
-    else:
-        try:
-            kernels = tuple(int(k) for k in args.kernels.split(","))
-        except ValueError:
-            raise ValueError(f"--kernels must be ints like 5,3,3, got {args.kernels!r}") from None
-        model = build_model(args.model, cascade=cascade,
-                            cell=RimCellConfig(kernel_sizes=kernels, iterations=args.iterations,
-                                               **channels))
+    # a flag left out is the kind's value or the config's default; a section goes to
+    # build_model only with a flag of its own, so build_model names one the kind lacks
+    try:
+        kernels = None if args.kernels is None else tuple(int(k) for k in args.kernels.split(","))
+    except ValueError:
+        raise ValueError(f"--kernels must be ints like 5,3,3, got {args.kernels!r}") from None
+    cascade = _given(n_cascades=args.cascades, dc_weight_init=args.dc_weight,
+                     explicit_dc=None if args.dc is None else args.dc == "explicit")
+    cell = _given(kernel_sizes=kernels, iterations=args.iterations)
+    unet = _given(pools=args.pools)
+    hidden = cell if "cell" in vars(build_model(args.model)) else unet  # takes --channels
+    hidden.update(_given(channels=args.channels))
+    model = build_model(args.model, cascade=CascadeConfig(**cascade),
+                        cell=RimCellConfig(**cell) if cell else None,
+                        unet=UnetConfig(**unet) if unet else None)
+    if args.dc_weight is not None and not model.cascade.explicit_dc:
+        raise ValueError(f"--dc-weight is an option of explicit DC only; this {args.model} "
+                         f"has implicit DC")
 
     cfg = training.TrainConfig(lr=args.lr, loss=args.loss, dtype=args.dtype,
                                max_steps=args.steps)
@@ -254,7 +255,11 @@ def _build_method(desc: str, **cs_options) -> training.MethodSpec:
         return training.method_zero_filled()
     if desc == "cs":
         return training.method_cs(**cs_options)
-    return training.method_checkpoint(desc, name=Path(desc).stem)
+    name = Path(desc).stem
+    if name in ("zerofill", "cs"):
+        raise ValueError(f"checkpoint {desc} would be reported as the {name} baseline; "
+                         f"rename the file")
+    return training.method_checkpoint(desc, name=name)
 
 
 def _eval_worker(payload):
@@ -361,16 +366,17 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")
     tr.add_argument("--cascades", type=int, default=None,
                     help="cascade count (defaults: " + _per_kind(lambda d: d.n_cascades) + ")")
-    tr.add_argument("--iterations", type=int, default=RimCellConfig.iterations,
-                    help="unrolled iterations per block")
+    tr.add_argument("--iterations", type=int, default=None,
+                    help=f"unrolled iterations (library default: {RimCellConfig.iterations})")
     tr.add_argument("--channels", type=int, default=None,
                     help=f"hidden channels (defaults: {RimCellConfig.channels} for the "
                          f"recurrent kinds, {UnetConfig.channels} for varnet)")
-    tr.add_argument("--kernels", default=",".join(map(str, RimCellConfig.kernel_sizes)),
-                    help="RIM conv kernel sizes")
-    tr.add_argument("--pools", type=int, default=UnetConfig.pools, help="varnet pooling depth")
-    tr.add_argument("--dc-weight", type=float, default=CascadeConfig.dc_weight_init,
-                    help="explicit DC weight init")
+    tr.add_argument("--kernels", default=None, help="RIM conv kernel sizes (library default: "
+                    + ",".join(map(str, RimCellConfig.kernel_sizes)) + ")")
+    tr.add_argument("--pools", type=int, default=None,
+                    help=f"varnet pooling depth (library default: {UnetConfig.pools})")
+    tr.add_argument("--dc-weight", type=float, default=None,
+                    help=f"soft-DC weight init (library default: {CascadeConfig.dc_weight_init})")
     tr.add_argument("--lr", type=float, default=training.TrainConfig.lr,
                     help="ADAM learning rate")
     tr.add_argument("--loss", choices=training.CONFIG_CHOICES["loss"],

@@ -90,12 +90,14 @@ def run_variants(models: dict, data: DeskDataset, steps: int, train_seed: int,
     """Train each named model for `steps` steps, then score it next to zerofill and CS."""
     if not data.test:
         raise training.TrainingError("need at least one test record")
+    fixed = [training.method_zero_filled(), training.method_cs()]
+    training.check_method_names([m.name for m in fixed] + list(models))   # before any training
     epochs = int(np.ceil(steps / max(1, len(data.train)))) + 1
     cfg = training.TrainConfig(loss="cirim", dtype="float32", max_steps=steps)
     results = {name: training.train(model, data.train, data.val, epochs, train_seed, cfg)
                for name, model in models.items()}
-    methods = [training.method_zero_filled(), training.method_cs()] + [
-        training.method_model(name, model, results[name].store) for name, model in models.items()]
+    methods = fixed + [training.method_model(name, model, results[name].store)
+                       for name, model in models.items()]
     size = data.test[0].reference.shape[-1]
     rows = training.evaluate(methods, data.test, dataset_name=f"desk{size}", timing=timing)
     return DeskRunResult(

@@ -315,9 +315,9 @@ class CirimModel(CascadeModel):
 # variational cascade baseline
 # ---------------------------------------------------------------------------
 
-def init_unet(store: ParameterStore, rng, prefix: str, cfg: UnetConfig, c_in: int = 2) -> None:
+def init_unet(store: ParameterStore, rng, prefix: str, cfg: UnetConfig) -> None:
     ch = cfg.channels
-    cur = c_in
+    cur = 2     # in and out: the two-channel image
     for i in range(cfg.pools):
         out = ch << i
         _init_conv(store, rng, f"{prefix}enc{i}a", cur, out, 3)
@@ -331,7 +331,7 @@ def init_unet(store: ParameterStore, rng, prefix: str, cfg: UnetConfig, c_in: in
         _init_conv(store, rng, f"{prefix}dec{i}a", below + skip, skip, 3)
         _init_conv(store, rng, f"{prefix}dec{i}b", skip, skip, 3)
         below = skip
-    _init_conv(store, rng, f"{prefix}out", ch, c_in, 1, gain=0.1)
+    _init_conv(store, rng, f"{prefix}out", ch, 2, 1, gain=0.1)
 
 
 def unet_forward(x, params, prefix: str, cfg: UnetConfig):
@@ -392,14 +392,16 @@ def build_model(kind: str, cell: RimCellConfig | None = None,
                 unet: UnetConfig | None = None):
     """A model of `kind`; a config or config field left out is the kind's (MODEL_KINDS).
 
-    A config section the kind does not use raises a ConfigError naming it.
+    A config section the kind does not use, or a VarNet without explicit DC (it has
+    no gradient input), raises a ConfigError naming it.
     """
     unused, given = ("cell", cell) if kind == "varnet" else ("unet", unet)
     if given is not None:
         raise ConfigError(f"config section {unused!r} is not used by a {kind} model")
-    if kind == "varnet":
-        return VarnetModel(unet, cascade)
-    return CirimModel(cell, cascade, kind=kind)
+    model = VarnetModel(unet, cascade) if kind == "varnet" else CirimModel(cell, cascade, kind)
+    if kind == "varnet" and not model.cascade.explicit_dc:
+        raise ConfigError("config field 'cascade.explicit_dc' must be true for a varnet model")
+    return model
 
 
 def _fits(value, default) -> bool:

@@ -17,6 +17,8 @@ import numpy as np
 from . import mri
 from .mri import SamplingMask
 
+COIL_PROFILE_WIDTH = 0.9    # a coil's Gaussian width, per unit of the grid's shorter side
+
 
 class PhantomSpecError(ValueError):
     """Invalid phantom geometry (e.g. an ellipse leaves the field of view)."""
@@ -174,22 +176,27 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         phase = np.zeros((n, n))
     else:
         c = np.asarray(spec.phase_coeffs, dtype=float)
+        # the nonzero terms row by row, as (i, j) for c[i, j] * y**i * x**j
+        terms = [(int(i), int(j)) for i, j in zip(*np.nonzero(c))]
+        high = [(i, j) for i, j in terms if i + j > 2]
+        if high:
+            i, j = high[0]
+            raise PhantomSpecError(f"phase_coeffs[{i}][{j}] weighs a term of degree {i + j}; "
+                                   f"the phase is a polynomial of degree 2 at most")
         coords = (np.arange(n) - n / 2.0) / (n / 2.0)
         yy, xx = np.meshgrid(coords, coords, indexing="ij")
         phase = np.zeros((n, n))
-        for i in range(min(3, c.shape[0])):
-            for j in range(min(3, c.shape[1])):
-                if i + j <= 2 and c[i, j] != 0:
-                    phase += c[i, j] * yy ** i * xx ** j
+        for i, j in terms:
+            phase += c[i, j] * yy ** i * xx ** j
 
     image = mag * np.exp(1j * phase)
     return image, lesion_mask, wm_mask
 
 
-def make_coils(n_coils: int, h: int, w: int, profile_width: float = 0.9) -> np.ndarray:
+def make_coils(n_coils: int, h: int, w: int) -> np.ndarray:
     """Analytic sensitivity maps, normalized so sum_i |S_i|^2 == 1 pixelwise.
 
-    Coils are Gaussian profiles (width = profile_width * min(h, w) pixels)
+    Coils are Gaussian profiles (width = COIL_PROFILE_WIDTH * min(h, w) pixels)
     centered at equal angles on a ring just outside the grid, each with a
     smooth linear phase ramp pointing at its center.
     """
@@ -201,7 +208,7 @@ def make_coils(n_coils: int, h: int, w: int, profile_width: float = 0.9) -> np.n
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     ring = 0.6 * max(h, w)
-    width = profile_width * min(h, w)
+    width = COIL_PROFILE_WIDTH * min(h, w)
 
     maps = np.empty((n_coils, h, w), dtype=np.complex128)
     for i in range(n_coils):

@@ -28,6 +28,9 @@ _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 # its memory; larger windows test more candidates an earlier window would
 # have rejected, smaller ones take more Python steps
 _PAIRS_PER_WINDOW = 1 << 15
+POISSON_RADIUS_OFFSET = 0.05   # the Poisson-disc radius at the centre, per unit scale
+POISSON_TOL = 0.05             # the relative miss of the target count calibration accepts
+POISSON_MAX_BISECTIONS = 50
 
 
 class MaskBudgetError(ValueError):
@@ -235,68 +238,62 @@ def _poisson_scale_estimate(h: int, w: int, radius_offset: float, target: float)
 
 
 def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 0.02,
-                   seed: int = 0, radius_offset: float = 0.05, tol: float = 0.05,
-                   max_bisections: int = 50) -> SamplingMask:
+                   seed: int = 0) -> SamplingMask:
     """Variable-density Poisson-disc mask calibrated to the target density."""
     _check_grid(h, w)
     if not 1 < acceleration < np.inf:
         raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 <= acs_frac < 1:
         raise ValueError(f"acs_frac must be in [0, 1), got {acs_frac}")
-    if not radius_offset > 0:
-        raise ValueError(f"radius_offset must be positive, got {radius_offset}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     acs = acs_ellipse(h, w, acs_frac)
     target = h * w / acceleration
-    if acs.sum() > target * (1 + tol):
+    if acs.sum() > target * (1 + POISSON_TOL):
         raise MaskBudgetError(
             f"ACS ellipse holds {int(acs.sum())} samples, above the {acceleration}x budget"
         )
     order = np.random.default_rng(seed).permutation(h * w)
 
     def count(scale: float) -> tuple[int, np.ndarray]:
-        keep = _poisson_disc_select(h, w, scale, radius_offset, acs, order)
+        keep = _poisson_disc_select(h, w, scale, POISSON_RADIUS_OFFSET, acs, order)
         return int(keep.sum()), keep
+
+    def bracket(scale: float, factor: float, short) -> tuple[float, int, np.ndarray]:
+        """`scale` times `factor`, up to 8 times, until its count is no longer `short`."""
+        n, keep = count(scale)
+        for _ in range(8):
+            if not short(n):
+                break
+            scale *= factor
+            n, keep = count(scale)
+        return scale, n, keep
+
+    def nearer(best: tuple, scale: float, n: int, keep: np.ndarray) -> tuple:
+        err = abs(n - target) / target      # best: (miss, scale, mask); a tie keeps the first
+        return best if best[0] <= err else (err, scale, keep)
 
     # bracket the radius scale around a packing-density estimate, then
     # bisect; kept count decreases monotonically with the scale
-    est = _poisson_scale_estimate(h, w, radius_offset, target)
-    lo, hi = est / 1.4, est * 1.4
-    n_lo, keep_lo = count(lo)
-    grow = 0
-    while n_lo < target and grow < 8:
-        lo /= 2.0
-        n_lo, keep_lo = count(lo)
-        grow += 1
-    n_hi, keep_hi = count(hi)
-    grow = 0
-    while n_hi > target and grow < 8:
-        hi *= 2.0
-        n_hi, keep_hi = count(hi)
-        grow += 1
+    est = _poisson_scale_estimate(h, w, POISSON_RADIUS_OFFSET, target)
+    lo, n_lo, keep_lo = bracket(est / 1.4, 0.5, lambda n: n < target)
+    hi, n_hi, keep_hi = bracket(est * 1.4, 2.0, lambda n: n > target)
     if n_lo < target or n_hi > target:
         raise MaskCalibrationError(
             f"cannot bracket target density {target:.0f} (got {n_lo}..{n_hi})"
         )
-
-    best_keep, best_scale, best_err = keep_lo, lo, abs(n_lo - target) / target
-    if abs(n_hi - target) / target < best_err:
-        best_keep, best_scale, best_err = keep_hi, hi, abs(n_hi - target) / target
-    for _ in range(max_bisections):
-        if best_err <= tol:
+    best = nearer(nearer((np.inf, None, None), lo, n_lo, keep_lo), hi, n_hi, keep_hi)
+    for _ in range(POISSON_MAX_BISECTIONS):
+        if best[0] <= POISSON_TOL:
             break
         mid = 0.5 * (lo + hi)
         n_mid, keep_mid = count(mid)
-        err = abs(n_mid - target) / target
-        if err < best_err:
-            best_keep, best_scale, best_err = keep_mid, mid, err
+        best = nearer(best, mid, n_mid, keep_mid)
         if n_mid > target:
             lo = mid
         else:
             hi = mid
-    if best_err > tol:
+    best_err, best_scale, best_keep = best
+    if best_err > POISSON_TOL:
         raise MaskCalibrationError(
             f"calibration stalled at {best_err:.1%} from the {acceleration}x target"
         )
@@ -304,8 +301,8 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
     return SamplingMask(
         best_keep.astype(np.float64), kind="poisson2d",
         requested_acceleration=float(acceleration), seed=seed,
-        extra={"acs_frac": acs_frac, "radius_offset": radius_offset, "tolerance": tol,
-               "scale": best_scale},
+        extra={"acs_frac": acs_frac, "radius_offset": POISSON_RADIUS_OFFSET,
+               "tolerance": POISSON_TOL, "scale": best_scale},
     )
 
 
@@ -322,8 +319,6 @@ class MaskReport:
         self.requested_acceleration = mask.requested_acceleration
         self.n_kept = mask.n_kept
         self.achieved_acceleration = mask.achieved_acceleration
-        self.density_y = keep.mean(axis=1)   # marginal along ky (rows)
-        self.density_x = keep.mean(axis=0)   # marginal along kx (columns)
         # ACS extent: longest fully sampled run through the center, per axis
         self.acs_extent_y = _center_run(keep[:, w // 2])
         self.acs_extent_x = _center_run(keep[h // 2, :])

@@ -334,6 +334,13 @@ def _safe(metric_fn, *args):
         return None
 
 
+def check_method_names(names: Sequence[str]) -> None:
+    """Two methods with one name are a ValueError: their rows could not be told apart."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"two methods are named {name!r}")
+
+
 def evaluate(methods: Sequence[MethodSpec], records: Sequence[DatasetRecord],
              dataset_name: str = "phantoms", timing: bool = True) -> list[dict]:
     """Score every method on every record; zero-filled is always included.
@@ -341,15 +348,12 @@ def evaluate(methods: Sequence[MethodSpec], records: Sequence[DatasetRecord],
     Returns per-record rows plus one "mean" summary row per method carrying
     the cohort-relative weighted average.  With `timing` off, wall_ms is
     written as zero so repeated runs are byte-identical.  Two methods with
-    one name are a ValueError: their rows could not be told apart.
+    one name are a ValueError (`check_method_names`).
     """
     methods = list(methods)
     if not any(m.name == "zerofill" for m in methods):
         methods.insert(0, method_zero_filled())
-    names = [m.name for m in methods]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"two methods are named {name!r}")
+    check_method_names([m.name for m in methods])
 
     rows: list[dict] = []
     for rid, rec in enumerate(records):

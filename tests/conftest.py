@@ -72,6 +72,8 @@ BAD_MODEL_CONFIGS = {
     "n_cascades_a_string": ({"kind": "cirim", "cascade": {"n_cascades": "2"}},
                             "'cascade.n_cascades'"),
     "cell_on_a_varnet": ({"kind": "varnet", "cell": {"channels": 4}}, "'cell'"),
+    "varnet_without_dc": ({"kind": "varnet", "cascade": {"explicit_dc": False}},
+                          "'cascade.explicit_dc'"),
 }
 
 
@@ -125,6 +127,10 @@ BAD_PHANTOM_SPECS = {
                            "lesions[0].ax must be positive"),
     "phase_coeffs_1d": ({"size": 16, "phase_coeffs": [1, 2]}, "phase_coeffs must be"),
     "phase_coeffs_ragged": ({"size": 16, "phase_coeffs": [[1, 2], [3]]}, "phase_coeffs must be"),
+    "phase_coeffs_cubic": ({"size": 16, "phase_coeffs": [[0, 0, 0, 5]]},
+                           "phase_coeffs[0][3] weighs a term of degree 3"),
+    "phase_coeffs_xy2": ({"size": 16, "phase_coeffs": [[0, 0, 0], [0, 1, 1]]},
+                         "phase_coeffs[1][2] weighs a term of degree 3"),
     "wm_index_outside": ({"size": 16, "ellipses": [_DISC], "wm_index": 7},
                          "wm_index must index"),
     "wm_index_fraction": ({"size": 16, "ellipses": [_DISC], "wm_index": 0.5},

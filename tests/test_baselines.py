@@ -204,8 +204,8 @@ class TestCsL1Wavelet:
 
     @pytest.mark.parametrize("option, name", [
         ({"alpha": float("nan")}, "alpha"), ({"alpha": float("inf")}, "alpha"),
-        ({"max_iter": -1}, "max_iter"), ({"levels": -1}, "levels"),
-    ], ids=["alpha_nan", "alpha_inf", "max_iter_negative", "levels_negative"])
+        ({"max_iter": -1}, "max_iter"),
+    ], ids=["alpha_nan", "alpha_inf", "max_iter_negative"])
     def test_argument_out_of_range_is_named(self, small_record, option, name):
         rec = small_record
         with pytest.raises(ValueError, match=f"^{name} "):

@@ -124,6 +124,25 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["zerofill", "cs"])
+    def test_eval_of_a_checkpoint_named_like_a_baseline_exits_one(self, tmp_path, capsys,
+                                                                  small_record, name):
+        rec, out, ckpt = tmp_path / "rec.cks", tmp_path / "r.csv", tmp_path / f"{name}.cks"
+        containers.write_record(rec, small_record)
+        model = build_model("cirim", cell=RimCellConfig(channels=2, iterations=1),
+                            cascade=CascadeConfig(n_cascades=1))
+        store = ParameterStore()
+        model.init_params(store, 0)
+        training.save_trained(ckpt, model, store.copy_values())
+        # alone, or beside the baseline it would be reported as
+        for methods in (str(ckpt), f"{ckpt},cs,zerofill"):
+            assert run(["eval", "--methods", methods, "--data", str(rec), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ValueError: checkpoint {ckpt} would be reported as "
+                                  f"the {name} baseline")
+            assert len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
     def test_simulate_of_an_empty_directory_exits_one(self, tmp_path, capsys):
         empty, mask, out = tmp_path / "empty", tmp_path / "m.cks", tmp_path / "records"
         empty.mkdir()
@@ -336,6 +355,18 @@ class TestPipeline:
         (["train", "--dc", "explicit", "--dc-weight", "inf", "--steps", "1"],
          "ConfigError: dc_weight_init"),
         (["train", "--model", "varnet", "--pools", "5", "--steps", "1"], "ConfigError: pools"),
+        (["train", "--pools", "2", "--steps", "1"],
+         "ConfigError: config section 'unet' is not used by a cirim model"),
+        (["train", "--model", "rim", "--pools", "2", "--steps", "1"],
+         "ConfigError: config section 'unet' is not used by a rim model"),
+        (["train", "--model", "varnet", "--iterations", "2", "--steps", "1"],
+         "ConfigError: config section 'cell' is not used by a varnet model"),
+        (["train", "--model", "varnet", "--kernels", "3,3,3", "--steps", "1"],
+         "ConfigError: config section 'cell' is not used by a varnet model"),
+        (["train", "--model", "irim", "--dc-weight", "0.3", "--steps", "1"],
+         "ValueError: --dc-weight"),
+        (["train", "--dc", "implicit", "--dc-weight", "0.3", "--steps", "1"],
+         "ValueError: --dc-weight"),
         (["phantom", "gen", "--size", "0"], "PhantomSpecError: size"),
         (["phantom", "gen", "--size", "-3"], "PhantomSpecError: size"),
         (["phantom", "gen", "--lesions", "-1"], "PhantomSpecError: n_lesions"),
@@ -348,13 +379,16 @@ class TestPipeline:
     ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
             "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
             "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf", "pools_too_deep",
+            "pools_on_cirim", "pools_on_rim", "iterations_on_varnet", "kernels_on_varnet",
+            "dc_weight_on_irim", "dc_weight_on_implicit_cirim",
             "size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_negative",
             "center_frac_nan", "center_frac_negative"])
     def test_malformed_count_exits_one(self, workspace, capsys, argv, message):
         base, _ph, recs, _mask = workspace
-        # the defaults come first, so the case's own flags win
-        extra = (["--model", "cirim", "--data", str(recs), "--cascades", "1", "--channels", "2",
-                  "--iterations", "1"] if argv[0] == "train" else [])
+        # the defaults come first, so the case's own flags win; a varnet takes no --iterations
+        extra = (["--model", "cirim", "--data", str(recs), "--cascades", "1", "--channels", "2"]
+                 + ([] if "varnet" in argv else ["--iterations", "1"])
+                 if argv[0] == "train" else [])
         out = base / "out"
         assert run(argv[:1] + extra + argv[1:] + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -373,13 +407,49 @@ class TestPipeline:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_simulate_of_a_one_phantom_directory_writes_a_directory(self, workspace, tmp_path):
+        _base, ph, recs, mask = workspace
+        one, out = tmp_path / "one", tmp_path / "recs1"
+        one.mkdir()
+        first = sorted(ph.glob("*.cks"))[0]
+        (one / first.name).write_bytes(first.read_bytes())
+        assert run(["simulate", "--phantom", str(one), "--mask", str(mask), "--coils", "2",
+                    "--sigma", "0.02", "--seed", "9", "--out", str(out)]) == 0
+        assert out.is_dir()
+        # the record the four-phantom directory gives for the same first phantom
+        assert (out / "record_0000.cks").read_bytes() == (recs / "record_0000.cks").read_bytes()
+
+    # a valid value of each model flag that is not the library default of any kind
+    # (--dc takes the mode the kind does not default to)
+    MODEL_FLAGS = {"--cascades": "2", "--dc": None, "--dc-weight": "0.3", "--channels": "3",
+                   "--iterations": "2", "--kernels": "3,3,3", "--pools": "1"}
+
+    @pytest.mark.parametrize("flag", sorted(MODEL_FLAGS))
+    @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+    def test_every_model_flag_changes_the_model_or_is_an_error(self, workspace, capsys, kind,
+                                                              flag):
+        base, _ph, recs, _mask = workspace
+        value = self.MODEL_FLAGS[flag] or ("implicit" if MODEL_KINDS[kind].explicit_dc
+                                           else "explicit")
+        ckpt = base / "model.cks"
+        rc = run(["train", "--model", kind, "--data", str(recs), "--steps", "1", flag, value,
+                  "--out", str(ckpt)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            config, _values, _extra = containers.load_checkpoint(ckpt)
+            assert config != json.loads(json.dumps(build_model(kind).config_dict()))
+        else:
+            assert rc == 1 and err.startswith("error: ")
+            assert len(err.strip().splitlines()) == 1
+            assert not ckpt.exists()
+
     def test_varnet_with_implicit_dc_is_an_error(self, workspace, capsys):
         base, ph, recs, mask = workspace
         rc = run(["train", "--model", "varnet", "--dc", "implicit", "--data", str(recs),
                   "--epochs", "1", "--out", str(base / "v.cks"), "--pools", "2"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ConfigError: config field 'cascade.explicit_dc'")
         assert len(err.strip().splitlines()) == 1
         assert not (base / "v.cks").exists()
 

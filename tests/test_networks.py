@@ -381,7 +381,10 @@ class TestFactoryRejects:
         (lambda: build_model("varnet", cell=RimCellConfig(channels=4)), "'cell'"),
         (lambda: build_model("cirim", unet=UnetConfig(channels=4)), "'unet'"),
         (lambda: CirimModel(kind="varnet"), "varnet"),
-    ], ids=["cell_on_a_varnet", "unet_on_a_cirim", "cirim_model_of_kind_varnet"])
+        (lambda: build_model("varnet", cascade=CascadeConfig(explicit_dc=False)),
+         "'cascade.explicit_dc'"),
+    ], ids=["cell_on_a_varnet", "unet_on_a_cirim", "cirim_model_of_kind_varnet",
+            "varnet_without_explicit_dc"])
     def test_a_section_the_kind_does_not_use_is_named(self, build, named):
         with pytest.raises(networks.ConfigError, match=named):
             build()

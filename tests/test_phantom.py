@@ -109,7 +109,7 @@ class TestMakeCoils:
     def test_maps_vary_smoothly(self):
         n, h, w = 4, 64, 64
         width = 0.9 * min(h, w)
-        maps = phantom.make_coils(n, h, w, profile_width=0.9)
+        maps = phantom.make_coils(n, h, w)
         # bound from the Gaussian envelope plus the linear phase ramp:
         # |grad log g| <= r_max / width^2 with r_max ~ 1.3 * max(h, w),
         # doubled for the normalization quotient, plus pi*(1/h + 1/w)

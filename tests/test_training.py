@@ -647,11 +647,16 @@ class TestEvaluate:
         with pytest.raises(training.TrainingError, match="test record"):
             run_variants({"cirim": _tiny_model()}, data, steps=1, train_seed=0)
 
-    def test_run_variants_names_a_variant_that_repeats_a_method(self):
+    def test_run_variants_names_a_variant_that_repeats_a_method(self, monkeypatch):
         from reconkit.experiments import DeskDataset, run_variants
         data = DeskDataset(train=_tiny_records(1, seed=80), test=_tiny_records(1, seed=81))
+        steps = []
+        inner = training.adam_step
+        monkeypatch.setattr(training, "adam_step",
+                            lambda store, **kwargs: steps.append(inner(store, **kwargs)))
         with pytest.raises(ValueError, match="two methods are named 'cs'"):
             run_variants({"cs": _tiny_model()}, data, steps=1, train_seed=0)
+        assert steps == []      # the clash is found before any variant trains
 
     @pytest.mark.parametrize("row", sorted(BAD_MODEL_CONFIGS))
     def test_malformed_checkpoint_config_names_the_field(self, tmp_path, row):
