@@ -7,7 +7,8 @@ The compressed-sensing solver minimizes
 with W an orthogonal Daubechies 4-tap wavelet transform (periodic, 3 levels)
 applied to the real and imaginary parts, using the monotone FISTA variant.
 A is linear, so each image the solver holds keeps its residual A(.) - y
-beside it, and an iteration runs one forward and one adjoint operator.
+beside it, and an iteration runs one forward operator, one adjoint operator
+and one wavelet analysis (two when the size needs padding).
 Each wavelet level is an orthogonal matrix per size, applied to rows and
 columns as two GEMMs; synthesis is the transpose.
 Under the orthonormal-FFT / normalized-maps / binary-mask construction the
@@ -102,10 +103,12 @@ def _wavelet_l1(x: np.ndarray, levels: int) -> float:
     return float(np.abs(_coefficients(x, levels)).sum())
 
 
-def _wavelet_shrink(x: np.ndarray, t: float, levels: int) -> np.ndarray:
+def _wavelet_shrink(x: np.ndarray, t: float, levels: int) -> tuple[np.ndarray, float]:
+    """The image of the soft-thresholded coefficients of `x`, and their l1 norm."""
     h, w = x.shape
-    re, im = iwavelet2(soft_threshold(_coefficients(x, levels), t), levels)[:, :h, :w]
-    return re + 1j * im
+    c = soft_threshold(_coefficients(x, levels), t)
+    re, im = iwavelet2(c, levels)[:, :h, :w]
+    return re + 1j * im, float(np.abs(c).sum())
 
 
 def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
@@ -128,7 +131,10 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
     successive proximal candidates drops below `tol`.  Pass a list as
     `history` to collect the objective value per iteration.  An iteration
     runs the forward operator once, on the candidate: its residual serves
-    the objective and, combined like the images, the next gradient.
+    the objective and, combined like the images, the next gradient.  The
+    candidate's wavelet l1 is that of the shrunk coefficients, which W of
+    the candidate equals up to rounding, unless the size needs padding:
+    then the candidate is analysed again.
     `alpha` must be finite and non-negative, `max_iter` non-negative.
     """
     if not (np.isfinite(alpha) and alpha >= 0):
@@ -136,11 +142,8 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
 
-    def objective(x, r):
-        f = 0.5 * float(np.sum(np.abs(r) ** 2))
-        if alpha > 0:
-            f += alpha * _wavelet_l1(x, CS_LEVELS)
-        return f
+    def objective(r, l1):
+        return 0.5 * float(np.sum(np.abs(r) ** 2)) + alpha * l1
 
     def residual(x):
         r = mri.forward_op(x, maps, mask)
@@ -148,18 +151,24 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
         return r
 
     x = mri.adjoint_op(y, maps, mask)
+    padded = any(n % (1 << CS_LEVELS) for n in x.shape)
     r_x = residual(x)
     z, r_z = x, r_x
     t = 1.0
-    fx = objective(x, r_x)
+    fx = objective(r_x, _wavelet_l1(x, CS_LEVELS) if alpha > 0 else 0.0)
     if history is not None:
         history.append(fx)
     cand_prev = None
     for _ in range(max_iter):
         u = z - mri.adjoint_op(r_z, maps, mask)   # unit step: ||A|| <= 1 by construction
-        cand = _wavelet_shrink(u, alpha, CS_LEVELS) if alpha > 0 else u
+        if alpha > 0:
+            cand, l1 = _wavelet_shrink(u, alpha, CS_LEVELS)
+            if padded:
+                l1 = _wavelet_l1(cand, CS_LEVELS)
+        else:
+            cand, l1 = u, 0.0
         r_cand = residual(cand)
-        f_cand = objective(cand, r_cand)
+        f_cand = objective(r_cand, l1)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         x_prev, r_prev = x, r_x
         if f_cand <= fx:                   # monotone selection
@@ -183,19 +192,3 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
                 break
         cand_prev = cand
     return x
-
-
-def operator_norm_estimate(maps: np.ndarray, mask, iters: int = 30, seed: int = 0) -> float:
-    """Largest singular value of the forward operator, by power iteration."""
-    h, w = mri._mask_array(mask).shape
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        z = mri.adjoint_op(mri.forward_op(x, maps, mask), maps, mask)
-        sigma = np.linalg.norm(z)
-        if sigma == 0:
-            return 0.0
-        x = z / sigma
-    return float(np.sqrt(sigma))

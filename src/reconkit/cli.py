@@ -292,6 +292,13 @@ def cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Echoes each default but None: a flag left to the library says so in its help."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     """The reconkit parser.
 
@@ -301,7 +308,7 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     `argparse.ArgumentError` instead of exiting, leaving every report to the
     strict parser.
     """
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
     quiet = {"add_help": strict, "exit_on_error": strict}
     parser = argparse.ArgumentParser(prog="reconkit", **quiet,
                                      description="Accelerated-MRI reconstruction sandbox.")

@@ -10,7 +10,6 @@ denoising, and SNR relates foreground signal to k-space periphery noise.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import binary_dilation
 
 from . import autodiff as ad
@@ -30,8 +29,25 @@ SSIM_K2 = 0.03
 
 
 def _box_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over every fully interior SSIM_WINDOW x SSIM_WINDOW box."""
-    return sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW)).mean(axis=(-2, -1))
+    """Mean over every fully interior SSIM_WINDOW x SSIM_WINDOW box of a 2D array.
+
+    Two passes of shifted slices: the SSIM_WINDOW-tap row sums, added left
+    to right, then SSIM_WINDOW of those rows, added top to bottom, then one
+    division by the box size.  That is the order in which numpy's
+    ``sliding_window_view(a, (7, 7)).mean(axis=(-2, -1))`` adds the same
+    terms, so the result has the same bits, except when `a` is exactly
+    SSIM_WINDOW wide (one output column): there numpy reduces in another
+    order and the two differ by a few ulp.
+    """
+    oh, ow = a.shape[0] - SSIM_WINDOW + 1, a.shape[1] - SSIM_WINDOW + 1
+    rows = a[:, 0:ow] + a[:, 1:1 + ow]
+    for k in range(2, SSIM_WINDOW):
+        rows += a[:, k:k + ow]
+    out = rows[0:oh] + rows[1:1 + oh]
+    for k in range(2, SSIM_WINDOW):
+        out += rows[k:k + oh]
+    out /= SSIM_WINDOW * SSIM_WINDOW
+    return out
 
 
 def ssim_tensor(test, ref: np.ndarray) -> ad.Tensor:

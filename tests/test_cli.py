@@ -654,6 +654,18 @@ class TestHelp:
             run(["recon", "--help"])
         assert "0.005" in capsys.readouterr().out
 
+    def test_flags_left_to_the_library_echo_no_none_default(self, capsys):
+        notes = {"train": ["(library default: 8)", "(library default: 5,3,3)",
+                           "(library default: 4)", "(library default: 0.5)"],
+                 "recon": ["left out: 0.005", "left out: 60"]}
+        for command, wanted in notes.items():
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())   # undo argparse's wrapping
+            assert "(default: None)" not in text
+            for note in wanted:
+                assert note in text
+
 
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from reconkit import metrics, phantom
 from reconkit.fourier import fft2c
@@ -54,6 +55,42 @@ class TestSsim:
         b = 2.0 * np.abs(rng.standard_normal((12, 12)))
         # data range comes from the reference argument, so swapping changes it
         assert metrics.ssim(a, b) != pytest.approx(metrics.ssim(b, a), abs=1e-6)
+
+
+def window_box_mean(a):
+    """The box mean as one 7x7 window reduction per output pixel."""
+    return sliding_window_view(a, (7, 7)).mean(axis=(-2, -1))
+
+
+def assert_same_bits(got, want, note=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, note
+    assert got.tobytes() == want.tobytes(), note
+
+
+class TestBoxMean:
+    SHAPES = [(h, w) for h in (7, 8, 13, 16, 31, 64) for w in (8, 9, 12, 16, 23, 64)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_window_mean(self, dtype):
+        rng = np.random.default_rng(3)
+        for shape in self.SHAPES:
+            a = (100.0 * rng.standard_normal(shape)).astype(dtype)
+            assert_same_bits(metrics._box_mean(a), window_box_mean(a), str(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_on_padded_gradient(self, dtype):
+        # the VJP of the box mean box-averages the gradient zero-padded by 6
+        g = np.random.default_rng(4).standard_normal((58, 51)).astype(dtype)
+        padded = np.pad(g, 6)
+        assert_same_bits(metrics._box_mean(padded), window_box_mean(padded))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_seven_wide_within_a_few_ulp(self, dtype):
+        # one output column: numpy reduces the window in another order
+        rng = np.random.default_rng(5)
+        for h in (7, 8, 20, 64):
+            a = (100.0 * rng.random((h, 7))).astype(dtype)
+            np.testing.assert_array_max_ulp(metrics._box_mean(a), window_box_mean(a), maxulp=8)
 
 
 class TestPsnr:
