@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,19 @@ import numpy as np
 from . import containers, baselines, sampling, training
 from .networks import MODEL_KINDS, CascadeConfig, RimCellConfig, UnetConfig, build_model
 from .phantom import (PhantomSpec, PhantomSpecError, default_brain_spec, make_coils, make_phantom,
-                      read_number, simulate_acquisition)
+                      simulate_acquisition)
+from .schema import read_value
 
 
-def _env_seed(default: int = 0) -> int:
-    return int(os.environ.get("RECON_SEED", default))
+def _seed(given: int | None) -> int:
+    """A command's seed: its --seed, else RECON_SEED (read only here), else 0."""
+    if given is not None:
+        return given
+    text = os.environ.get("RECON_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"RECON_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -75,10 +84,8 @@ _MASK_OPTIONS = {"acc": "acceleration", "seed": "seed", "fwhm": "fwhm_rel", "acs
                  "center_frac": "center_frac", "offset_policy": "offset_policy"}
 
 
-# phantom gen's family flags: the default_brain_spec keyword each sets, and whether a
-# family file must give it as an integer
-_FAMILY_FLAGS = {"size": ("--size", True), "n_lesions": ("--lesions", True),
-                 "jitter": ("--jitter", False)}
+# phantom gen's family flags: the default_brain_spec keyword each sets, and the flag
+_FAMILY_FLAGS = {"size": "--size", "n_lesions": "--lesions", "jitter": "--jitter"}
 
 
 def _given(**options) -> dict:
@@ -120,18 +127,20 @@ def _gen_one_phantom(job) -> None:
 def _phantom_specs(args) -> list[PhantomSpec]:
     """One spec per phantom: the brain family, its flags winning over a family file's
     options, or a full spec file with each phantom's seed."""
-    seeds = range(args.seed, args.seed + args.count)
+    first = _seed(args.seed)
+    seeds = range(first, first + args.count)
     family = _given(size=args.size, n_lesions=args.lesions, jitter=args.jitter)
     spec = json.loads(Path(args.spec).read_text()) if args.spec else {"family": "brain"}
     if isinstance(spec, dict) and spec.get("family") == "brain":
+        hints = typing.get_type_hints(default_brain_spec)
         for key in sorted(spec.keys() - {"family"}):
             if key not in _FAMILY_FLAGS:
                 raise PhantomSpecError(f"{key} is not an option of the brain family "
                                        f"({', '.join(_FAMILY_FLAGS)})")
-            family.setdefault(key, read_number(spec[key], key, integer=_FAMILY_FLAGS[key][1]))
+            family.setdefault(key, read_value(hints[key], spec[key], key, PhantomSpecError))
         return [default_brain_spec(seed=seed, **family) for seed in seeds]
     if family:
-        raise ValueError(f"{_FAMILY_FLAGS[next(iter(family))][0]} is not an option of a full "
+        raise ValueError(f"{_FAMILY_FLAGS[next(iter(family))]} is not an option of a full "
                          f"--spec file")
     base = PhantomSpec.from_dict(spec)
     return [dataclasses.replace(base, seed=seed) for seed in seeds]
@@ -163,7 +172,7 @@ def cmd_mask_gen(args) -> int:
             raise ValueError(f"--{flag.replace('_', '-')} is not an option of --kind {args.kind}")
     # RECON_SEED is read only for a kind that draws its mask
     if "seed" in takes and "seed" not in given:
-        given["seed"] = _env_seed()
+        given["seed"] = _seed(None)
     mask = make(h, w, **{_MASK_OPTIONS[flag]: val for flag, val in given.items()})
     containers.write_mask(args.out, mask)
     if args.pbm:
@@ -179,12 +188,12 @@ def cmd_simulate(args) -> int:
     src = Path(args.phantom)
     paths = _records_in(src)
     out = Path(args.out)
-    maps = None
+    maps, seed = None, _seed(args.seed)
     for i, p in enumerate(paths):
         image, lesion_mask, wm_mask, _meta = containers.read_phantom(p)
         if maps is None:
             maps = make_coils(args.coils, *image.shape)
-        rec = simulate_acquisition(image, maps, mask, args.sigma, args.seed + i,
+        rec = simulate_acquisition(image, maps, mask, args.sigma, seed + i,
                                    lesion_mask=lesion_mask, wm_mask=wm_mask)
         # a directory of phantoms gives a directory of records, however many it holds;
         # it is made once a record is simulated, so a bad flag leaves none
@@ -224,9 +233,10 @@ def cmd_train(args) -> int:
 
     cfg = training.TrainConfig(lr=args.lr, loss=args.loss, dtype=args.dtype,
                                max_steps=args.steps)
-    result = training.train(model, train_records, val_records, args.epochs, args.seed, cfg)
+    seed = _seed(args.seed)
+    result = training.train(model, train_records, val_records, args.epochs, seed, cfg)
     training.save_trained(args.out, model, result.best_values,
-                          extra_meta={"seed": args.seed, "steps": result.steps,
+                          extra_meta={"seed": seed, "steps": result.steps,
                                       "best_step": result.best_step,
                                       "diverged": result.diverged})
     log_path = args.log or str(Path(args.out).with_suffix(".log.csv"))
@@ -321,7 +331,8 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     pg.add_argument("--spec", default=None, help="JSON phantom spec or brain-family description")
     pg.add_argument("--out", required=strict, help="output directory")
     pg.add_argument("--count", type=int, default=1, help="number of phantoms")
-    pg.add_argument("--seed", type=int, default=_env_seed(), help="base seed")
+    pg.add_argument("--seed", type=int, default=None,
+                    help="base seed; left out: RECON_SEED, else 0")
     pg.add_argument("--size", type=int, default=None, help="grid size")
     pg.add_argument("--lesions", type=int, default=None, help="lesions per phantom")
     pg.add_argument("--jitter", type=float, default=None, help="family geometry jitter")
@@ -355,7 +366,8 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     sim.add_argument("--mask", required=strict, help="mask .cks file")
     sim.add_argument("--coils", type=int, default=4, help="number of receiver coils")
     sim.add_argument("--sigma", type=float, default=0.0, help="complex noise std at sampled points")
-    sim.add_argument("--seed", type=int, default=_env_seed(), help="noise seed")
+    sim.add_argument("--seed", type=int, default=None,
+                     help="noise seed; left out: RECON_SEED, else 0")
     sim.add_argument("--out", required=strict, help="output record file or directory")
 
     tr = sub.add_parser("train", **quiet, help="train a reconstructor", formatter_class=fmt)
@@ -367,7 +379,8 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     tr.add_argument("--data", required=strict, help="directory of record .cks files")
     tr.add_argument("--epochs", type=int, default=10, help="training epochs (batch size 1)")
     tr.add_argument("--steps", type=int, default=None, help="optional cap on optimizer steps")
-    tr.add_argument("--seed", type=int, default=_env_seed(), help="init/shuffle seed")
+    tr.add_argument("--seed", type=int, default=None,
+                    help="init/shuffle seed; left out: RECON_SEED, else 0")
     tr.add_argument("--out", required=strict, help="output checkpoint .cks")
     tr.add_argument("--log", default=None, help="training log CSV path")
     tr.add_argument("--val-count", type=int, default=1, help="records held out for validation")

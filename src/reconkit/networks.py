@@ -31,6 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from . import mri
 from .autodiff import ParameterStore, Tensor
+from .schema import read_fields
 
 
 class DivergedError(RuntimeError):
@@ -404,39 +405,22 @@ def build_model(kind: str, cell: RimCellConfig | None = None,
     return model
 
 
-def _fits(value, default) -> bool:
-    """Whether a JSON value can stand for a config field whose default is `default`."""
-    if isinstance(default, tuple):
-        return (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(_fits(v, d) for v, d in zip(value, default)))
-    if isinstance(value, bool) or isinstance(default, bool):   # JSON true is no number
-        return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
-
-
 def model_from_config(config: dict):
-    """The model a config echo describes; a malformed one raises a ConfigError naming the field."""
+    """The model a config echo describes; a malformed one raises a ConfigError naming the field.
+
+    A field left out, or `null` where the field may be None, is the kind's.
+    """
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in MODEL_KINDS:
-        raise ConfigError(f"config field 'kind' must be one of {list(MODEL_KINDS)}, got {kind!r}")
-    resolved = vars(build_model(kind))      # the kind's own model types each field
+        raise ConfigError(f"kind must be one of {list(MODEL_KINDS)}, got {kind!r}")
+    resolved = vars(build_model(kind))      # the kind's own model has each section it uses
     sections = {}
     for section, raw in config.items():
         if section == "kind":
             continue
         if not is_dataclass(resolved.get(section)):
-            raise ConfigError(f"config field {section!r} is not used by a {kind} model")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config field {section!r} must be an object, "
-                              f"got {type(raw).__name__}")
-        cls, defaults = type(resolved[section]), asdict(resolved[section])
-        for key, value in raw.items():
-            if key not in defaults:
-                raise ConfigError(f"config field '{section}.{key}' is not a {cls.__name__} field")
-            if not _fits(value, defaults[key]):
-                raise ConfigError(f"config field '{section}.{key}' has the wrong type: {value!r}")
-        sections[section] = cls(**{key: tuple(value) if isinstance(defaults[key], tuple) else value
-                                   for key, value in raw.items()})
+            raise ConfigError(f"config section {section!r} is not used by a {kind} model")
+        sections[section] = read_fields(type(resolved[section]), raw, ConfigError, section + ".")
     return build_model(kind, **sections)
 
 

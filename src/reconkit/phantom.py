@@ -10,12 +10,13 @@ that sum_i |S_i|^2 == 1.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import mri
 from .mri import SamplingMask
+from .schema import read_fields
 
 COIL_PROFILE_WIDTH = 0.9    # a coil's Gaussian width, per unit of the grid's shorter side
 
@@ -38,7 +39,7 @@ class Ellipse:
 
 @dataclass
 class PhantomSpec:
-    size: int = 64
+    size: int
     ellipses: list[Ellipse] = field(default_factory=list)
     lesions: list[Ellipse] = field(default_factory=list)   # intensity = added delta
     wm_index: int | None = None                            # ellipse hosting "white matter"
@@ -46,85 +47,16 @@ class PhantomSpec:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        d = {
-            "size": self.size,
-            "ellipses": [asdict(e) for e in self.ellipses],
-            "lesions": [asdict(e) for e in self.lesions],
-            "wm_index": self.wm_index,
-            "phase_coeffs": None if self.phase_coeffs is None else np.asarray(self.phase_coeffs).tolist(),
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        if self.phase_coeffs is not None:
+            d["phase_coeffs"] = np.asarray(self.phase_coeffs).tolist()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomSpec":
-        """The spec a JSON object describes, as `to_dict` writes it; `size` is required.
-
-        Anything else is a PhantomSpecError that names the field.
-        """
-        if not isinstance(d, dict):
-            raise PhantomSpecError(f"a phantom spec must be an object, got {type(d).__name__}")
-        _check_keys(d, "", [f.name for f in fields(cls)], ["size"])
-        wm_index = d.get("wm_index")
-        return cls(
-            size=read_number(d["size"], "size", integer=True),
-            ellipses=_read_ellipses(d, "ellipses"),
-            lesions=_read_ellipses(d, "lesions"),
-            wm_index=None if wm_index is None else read_number(wm_index, "wm_index", integer=True),
-            phase_coeffs=_read_phase(d.get("phase_coeffs")),
-            seed=read_number(d.get("seed", 0), "seed", integer=True),
-        )
-
-
-def read_number(value, name: str, integer: bool = False):
-    """A JSON number as it is: an int, or with `integer` off a finite float too.
-
-    Anything else is a PhantomSpecError that names `name`.
-    """
-    number = isinstance(value, int) or (not integer and isinstance(value, float)
-                                        and np.isfinite(value))
-    if isinstance(value, bool) or not number:
-        raise PhantomSpecError(f"{name} must be {'an integer' if integer else 'a finite number'}, "
-                               f"got {value!r}")
-    return value
-
-
-def _check_keys(d: dict, where: str, known: list[str], required: list[str]) -> None:
-    unknown = sorted(d.keys() - set(known))
-    if unknown:
-        raise PhantomSpecError(f"{where}{unknown[0]} is not a field (fields: {', '.join(known)})")
-    missing = [key for key in required if key not in d]
-    if missing:
-        raise PhantomSpecError(f"{where}{missing[0]} is missing")
-
-
-def _read_ellipses(d: dict, key: str) -> list[Ellipse]:
-    items = d.get(key, [])
-    if not isinstance(items, list):
-        raise PhantomSpecError(f"{key} must be a list of ellipses, got {items!r}")
-    known = [f.name for f in fields(Ellipse)]
-    required = [f.name for f in fields(Ellipse) if f.default is MISSING]
-    out = []
-    for i, e in enumerate(items):
-        where = f"{key}[{i}]"
-        if not isinstance(e, dict):
-            raise PhantomSpecError(f"{where} must be an object, got {e!r}")
-        _check_keys(e, where + ".", known, required)
-        out.append(Ellipse(**{k: read_number(v, f"{where}.{k}") for k, v in e.items()}))
-    return out
-
-
-def _read_phase(coeffs) -> np.ndarray | None:
-    if coeffs is None:
-        return None
-    try:
-        c = np.asarray(coeffs, dtype=float)
-    except (TypeError, ValueError):
-        c = None
-    if c is None or c.ndim != 2 or not np.isfinite(c).all():
-        raise PhantomSpecError(f"phase_coeffs must be a 2-D array of finite numbers (row i, column "
-                               f"j weighs y**i * x**j), got {coeffs!r}")
-    return c
+        """The spec a JSON object describes, as `to_dict` writes it; anything else is a
+        PhantomSpecError that names the field."""
+        return read_fields(cls, d, PhantomSpecError)
 
 
 def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
@@ -176,6 +108,9 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         phase = np.zeros((n, n))
     else:
         c = np.asarray(spec.phase_coeffs, dtype=float)
+        if c.ndim != 2:
+            raise PhantomSpecError(f"phase_coeffs must be a 2-D array (row i, column j weighs "
+                                   f"y**i * x**j), got shape {c.shape}")
         # the nonzero terms row by row, as (i, j) for c[i, j] * y**i * x**j
         terms = [(int(i), int(j)) for i, j in zip(*np.nonzero(c))]
         high = [(i, j) for i, j in terms if i + j > 2]
@@ -235,6 +170,22 @@ class DatasetRecord:
     lesion_mask: np.ndarray        # bool (h, w)
     wm_mask: np.ndarray            # bool (h, w)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """A ValueError names the first array, by its name in a record container, that does
+        not fit the mask's (h, w) grid or holds a non-finite number."""
+        h, w = self.mask.keep.shape      # 2-D, as SamplingMask checks
+        for name in ("reference", "lesion_mask", "wm_mask"):
+            shape = np.shape(getattr(self, name))
+            if shape != (h, w):
+                raise ValueError(f"{name} must be ({h}, {w}) like the mask, got shape {shape}")
+        for name in ("maps", "kspace"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 3 or shape[0] < 1 or shape[1:] != (h, w):
+                raise ValueError(f"{name} must be (c, {h}, {w}) with c >= 1, got shape {shape}")
+        for name in ("reference", "maps", "kspace"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def shape(self):

@@ -1,0 +1,76 @@
+"""One reader from a JSON object to a dataclass, by the dataclass's type hints.
+
+Each fault is raised as the caller's error class in one form, ``<path> <fault>``
+(``ellipses[2].ax must be a finite number, got 'x'``).
+"""
+
+from __future__ import annotations
+
+import math
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
+
+
+def _finite_number(v) -> bool:
+    try:
+        return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:       # an integer too large for a float
+        return False
+
+
+# what a value of each plain type must be, and whether a JSON value is one (true is no number)
+_PLAIN = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _finite_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def read_fields(cls, obj, error: type[Exception], where: str = ""):
+    """Dataclass `cls` from the JSON object `obj`; `where` prefixes each field's path."""
+    if not isinstance(obj, dict):
+        raise error(f"{where[:-1] or cls.__name__} must be an object, got {obj!r}")
+    names = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in names:
+            raise error(f"{where}{key} is not a field (fields: {', '.join(names)})")
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{where}{f.name} is missing")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: read_value(hints[key], value, where + key, error)
+                  for key, value in obj.items()})
+
+
+def read_value(hint, value, path: str, error: type[Exception]):
+    """`value` read as the type `hint` names: a tuple hint gives a tuple, an array hint a
+    float64 array, and a number or string comes back as it is."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):        # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else read_value(inner, value, path, error)
+    if is_dataclass(hint):
+        return read_fields(hint, value, error, path + ".")
+    if origin in (list, tuple):
+        n = len(args) if origin is tuple else 0
+        if not isinstance(value, (list, tuple)) or n and len(value) != n:
+            raise error(f"{path} must be a list{f' of {n} items' if n else ''}, got {value!r}")
+        return origin(read_value(args[i] if n else args[0], v, f"{path}[{i}]", error)
+                      for i, v in enumerate(value))
+    if hint is np.ndarray:
+        try:
+            arr = np.asarray(value)
+        except ValueError:       # ragged
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise error(f"{path} must be an array of finite numbers, got {value!r}")
+        return arr.astype(float)
+    what, fits = _PLAIN[hint]
+    if not fits(value):
+        raise error(f"{path} must be {what}, got {value!r}")
+    return value

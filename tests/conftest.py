@@ -61,19 +61,47 @@ BAD_TYPED_FILES = {
     "model_config_list": "'config'",
     "model_dtype_float16": "'dtype'",
     "model_dtype_32": "'dtype'",
+    "record_reference_8x8": "record array reference",
+    "record_no_coils": "record array maps",
+    "record_lesion_mask_8x8": "record array lesion_mask",
+    "record_kspace_nan": "record array kspace",
+    "record_maps_nan": "record array maps",
+    "record_reference_inf": "record array reference",
 }
 
 
 # well-formed checkpoint config echoes that describe no model, each with the
 # field its ConfigError must name
 BAD_MODEL_CONFIGS = {
-    "cell_field_misspelt": ({"kind": "cirim", "cell": {"chanels": 4}}, "'cell.chanels'"),
-    "cell_not_an_object": ({"kind": "cirim", "cell": []}, "'cell'"),
+    "cell_field_misspelt": ({"kind": "cirim", "cell": {"chanels": 4}},
+                            "cell.chanels is not a field"),
+    "cell_not_an_object": ({"kind": "cirim", "cell": []}, "cell must be an object"),
     "n_cascades_a_string": ({"kind": "cirim", "cascade": {"n_cascades": "2"}},
-                            "'cascade.n_cascades'"),
+                            "cascade.n_cascades must be an integer"),
+    "dc_weight_init_nan": ({"kind": "cirim", "cascade": {"dc_weight_init": float("nan")}},
+                           "cascade.dc_weight_init must be a finite number"),
+    "kernel_sizes_two": ({"kind": "cirim", "cell": {"kernel_sizes": [3, 3]}},
+                         "cell.kernel_sizes must be a list of 3 items"),
     "cell_on_a_varnet": ({"kind": "varnet", "cell": {"channels": 4}}, "'cell'"),
     "varnet_without_dc": ({"kind": "varnet", "cascade": {"explicit_dc": False}},
                           "'cascade.explicit_dc'"),
+}
+
+
+def _with_first(arr, value):
+    arr = arr.copy()
+    arr.flat[0] = value
+    return arr
+
+
+# each record row's arrays that do not fit the mask's grid or hold a non-finite number
+_RECORD_EDITS = {
+    "record_reference_8x8": lambda a: {"reference": a["reference"][:8, :8]},
+    "record_no_coils": lambda a: {"maps": a["maps"][:0], "kspace": a["kspace"][:0]},
+    "record_lesion_mask_8x8": lambda a: {"lesion_mask": a["lesion_mask"][:8, :8]},
+    "record_kspace_nan": lambda a: {"kspace": _with_first(a["kspace"], np.nan)},
+    "record_maps_nan": lambda a: {"maps": _with_first(a["maps"], np.nan)},
+    "record_reference_inf": lambda a: {"reference": _with_first(a["reference"], np.inf)},
 }
 
 
@@ -98,8 +126,10 @@ def write_bad_typed_file(row, path, record) -> None:
             del arrays["mask_keep"]
         elif row == "record_mask_keep_two":
             arrays["mask_keep"] = 2 * arrays["mask_keep"]
-        else:
+        elif row == "record_mask_seed_x":
             meta["mask"]["seed"] = "x"
+        else:
+            arrays.update(_RECORD_EDITS[row](arrays))
         containers.write_container(path, kind, meta, arrays)
 
 
@@ -108,7 +138,7 @@ _DISC = {"cy": 0, "cx": 0, "ay": 0.5, "ax": 0.5}
 # malformed phantom spec files, each with the start of the PhantomSpecError that
 # PhantomSpec.from_dict or make_phantom must raise for it
 BAD_PHANTOM_SPECS = {
-    "not_an_object": ([16], "a phantom spec must be an object"),
+    "not_an_object": ([16], "PhantomSpec must be an object"),
     "no_size": ({"ellipses": []}, "size is missing"),
     "size_text": ({"size": "big"}, "size must be an integer"),
     "size_fraction": ({"size": 16.5}, "size must be an integer"),
@@ -120,6 +150,8 @@ BAD_PHANTOM_SPECS = {
     "ellipse_unknown_field": ({"size": 16, "ellipses": [{**_DISC, "r": 1}]},
                               "ellipses[0].r is not a field"),
     "ellipse_cy_text": ({"size": 16, "ellipses": [{**_DISC, "cy": "0"}]},
+                        "ellipses[0].cy must be a finite number"),
+    "ellipse_cy_huge": ({"size": 16, "ellipses": [{**_DISC, "cy": 10 ** 400}]},
                         "ellipses[0].cy must be a finite number"),
     "ellipse_ay_0": ({"size": 16, "ellipses": [{**_DISC, "ay": 0}]},
                      "ellipses[0].ay must be positive"),

@@ -624,6 +624,26 @@ class TestConfigMerging:
         # a kind that draws nothing ignores RECON_SEED rather than rejecting it
         assert run(["mask", "gen", "--kind", "full", "--size", "16x16", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("text", ["abc", "1.5"])
+    def test_malformed_env_seed_is_named_only_where_a_seed_is_taken(
+            self, tmp_path, monkeypatch, capsys, small_record, text):
+        monkeypatch.setenv("RECON_SEED", text)
+        rec, out = tmp_path / "rec.cks", tmp_path / "out"
+        containers.write_record(rec, small_record)
+        # eval and a mask that draws nothing take no seed, so they ignore it
+        assert run(["eval", "--methods", "zerofill", "--data", str(rec), "--no-timing",
+                    "--out", str(tmp_path / "r.csv")]) == 0
+        assert run(["mask", "gen", "--kind", "full", "--size", "16x16",
+                    "--out", str(tmp_path / "m.cks")]) == 0
+        assert run(["phantom", "gen", "--size", "16", "--seed", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        for argv in (["phantom", "gen", "--size", "16"],
+                     ["mask", "gen", "--kind", "gaussian2d", "--size", "16x16", "--acc", "2"]):
+            assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: ValueError: RECON_SEED must be an integer, got {text!r}\n"
+        assert not (tmp_path / "bad").exists()
+
 
 class TestHelp:
     def test_every_subcommand_documents_defaults(self, capsys):

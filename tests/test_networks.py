@@ -338,7 +338,9 @@ class TestFactory:
         ({"kind": "irim", "cell": {"channels": 4}}, "indrnn", False, 1),
         ({"kind": "rim", "cascade": {"explicit_dc": True}}, "gru", True, 1),
         ({"kind": "varnet", "cascade": {"n_cascades": 2}}, None, True, 2),
-    ], ids=["cirim_cell", "irim_cell", "rim_cascade", "varnet_cascade"])
+        ({"kind": "cirim", "cell": {"unit": None},
+          "cascade": {"n_cascades": None, "explicit_dc": None}}, "indrnn", False, 5),
+    ], ids=["cirim_cell", "irim_cell", "rim_cascade", "varnet_cascade", "cirim_nulls"])
     def test_a_partial_config_takes_the_kinds_fields(self, config, unit, explicit_dc, n_cascades):
         model = networks.model_from_config(config)
         assert model.config_dict().get("cell", {}).get("unit") == unit
