@@ -116,19 +116,20 @@ def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
     return mri.adjoint_op(y, maps, mask)
 
 
-# the CS working point: l1-wavelet weight, iteration cap and wavelet levels
+# the CS working point: l1-wavelet weight, iteration cap, wavelet levels and the relative
+# change between successive candidates that stops the solve
 CS_ALPHA = 0.005
 CS_MAX_ITER = 60
 CS_LEVELS = 3
+CS_TOL = 1e-6
 
 
 def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
-                 max_iter: int = CS_MAX_ITER, tol: float = 1e-6,
-                 history: list | None = None) -> np.ndarray:
+                 max_iter: int = CS_MAX_ITER, history: list | None = None) -> np.ndarray:
     """Monotone FISTA for the l1-wavelet regularized reconstruction.
 
     Stops at `max_iter` iterations or once the relative change between
-    successive proximal candidates drops below `tol`.  Pass a list as
+    successive proximal candidates drops below `CS_TOL`.  Pass a list as
     `history` to collect the objective value per iteration.  An iteration
     runs the forward operator once, on the candidate: its residual serves
     the objective and, combined like the images, the next gradient.  The
@@ -188,7 +189,7 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
             history.append(fx)
         if cand_prev is not None:
             denom = np.linalg.norm(cand)
-            if denom > 0 and np.linalg.norm(cand - cand_prev) / denom < tol:
+            if denom > 0 and np.linalg.norm(cand - cand_prev) / denom < CS_TOL:
                 break
         cand_prev = cand
     return x

@@ -18,20 +18,19 @@ from __future__ import annotations
 import json
 import math
 import struct
-import typing
 import zlib
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from .mri import SamplingMask
 from .phantom import DatasetRecord
-from .schema import read_value
+from .schema import read_fields, read_value
 
 MAGIC = b"CKS1\x00\x00\x00\x00"
 VERSION = 1
-
-_DTYPES = {"float32": "<f4", "float64": "<f8", "complex64": "<c8"}
 
 
 class ContainerError(Exception):
@@ -40,8 +39,8 @@ class ContainerError(Exception):
 
 class FormatError(ContainerError):
     """Not a well-formed container (bad magic, an unparseable header or one
-    with a missing or malformed field, a repeated array name, or bytes after
-    the CRC trailer)."""
+    with a missing, unknown or malformed field, a repeated array name, or bytes
+    after the CRC trailer), or one its typed reader cannot use."""
 
 
 class VersionError(ContainerError):
@@ -62,6 +61,38 @@ class ChecksumError(ContainerError):
 
 class CheckpointMismatchError(ContainerError):
     """Checkpoint parameters do not match the model its config builds."""
+
+
+@dataclass
+class _Entry:
+    """One array of the header's manifest."""
+
+    name: str
+    shape: list[int]
+    dtype: Literal["float32", "float64", "complex64"]      # stored little-endian
+
+    def __post_init__(self):
+        if not (len(self.shape) <= 32 and min(self.shape, default=0) >= 0
+                and math.prod(filter(None, self.shape)) < 2 ** 60):   # numpy's size limit
+            raise FormatError(f"shape must be at most 32 non-negative integers whose nonzero "
+                              f"product is below 2**60, got {self.shape!r}")
+
+
+@dataclass
+class _Header:
+    """The JSON header; `write_container` writes exactly these fields."""
+
+    kind: str
+    version: int
+    arrays: list[_Entry]
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        names = set()
+        for i, entry in enumerate(self.arrays):
+            if entry.name in names:
+                raise FormatError(f"arrays[{i}].name {entry.name!r} is an earlier array's name")
+            names.add(entry.name)
 
 
 def _canonical(arr: np.ndarray, kind: str) -> tuple[np.ndarray, str]:
@@ -94,36 +125,6 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         f.write(struct.pack("<I", crc))
 
 
-def _check_header(header: dict) -> None:
-    """Raise FormatError naming the first header field that is missing or malformed."""
-    if not isinstance(header.get("kind"), str):
-        raise FormatError("header field 'kind' must be a string")
-    if not isinstance(header.get("meta", {}), dict):
-        raise FormatError("header field 'meta' must be an object")
-    entries = header.get("arrays")
-    if not isinstance(entries, list):
-        raise FormatError("header field 'arrays' must be a list")
-    names = set()
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"header arrays[{i}] must be an object")
-        name, dtype, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
-        if not isinstance(name, str):
-            raise FormatError(f"header arrays[{i}].name must be a string")
-        if name in names:
-            raise FormatError(f"array name {name!r} appears twice in the header")
-        names.add(name)
-        if not (isinstance(dtype, str) and dtype in _DTYPES):
-            raise FormatError(f"header arrays[{i}].dtype must be one of {sorted(_DTYPES)}, "
-                              f"got {dtype!r}")
-        if not (isinstance(shape, list) and len(shape) <= 32
-                and all(type(n) is int and n >= 0 for n in shape)
-                and math.prod(n for n in shape if n) < 2 ** 60):   # numpy's size limit
-            raise FormatError(f"header arrays[{i}].shape must be a list of at most 32 "
-                              f"non-negative integers whose nonzero product is below 2**60, "
-                              f"got {shape!r}")
-
-
 def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 4:
@@ -139,22 +140,20 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         header = json.loads(header_bytes.decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too deep, too many digits
         raise FormatError(f"unparseable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise FormatError(f"header must be a JSON object, got {type(header).__name__}")
-    if header.get("version") != VERSION:
+    if isinstance(header, dict) and header.get("version") != VERSION:
         raise VersionError(f"unsupported container version {header.get('version')!r}")
-    _check_header(header)
+    header = read_fields(_Header, header, FormatError, "header.")
 
     arrays: dict[str, np.ndarray] = {}
     pos = off + hlen
-    for entry in header["arrays"]:
-        dt = np.dtype(_DTYPES[entry["dtype"]])
-        count = math.prod(entry["shape"])
+    for entry in header.arrays:
+        dt = np.dtype(entry.dtype).newbyteorder("<")
+        count = math.prod(entry.shape)
         nbytes = count * dt.itemsize
         if len(blob) < pos + nbytes:
-            raise TruncationError(f"array {entry['name']!r} truncated", len(blob))
-        arr = np.frombuffer(blob, dtype=dt, count=count, offset=pos).reshape(entry["shape"])
-        arrays[entry["name"]] = arr.copy()
+            raise TruncationError(f"array {entry.name!r} truncated", len(blob))
+        arr = np.frombuffer(blob, dtype=dt, count=count, offset=pos).reshape(entry.shape)
+        arrays[entry.name] = arr.copy()
         pos += nbytes
     if len(blob) < pos + 4:
         raise TruncationError("missing CRC trailer", len(blob))
@@ -164,60 +163,35 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         raise ChecksumError(f"CRC mismatch: stored {crc_stored:#010x}, computed {crc_actual:#010x}")
     if len(blob) > pos + 4:
         raise FormatError(f"{len(blob) - pos - 4} bytes after the CRC trailer")
-    return header["kind"], header.get("meta", {}), arrays
+    return header.kind, header.meta, arrays
 
 
 # ---------------------------------------------------------------------------
 # typed wrappers
 # ---------------------------------------------------------------------------
 
-# a mask's meta fields are typed by SamplingMask's hints, resolved once (~90 us a call)
-_MASK_HINTS = typing.get_type_hints(SamplingMask)
-
-
-def _check_fields(where: str, meta: dict, hints: dict) -> None:
-    """Raise FormatError naming the first field of `meta` that its hint in `hints` rejects."""
-    for name, hint in hints.items():
-        if name in meta:
-            read_value(hint, meta[name], f"{where} field {name!r}", FormatError)
-
-
-def _read_typed(path, kind: str, arrays: tuple[str, ...] = (),
-                fields: dict | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """The meta and arrays of a container of `kind`, checked for what its reader uses.
-
-    Raises FormatError naming the wrong kind, the first required array that
-    is missing, or the first meta field in `fields` of the wrong type.
-    """
+def _read_typed(path, kind: str, arrays: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """The meta and arrays of a container of `kind`; a FormatError names the wrong kind or
+    the first of `arrays` that is missing."""
     found, meta, data = read_container(path)
     if found != kind:
         raise FormatError(f"expected a {kind} container, got kind {found!r}")
     for name in arrays:
         if name not in data:
             raise FormatError(f"{kind} container has no array {name!r}")
-    _check_fields(f"{kind} meta", meta, fields or {})
     return meta, data
 
 
 def _mask_meta(mask: SamplingMask) -> dict:
-    return {
-        "kind": mask.kind,
-        "requested_acceleration": mask.requested_acceleration,
-        "seed": mask.seed,
-        "extra": mask.extra,
-    }
+    return {f.name: getattr(mask, f.name) for f in fields(SamplingMask) if f.name != "keep"}
 
 
 def _mask_from(keep: np.ndarray, meta: dict, where: str, name: str) -> SamplingMask:
-    _check_fields(where, meta, _MASK_HINTS)
+    """The mask of array `name` and its meta, whose fields `where` prefixes."""
+    if np.iscomplexobj(keep):
+        raise FormatError(f"array {name!r} must be real, got {keep.dtype}")
     try:
-        return SamplingMask(
-            keep.astype(np.float64),
-            kind=meta.get("kind", "full"),
-            requested_acceleration=float(meta.get("requested_acceleration", 1.0)),
-            seed=meta.get("seed", 0),
-            extra=meta.get("extra", {}),
-        )
+        return read_fields(SamplingMask, meta, FormatError, where, keep=keep.astype(np.float64))
     except ValueError as exc:   # not 2D, not binary, or keeps no sample
         raise FormatError(f"array {name!r}: {exc}") from None
 
@@ -235,9 +209,8 @@ def write_record(path, record: DatasetRecord) -> None:
 
 
 def read_record(path) -> DatasetRecord:
-    meta, arrays = _read_typed(path, "record", _RECORD_ARRAYS, {"mask": dict})
-    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}), "record meta 'mask'",
-                      "mask_keep")
+    meta, arrays = _read_typed(path, "record", _RECORD_ARRAYS)
+    mask = _mask_from(arrays["mask_keep"], meta.pop("mask", {}), "meta.mask.", "mask_keep")
     try:
         return DatasetRecord(
             reference=arrays["reference"].astype(np.complex128),
@@ -258,7 +231,7 @@ def write_mask(path, mask: SamplingMask) -> None:
 
 def read_mask(path) -> SamplingMask:
     meta, arrays = _read_typed(path, "mask", ("keep",))
-    return _mask_from(arrays["keep"], meta, "mask meta", "keep")
+    return _mask_from(arrays["keep"], meta, "meta.", "keep")
 
 
 def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.ndarray,
@@ -269,8 +242,19 @@ def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.
 
 
 def read_phantom(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Image, lesion mask, white-matter mask and meta; a FormatError names an image that
+    is not 2-D or not finite, or a mask that is not of its shape."""
     meta, arrays = _read_typed(path, "phantom", ("image", "lesion_mask", "wm_mask"))
-    return (arrays["image"].astype(np.complex128),
+    image = arrays["image"]
+    if image.ndim != 2:
+        raise FormatError(f"phantom array image must be 2-D, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise FormatError("phantom array image must be finite")
+    for name in ("lesion_mask", "wm_mask"):
+        if arrays[name].shape != image.shape:
+            raise FormatError(f"phantom array {name} must be {image.shape} like the image, "
+                              f"got shape {arrays[name].shape}")
+    return (image.astype(np.complex128),
             arrays["lesion_mask"] > 0.5, arrays["wm_mask"] > 0.5, meta)
 
 
@@ -283,13 +267,13 @@ def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    meta, arrays = _read_typed(path, "model", fields={"config": dict})
-    if meta.get("dtype", "float64") not in ("float32", "float64"):
-        raise FormatError(f"model meta field 'dtype' must be \"float32\" or \"float64\", "
-                          f"got {meta['dtype']!r}")
-    config = meta.get("config", {})
-    extra = {k: v for k, v in meta.items() if k != "config"}
-    return config, arrays, extra
+    """The config echo, the parameters and the other meta, whose `dtype` is always given:
+    a checkpoint from before the field holds float64 parameters."""
+    meta, arrays = _read_typed(path, "model")
+    config = read_value(dict, meta.pop("config", {}), "meta.config", FormatError)
+    meta["dtype"] = read_value(Literal["float32", "float64"], meta.get("dtype", "float64"),
+                               "meta.dtype", FormatError)
+    return config, arrays, meta
 
 
 # ---------------------------------------------------------------------------

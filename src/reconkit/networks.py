@@ -53,13 +53,13 @@ class RimCellConfig:
         if self.channels < 1:
             raise ConfigError(f"channels must be at least 1, got {self.channels}")
         if self.iterations < 1:
-            raise ConfigError(f"need at least one unroll iteration, got {self.iterations}")
+            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
         ks = self.kernel_sizes
         if not (isinstance(ks, tuple) and len(ks) == 3
                 and all(type(k) is int and k > 0 and k % 2 for k in ks)):
             raise ConfigError(f"kernel_sizes must be three odd positive ints, got {ks!r}")
         if self.unit not in ("gru", "indrnn", None):
-            raise ConfigError(f"unknown recurrent unit {self.unit!r}")
+            raise ConfigError(f"unit must be one of ['gru', 'indrnn'], got {self.unit!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class CascadeConfig:
 
     def __post_init__(self):
         if self.n_cascades is not None and self.n_cascades < 1:
-            raise ConfigError(f"need at least one cascade, got {self.n_cascades}")
+            raise ConfigError(f"n_cascades must be at least 1, got {self.n_cascades}")
         if not np.isfinite(self.dc_weight_init):
             raise ConfigError(f"dc_weight_init must be finite, got {self.dc_weight_init}")
 
@@ -82,8 +82,9 @@ class UnetConfig:
     channels: int = 18
 
     def __post_init__(self):
-        if self.pools < 1 or self.channels < 1:
-            raise ConfigError(f"invalid encoder-decoder config: {self}")
+        for name in ("pools", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class KindDefaults(NamedTuple):

@@ -173,7 +173,7 @@ class DatasetRecord:
 
     def __post_init__(self):
         """A ValueError names the first array, by its name in a record container, that does
-        not fit the mask's (h, w) grid or holds a non-finite number."""
+        not fit the mask's (h, w) grid or the maps' coils, or holds a non-finite number."""
         h, w = self.mask.keep.shape      # 2-D, as SamplingMask checks
         for name in ("reference", "lesion_mask", "wm_mask"):
             shape = np.shape(getattr(self, name))
@@ -183,6 +183,9 @@ class DatasetRecord:
             shape = np.shape(getattr(self, name))
             if len(shape) != 3 or shape[0] < 1 or shape[1:] != (h, w):
                 raise ValueError(f"{name} must be (c, {h}, {w}) with c >= 1, got shape {shape}")
+        if len(self.kspace) != len(self.maps):
+            raise ValueError(f"kspace must have as many coils as maps ({len(self.maps)}), "
+                             f"got {len(self.kspace)}")
         for name in ("reference", "maps", "kspace"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

@@ -6,6 +6,7 @@ Each fault is raised as the caller's error class in one form, ``<path> <fault>``
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 import typing
@@ -31,26 +32,52 @@ _PLAIN = {
 }
 
 
-def read_fields(cls, obj, error: type[Exception], where: str = ""):
-    """Dataclass `cls` from the JSON object `obj`; `where` prefixes each field's path."""
+@functools.lru_cache(maxsize=None)
+def _schema(cls) -> tuple[dict, tuple[str, ...]]:
+    """A dataclass's hint per field, and the fields with no default, each in field order."""
+    hints = typing.get_type_hints(cls)
+    return ({f.name: hints[f.name] for f in fields(cls)},
+            tuple(f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING))
+
+
+def read_fields(cls, obj, error: type[Exception], where: str = "", **given):
+    """Dataclass `cls` from the JSON object `obj` and the fields in `given`.
+
+    `where` prefixes each field's path, and also an `error` the class itself raises.
+    """
     if not isinstance(obj, dict):
         raise error(f"{where[:-1] or cls.__name__} must be an object, got {obj!r}")
-    names = [f.name for f in fields(cls)]
+    hints, required = _schema(cls)
     for key in obj:
-        if key not in names:
-            raise error(f"{where}{key} is not a field (fields: {', '.join(names)})")
-    for f in fields(cls):
-        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
-            raise error(f"{where}{f.name} is missing")
-    hints = typing.get_type_hints(cls)
-    return cls(**{key: read_value(hints[key], value, where + key, error)
-                  for key, value in obj.items()})
+        if key not in hints or key in given:
+            names = ", ".join(name for name in hints if name not in given)
+            raise error(f"{where}{key} is not a field (fields: {names})")
+    for name in required:
+        if name not in obj and name not in given:
+            raise error(f"{where}{name} is missing")
+    values = {key: read_value(hints[key], value, where + key, error)
+              for key, value in obj.items()}
+    try:
+        return cls(**values, **given)
+    except error as exc:      # a value the class's own check rejects
+        raise error(f"{where}{exc}") from None
 
 
 def read_value(hint, value, path: str, error: type[Exception]):
     """`value` read as the type `hint` names: a tuple hint gives a tuple, an array hint a
-    float64 array, and a number or string comes back as it is."""
+    float64 array, and a number, a string or a `Literal`'s value comes back as it is."""
+    plain = _PLAIN.get(hint) if isinstance(hint, type) else None    # a Literal hashes slowly
+    if plain is not None:
+        what, fits = plain
+        if not fits(value):
+            raise error(f"{path} must be {what}, got {value!r}")
+        return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        if not any(type(value) is type(a) and value == a for a in args):
+            raise error(f"{path} must be one of {list(args)}, got {value!r}")
+        return value
     if origin in (types.UnionType, typing.Union):        # X | None
         (inner,) = [a for a in args if a is not type(None)]
         return None if value is None else read_value(inner, value, path, error)
@@ -70,7 +97,4 @@ def read_value(hint, value, path: str, error: type[Exception]):
         if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise error(f"{path} must be an array of finite numbers, got {value!r}")
         return arr.astype(float)
-    what, fits = _PLAIN[hint]
-    if not fits(value):
-        raise error(f"{path} must be {what}, got {value!r}")
-    return value
+    raise TypeError(f"{path}: the reader has no rule for the hint {hint!r}")

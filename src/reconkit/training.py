@@ -314,10 +314,10 @@ def method_model(name: str, model, store: ParameterStore) -> MethodSpec:
 
 
 def method_checkpoint(path, name: str | None = None) -> MethodSpec:
-    """The model a checkpoint holds, run in its `dtype` (float64 when it has none)."""
+    """The model a checkpoint holds, run in its `dtype`."""
     config, values, extra = containers.load_checkpoint(path)
     model = model_from_config(config)
-    store = ParameterStore(extra.get("dtype", "float64"))
+    store = ParameterStore(extra["dtype"])
     model.init_params(store, seed=0)
     try:
         store.load_values(values)

@@ -53,20 +53,27 @@ def set_container_header(path, header) -> None:
 # with the name its FormatError must give; a row's first word is its container kind
 BAD_TYPED_FILES = {
     "record_without_mask_keep": "'mask_keep'",
-    "record_mask_seed_x": "'seed'",
+    "record_mask_seed_x": "meta.mask.seed must be an integer, got 'x'",
     "record_mask_keep_two": "'mask_keep'",
-    "mask_seed_x": "'seed'",
-    "mask_seed_true": "'seed'",
+    "mask_seed_x": "meta.seed must be an integer, got 'x'",
+    "mask_seed_true": "meta.seed must be an integer, got True",
     "mask_keep_nan": "'keep'",
-    "model_config_list": "'config'",
-    "model_dtype_float16": "'dtype'",
-    "model_dtype_32": "'dtype'",
+    "mask_keep_complex": "'keep' must be real",
+    "model_config_list": "meta.config must be an object",
+    "model_dtype_float16": "meta.dtype must be one of",
+    "model_dtype_32": "meta.dtype must be one of",
     "record_reference_8x8": "record array reference",
     "record_no_coils": "record array maps",
     "record_lesion_mask_8x8": "record array lesion_mask",
     "record_kspace_nan": "record array kspace",
     "record_maps_nan": "record array maps",
     "record_reference_inf": "record array reference",
+    "record_kspace_two_coils": "record array kspace must have as many coils as maps",
+    "phantom_image_1d": "phantom array image must be 2-D",
+    "phantom_image_3d": "phantom array image must be 2-D",
+    "phantom_image_nan": "phantom array image must be finite",
+    "phantom_lesion_mask_4x4": "phantom array lesion_mask must be",
+    "phantom_wm_mask_4x4": "phantom array wm_mask must be",
 }
 
 
@@ -82,6 +89,10 @@ BAD_MODEL_CONFIGS = {
                            "cascade.dc_weight_init must be a finite number"),
     "kernel_sizes_two": ({"kind": "cirim", "cell": {"kernel_sizes": [3, 3]}},
                          "cell.kernel_sizes must be a list of 3 items"),
+    "cell_channels_0": ({"kind": "cirim", "cell": {"channels": 0}},
+                        "cell.channels must be at least 1, got 0"),
+    "n_cascades_0": ({"kind": "cirim", "cascade": {"n_cascades": 0}},
+                     "cascade.n_cascades must be at least 1, got 0"),
     "cell_on_a_varnet": ({"kind": "varnet", "cell": {"channels": 4}}, "'cell'"),
     "varnet_without_dc": ({"kind": "varnet", "cascade": {"explicit_dc": False}},
                           "'cascade.explicit_dc'"),
@@ -94,7 +105,8 @@ def _with_first(arr, value):
     return arr
 
 
-# each record row's arrays that do not fit the mask's grid or hold a non-finite number
+# each record row's arrays that do not fit the mask's grid or the maps' coils, or hold a
+# non-finite number
 _RECORD_EDITS = {
     "record_reference_8x8": lambda a: {"reference": a["reference"][:8, :8]},
     "record_no_coils": lambda a: {"maps": a["maps"][:0], "kspace": a["kspace"][:0]},
@@ -102,6 +114,16 @@ _RECORD_EDITS = {
     "record_kspace_nan": lambda a: {"kspace": _with_first(a["kspace"], np.nan)},
     "record_maps_nan": lambda a: {"maps": _with_first(a["maps"], np.nan)},
     "record_reference_inf": lambda a: {"reference": _with_first(a["reference"], np.inf)},
+    "record_kspace_two_coils": lambda a: {"kspace": a["kspace"][:2]},
+}
+
+# each phantom row's arrays that are not a finite 2-D image with masks of its shape
+_PHANTOM_EDITS = {
+    "phantom_image_1d": lambda a: {"image": a["image"][0]},
+    "phantom_image_3d": lambda a: {"image": a["image"][None]},
+    "phantom_image_nan": lambda a: {"image": _with_first(a["image"], np.nan)},
+    "phantom_lesion_mask_4x4": lambda a: {"lesion_mask": a["lesion_mask"][:4, :4]},
+    "phantom_wm_mask_4x4": lambda a: {"wm_mask": a["wm_mask"][:4, :4]},
 }
 
 
@@ -114,11 +136,17 @@ def write_bad_typed_file(row, path, record) -> None:
         keep = record.mask.keep.copy()
         keep[0, 0] = np.nan
         containers.write_container(path, "mask", {}, {"keep": keep})
+    elif row == "mask_keep_complex":
+        containers.write_container(path, "mask", {}, {"keep": record.mask.keep + 0.5j})
     elif row == "model_config_list":
         containers.save_checkpoint(path, ["cirim"], {})
     elif row.startswith("model_dtype_"):
         dtype = {"model_dtype_float16": "float16", "model_dtype_32": 32}[row]
         containers.save_checkpoint(path, {"kind": "cirim"}, {}, meta={"dtype": dtype})
+    elif row.startswith("phantom_"):
+        arrays = {"image": record.reference, "lesion_mask": record.lesion_mask,
+                  "wm_mask": record.wm_mask}
+        containers.write_phantom(path, **{**arrays, **_PHANTOM_EDITS[row](arrays)})
     else:
         containers.write_record(path, record)
         kind, meta, arrays = containers.read_container(path)

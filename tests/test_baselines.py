@@ -246,8 +246,8 @@ class TestCsL1Wavelet:
             monkeypatch.setattr(mri, name, counted)
         rec = small_record
         history = []
-        baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, tol=0.0,
-                               history=history)
+        monkeypatch.setattr(baselines, "CS_TOL", 0.0)
+        baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, history=history)
         assert len(history) == 1 + n
         assert calls == {"forward_op": 1 + n, "adjoint_op": 1 + n}
 
@@ -264,8 +264,8 @@ class TestCsL1Wavelet:
         monkeypatch.setattr(baselines, "wavelet2", counted)
         rec = padded_record() if case == "padded_20x20" else small_record
         history = []
-        baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, tol=0.0,
-                               history=history)
+        monkeypatch.setattr(baselines, "CS_TOL", 0.0)
+        baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, history=history)
         assert len(history) == 1 + n
         assert len(calls) == 1 + per_iteration * n
 

@@ -237,7 +237,7 @@ class TestExitCodes:
                   "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: FormatError: ") and "'arrays'" in err
+        assert err.startswith("error: FormatError: header.arrays is missing")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("row", sorted(BAD_TYPED_FILES))
@@ -246,11 +246,13 @@ class TestExitCodes:
         write_bad_typed_file(row, bad, small_record)
         containers.write_record(good, small_record)
         kind = row.split("_")[0]
-        if kind == "mask":    # recon and eval read no mask file; simulate does
-            phantom = tmp_path / "ph.cks"
+        if kind in ("mask", "phantom"):    # recon and eval read neither file; simulate does
+            phantom, mask = tmp_path / "ph.cks", tmp_path / "m.cks"
             containers.write_phantom(phantom, small_record.reference,
                                      small_record.lesion_mask, small_record.wm_mask)
-            commands = [["simulate", "--phantom", str(phantom), "--mask", str(bad),
+            containers.write_mask(mask, small_record.mask)
+            phantom, mask = (bad, mask) if kind == "phantom" else (phantom, bad)
+            commands = [["simulate", "--phantom", str(phantom), "--mask", str(mask),
                          "--out", out]]
         else:
             method, data = (str(bad), str(good)) if kind == "model" else ("zerofill", str(bad))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reconkit import containers, sampling
+from reconkit import containers, sampling, training
 from reconkit.containers import (ChecksumError, FormatError, TruncationError,
                                  VersionError)
 
@@ -44,12 +45,17 @@ def _with_entry(header, entry):
 _ENTRY = _mask_header()["arrays"][0]
 # each header has a valid CRC; before the schema check they raised the error in the comment
 _MALFORMED_HEADERS = {
-    "json_list": ([_mask_header()], "JSON object"),                          # AttributeError
-    "no_arrays": (_drop(_mask_header(), "arrays"), "'arrays'"),              # KeyError
-    "dtype_int8": (_with_entry(_mask_header(), {**_ENTRY, "dtype": "int8"}), "dtype"),  # KeyError
-    "entry_without_name": (_with_entry(_mask_header(), _drop(_ENTRY, "name")), "name"),  # KeyError
-    "negative_shape": (_with_entry(_mask_header(), {**_ENTRY, "shape": [-2, 2]}), "shape"),  # ValueError
-    "shape_ab": (_with_entry(_mask_header(), {**_ENTRY, "shape": "ab"}), "shape"),  # ValueError
+    "json_list": ([_mask_header()], "header must be an object"),             # AttributeError
+    "no_arrays": (_drop(_mask_header(), "arrays"), r"header\.arrays is missing"),  # KeyError
+    "dtype_int8": (_with_entry(_mask_header(), {**_ENTRY, "dtype": "int8"}),  # KeyError
+                   r"header\.arrays\[0\]\.dtype must be one of \['float32', 'float64', "
+                   r"'complex64'\], got 'int8'"),
+    "entry_without_name": (_with_entry(_mask_header(), _drop(_ENTRY, "name")),  # KeyError
+                           r"header\.arrays\[0\]\.name is missing"),
+    "negative_shape": (_with_entry(_mask_header(), {**_ENTRY, "shape": [-2, 2]}),  # ValueError
+                       r"header\.arrays\[0\]\.shape must be at most 32 non-negative integers"),
+    "shape_ab": (_with_entry(_mask_header(), {**_ENTRY, "shape": "ab"}),  # ValueError
+                 r"header\.arrays\[0\]\.shape must be a list, got 'ab'"),
 }
 
 _JSON = st.recursive(
@@ -223,9 +229,45 @@ class TestContainer:
         path = tmp_path / "bad.cks"
         write_bad_typed_file(row, path, record)
         reader = {"record": containers.read_record, "mask": containers.read_mask,
-                  "model": containers.load_checkpoint}[row.split("_")[0]]
+                  "model": containers.load_checkpoint,
+                  "phantom": containers.read_phantom}[row.split("_")[0]]
         with pytest.raises(FormatError, match=BAD_TYPED_FILES[row]):
             reader(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(containers._RECORD_ARRAYS),
+           change=st.sampled_from(["shape", "dtype", "value"]), data=st.data())
+    def test_a_replaced_record_array_is_named_or_scored(self, tmp_path_factory, small_record,
+                                                        name, change, data):
+        path = tmp_path_factory.mktemp("r") / "rec.cks"
+        containers.write_record(path, small_record)
+        kind, meta, arrays = containers.read_container(path)
+        arr = arrays[name]
+        if change == "shape":       # one axis resized, or any shape
+            shape = list(arr.shape)
+            if data.draw(st.booleans()):
+                shape[data.draw(st.integers(0, arr.ndim - 1))] = data.draw(st.integers(0, 20))
+            else:
+                shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                   max_side=20))
+            arr = np.resize(arr, shape)
+        elif change == "dtype":
+            arr = arr.real if np.iscomplexobj(arr) else arr * (1 + data.draw(st.complex_numbers(
+                max_magnitude=1e3, allow_nan=False)))
+        else:
+            arr = arr.copy()
+            arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+                st.floats(width=32) if np.isrealobj(arr) else st.complex_numbers(width=64))
+        arrays[name] = arr
+        containers.write_container(path, kind, meta, arrays)
+        try:
+            rec = containers.read_record(path)
+        except containers.ContainerError as exc:
+            # the mask's grid frames the record: another mask shape names the array that
+            # no longer fits it, "like the mask"
+            assert name in str(exc) or name == "mask_keep" and "like the mask" in str(exc)
+        else:
+            training.evaluate([training.method_zero_filled()], [rec], timing=False)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         values = {"cascade0.conv1.weight": np.random.default_rng(0).standard_normal((2, 2, 3, 3)).astype(np.float32)}
