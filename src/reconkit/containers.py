@@ -27,7 +27,7 @@ import numpy as np
 
 from .mri import SamplingMask
 from .phantom import DatasetRecord
-from .schema import read_fields, read_value
+from .schema import read_fields, read_value, shown
 
 MAGIC = b"CKS1\x00\x00\x00\x00"
 VERSION = 1
@@ -75,7 +75,7 @@ class _Entry:
         if not (len(self.shape) <= 32 and min(self.shape, default=0) >= 0
                 and math.prod(filter(None, self.shape)) < 2 ** 60):   # numpy's size limit
             raise FormatError(f"shape must be at most 32 non-negative integers whose nonzero "
-                              f"product is below 2**60, got {self.shape!r}")
+                              f"product is below 2**60, got {shown(self.shape)}")
 
 
 @dataclass
@@ -141,7 +141,7 @@ def read_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too deep, too many digits
         raise FormatError(f"unparseable header: {exc}") from None
     if isinstance(header, dict) and header.get("version") != VERSION:
-        raise VersionError(f"unsupported container version {header.get('version')!r}")
+        raise VersionError(f"unsupported container version {shown(header.get('version'))}")
     header = read_fields(_Header, header, FormatError, "header.")
 
     arrays: dict[str, np.ndarray] = {}
@@ -196,6 +196,14 @@ def _mask_from(keep: np.ndarray, meta: dict, where: str, name: str) -> SamplingM
         raise FormatError(f"array {name!r}: {exc}") from None
 
 
+def _region(arrays: dict, name: str, kind: str) -> np.ndarray:
+    """The stored region mask `name` as booleans; a complex one is a FormatError, since
+    `> 0.5` would compare it in lexicographic order."""
+    if np.iscomplexobj(arrays[name]):
+        raise FormatError(f"{kind} array {name} must be real, got {arrays[name].dtype}")
+    return arrays[name] > 0.5
+
+
 # a record's arrays: its DatasetRecord fields of these names, with its mask's keep as mask_keep
 _RECORD_ARRAYS = ("reference", "maps", "mask_keep", "kspace", "lesion_mask", "wm_mask")
 
@@ -217,8 +225,8 @@ def read_record(path) -> DatasetRecord:
             maps=arrays["maps"].astype(np.complex128),
             mask=mask,
             kspace=arrays["kspace"].astype(np.complex128),
-            lesion_mask=arrays["lesion_mask"] > 0.5,
-            wm_mask=arrays["wm_mask"] > 0.5,
+            lesion_mask=_region(arrays, "lesion_mask", "record"),
+            wm_mask=_region(arrays, "wm_mask", "record"),
             meta=meta,
         )
     except ValueError as exc:   # an array that does not fit the others, or is not finite
@@ -243,7 +251,7 @@ def write_phantom(path, image: np.ndarray, lesion_mask: np.ndarray, wm_mask: np.
 
 def read_phantom(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Image, lesion mask, white-matter mask and meta; a FormatError names an image that
-    is not 2-D or not finite, or a mask that is not of its shape."""
+    is not 2-D or not finite, or a mask that is complex or not of its shape."""
     meta, arrays = _read_typed(path, "phantom", ("image", "lesion_mask", "wm_mask"))
     image = arrays["image"]
     if image.ndim != 2:
@@ -254,8 +262,8 @@ def read_phantom(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         if arrays[name].shape != image.shape:
             raise FormatError(f"phantom array {name} must be {image.shape} like the image, "
                               f"got shape {arrays[name].shape}")
-    return (image.astype(np.complex128),
-            arrays["lesion_mask"] > 0.5, arrays["wm_mask"] > 0.5, meta)
+    return (image.astype(np.complex128), _region(arrays, "lesion_mask", "phantom"),
+            _region(arrays, "wm_mask", "phantom"), meta)
 
 
 def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],

@@ -157,9 +157,10 @@ def add_noise(y: np.ndarray, sigma: float, mask, seed: int) -> np.ndarray:
     m = _mask_array(mask).astype(bool)
     rng = np.random.default_rng(seed)
     scale = sigma / np.sqrt(2.0)
-    noise = scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    # drawn over the whole grid, so the noise at a position does not depend on the mask
+    re, im = rng.standard_normal(y.shape), rng.standard_normal(y.shape)
     out = y.copy()
-    out[:, m] = out[:, m] + noise[:, m]
+    out[:, m] = out[:, m] + scale * (re[:, m] + 1j * im[:, m])
     return out
 
 

@@ -10,8 +10,9 @@ Three families:
   plus a fully kept central band.
 * ``poisson2d_mask`` performs variable-density Poisson-disc selection with the
   local exclusion radius growing linearly with distance from the k-space
-  center; the radius scale is calibrated by bisection until the achieved
-  acceleration is within tolerance.
+  center; the radius scale is calibrated, one greedy selection per step,
+  along a power law of the kept count in the scale and then by log-log
+  secant steps, until the achieved acceleration is within tolerance.
 
 All generators are pure functions of their arguments (seed included), so the
 same call always produces the same mask.
@@ -30,7 +31,8 @@ _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 _PAIRS_PER_WINDOW = 1 << 15
 POISSON_RADIUS_OFFSET = 0.05   # the Poisson-disc radius at the centre, per unit scale
 POISSON_TOL = 0.05             # the relative miss of the target count calibration accepts
-POISSON_MAX_BISECTIONS = 50
+POISSON_DENSITY_POWER = 1.5   # p in count ~ scale**-p outside the ACS, measured at 64x64 4x
+POISSON_MAX_PASSES = 50        # greedy selections calibration may run
 
 
 class MaskBudgetError(ValueError):
@@ -248,61 +250,50 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
 
     acs = acs_ellipse(h, w, acs_frac)
     target = h * w / acceleration
-    if acs.sum() > target * (1 + POISSON_TOL):
+    n_acs = int(acs.sum())
+    if n_acs > target * (1 + POISSON_TOL):
         raise MaskBudgetError(
-            f"ACS ellipse holds {int(acs.sum())} samples, above the {acceleration}x budget"
+            f"ACS ellipse holds {n_acs} samples, above the {acceleration}x budget"
         )
     order = np.random.default_rng(seed).permutation(h * w)
 
-    def count(scale: float) -> tuple[int, np.ndarray]:
+    # the count kept outside the ACS falls as the scale grows, about as
+    # scale**-POISSON_DENSITY_POWER: step along that law until the target is
+    # bracketed, then take the log-log secant between the nearest counts on
+    # either side of it. The first candidate outside the ACS is always kept.
+    scale = _poisson_scale_estimate(h, w, POISSON_RADIUS_OFFSET, target)
+    want = max(target - n_acs, 1.0)
+    above = below = None        # the latest (scale, count outside the ACS) either side
+    best = np.inf
+    for _ in range(POISSON_MAX_PASSES):
         keep = _poisson_disc_select(h, w, scale, POISSON_RADIUS_OFFSET, acs, order)
-        return int(keep.sum()), keep
-
-    def bracket(scale: float, factor: float, short) -> tuple[float, int, np.ndarray]:
-        """`scale` times `factor`, up to 8 times, until its count is no longer `short`."""
-        n, keep = count(scale)
-        for _ in range(8):
-            if not short(n):
-                break
-            scale *= factor
-            n, keep = count(scale)
-        return scale, n, keep
-
-    def nearer(best: tuple, scale: float, n: int, keep: np.ndarray) -> tuple:
-        err = abs(n - target) / target      # best: (miss, scale, mask); a tie keeps the first
-        return best if best[0] <= err else (err, scale, keep)
-
-    # bracket the radius scale around a packing-density estimate, then
-    # bisect; kept count decreases monotonically with the scale
-    est = _poisson_scale_estimate(h, w, POISSON_RADIUS_OFFSET, target)
-    lo, n_lo, keep_lo = bracket(est / 1.4, 0.5, lambda n: n < target)
-    hi, n_hi, keep_hi = bracket(est * 1.4, 2.0, lambda n: n > target)
-    if n_lo < target or n_hi > target:
-        raise MaskCalibrationError(
-            f"cannot bracket target density {target:.0f} (got {n_lo}..{n_hi})"
-        )
-    best = nearer(nearer((np.inf, None, None), lo, n_lo, keep_lo), hi, n_hi, keep_hi)
-    for _ in range(POISSON_MAX_BISECTIONS):
-        if best[0] <= POISSON_TOL:
+        n = int(keep.sum())
+        miss = abs(n - target) / target
+        if miss <= POISSON_TOL:
             break
-        mid = 0.5 * (lo + hi)
-        n_mid, keep_mid = count(mid)
-        best = nearer(best, mid, n_mid, keep_mid)
-        if n_mid > target:
-            lo = mid
+        best = min(best, miss)
+        if n > target:
+            above = (scale, n - n_acs)
         else:
-            hi = mid
-    best_err, best_scale, best_keep = best
-    if best_err > POISSON_TOL:
+            below = (scale, n - n_acs)
+        if above is None or below is None:
+            scale *= np.clip(((n - n_acs) / want) ** (1 / POISSON_DENSITY_POWER), 0.5, 2.0)
+        else:
+            (s0, n0), (s1, n1) = above, below
+            scale = s0 * (s1 / s0) ** (np.log(want / n0) / np.log(n1 / n0))
+            if not min(s0, s1) < scale < max(s0, s1):      # rounding: keep inside
+                scale = np.sqrt(s0 * s1)
+    else:
         raise MaskCalibrationError(
-            f"calibration stalled at {best_err:.1%} from the {acceleration}x target"
+            f"calibration missed the {acceleration}x target by {best:.1%} "
+            f"after {POISSON_MAX_PASSES} passes"
         )
 
     return SamplingMask(
-        best_keep.astype(np.float64), kind="poisson2d",
+        keep.astype(np.float64), kind="poisson2d",
         requested_acceleration=float(acceleration), seed=seed,
         extra={"acs_frac": acs_frac, "radius_offset": POISSON_RADIUS_OFFSET,
-               "tolerance": POISSON_TOL, "scale": best_scale},
+               "tolerance": POISSON_TOL, "scale": scale},
     )
 
 

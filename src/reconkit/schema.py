@@ -1,13 +1,15 @@
 """One reader from a JSON object to a dataclass, by the dataclass's type hints.
 
 Each fault is raised as the caller's error class in one form, ``<path> <fault>``
-(``ellipses[2].ax must be a finite number, got 'x'``).
+(``ellipses[2].ax must be a finite number, got 'x'``), and shows the offending
+value through `shown`, so a message stays one short line whatever the input.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -32,6 +34,18 @@ _PLAIN = {
 }
 
 
+SHOWN_MAX = 200        # characters of a value an error message shows
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxlist, _SHOWN.maxdict, _SHOWN.maxstring = 3, 8, 8, 80
+
+
+def shown(value) -> str:
+    """`value`'s repr for an error message: long containers and strings are elided
+    inside, and the whole is cut to at most SHOWN_MAX characters."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= SHOWN_MAX else text[:SHOWN_MAX - 3] + "..."
+
+
 @functools.lru_cache(maxsize=None)
 def _schema(cls) -> tuple[dict, tuple[str, ...]]:
     """A dataclass's hint per field, and the fields with no default, each in field order."""
@@ -47,7 +61,7 @@ def read_fields(cls, obj, error: type[Exception], where: str = "", **given):
     `where` prefixes each field's path, and also an `error` the class itself raises.
     """
     if not isinstance(obj, dict):
-        raise error(f"{where[:-1] or cls.__name__} must be an object, got {obj!r}")
+        raise error(f"{where[:-1] or cls.__name__} must be an object, got {shown(obj)}")
     hints, required = _schema(cls)
     for key in obj:
         if key not in hints or key in given:
@@ -71,12 +85,12 @@ def read_value(hint, value, path: str, error: type[Exception]):
     if plain is not None:
         what, fits = plain
         if not fits(value):
-            raise error(f"{path} must be {what}, got {value!r}")
+            raise error(f"{path} must be {what}, got {shown(value)}")
         return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Literal:
         if not any(type(value) is type(a) and value == a for a in args):
-            raise error(f"{path} must be one of {list(args)}, got {value!r}")
+            raise error(f"{path} must be one of {list(args)}, got {shown(value)}")
         return value
     if origin in (types.UnionType, typing.Union):        # X | None
         (inner,) = [a for a in args if a is not type(None)]
@@ -86,7 +100,7 @@ def read_value(hint, value, path: str, error: type[Exception]):
     if origin in (list, tuple):
         n = len(args) if origin is tuple else 0
         if not isinstance(value, (list, tuple)) or n and len(value) != n:
-            raise error(f"{path} must be a list{f' of {n} items' if n else ''}, got {value!r}")
+            raise error(f"{path} must be a list{f' of {n} items' if n else ''}, got {shown(value)}")
         return origin(read_value(args[i] if n else args[0], v, f"{path}[{i}]", error)
                       for i, v in enumerate(value))
     if hint is np.ndarray:
@@ -95,6 +109,6 @@ def read_value(hint, value, path: str, error: type[Exception]):
         except ValueError:       # ragged
             arr = None
         if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-            raise error(f"{path} must be an array of finite numbers, got {value!r}")
+            raise error(f"{path} must be an array of finite numbers, got {shown(value)}")
         return arr.astype(float)
     raise TypeError(f"{path}: the reader has no rule for the hint {hint!r}")

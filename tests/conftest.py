@@ -69,11 +69,13 @@ BAD_TYPED_FILES = {
     "record_maps_nan": "record array maps",
     "record_reference_inf": "record array reference",
     "record_kspace_two_coils": "record array kspace must have as many coils as maps",
+    "record_lesion_mask_complex": "record array lesion_mask must be real",
     "phantom_image_1d": "phantom array image must be 2-D",
     "phantom_image_3d": "phantom array image must be 2-D",
     "phantom_image_nan": "phantom array image must be finite",
     "phantom_lesion_mask_4x4": "phantom array lesion_mask must be",
     "phantom_wm_mask_4x4": "phantom array wm_mask must be",
+    "phantom_wm_mask_complex": "phantom array wm_mask must be real",
 }
 
 
@@ -115,6 +117,8 @@ _RECORD_EDITS = {
     "record_maps_nan": lambda a: {"maps": _with_first(a["maps"], np.nan)},
     "record_reference_inf": lambda a: {"reference": _with_first(a["reference"], np.inf)},
     "record_kspace_two_coils": lambda a: {"kspace": a["kspace"][:2]},
+    # 0.4+5j would read as outside and 0.6-5j as inside: `>` orders complex numbers
+    "record_lesion_mask_complex": lambda a: {"lesion_mask": a["lesion_mask"] + 5j},
 }
 
 # each phantom row's arrays that are not a finite 2-D image with masks of its shape
@@ -124,6 +128,7 @@ _PHANTOM_EDITS = {
     "phantom_image_nan": lambda a: {"image": _with_first(a["image"], np.nan)},
     "phantom_lesion_mask_4x4": lambda a: {"lesion_mask": a["lesion_mask"][:4, :4]},
     "phantom_wm_mask_4x4": lambda a: {"wm_mask": a["wm_mask"][:4, :4]},
+    "phantom_wm_mask_complex": lambda a: {"wm_mask": a["wm_mask"] - 5j},
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reconkit import containers, sampling, training
+from reconkit import containers, sampling, schema, training
 from reconkit.containers import (ChecksumError, FormatError, TruncationError,
                                  VersionError)
 
@@ -149,6 +149,21 @@ class TestContainer:
         set_container_header(path, header)
         with pytest.raises(FormatError, match=field):
             containers.read_container(path)
+
+    @pytest.mark.parametrize("header, start", [
+        (list(range(10_000)), "header must be an object, got [0, 1, "),
+        (_with_entry(_mask_header(), {**_ENTRY, "shape": [1] * 10_000}),
+         "header.arrays[0].shape must be at most 32 non-negative integers"),
+    ], ids=["json_list_10k", "shape_10k"])
+    def test_a_long_value_shows_in_one_short_line(self, tmp_path, header, start):
+        # before: the whole value, some 30-50k characters, after "got"
+        path = tmp_path / "t.cks"
+        containers.write_container(path, "mask", {}, {"keep": np.ones((2, 2))})
+        set_container_header(path, header)
+        with pytest.raises(FormatError) as err:
+            containers.read_container(path)
+        message = str(err.value)
+        assert message.startswith(start) and len(message) < 2 * schema.SHOWN_MAX
 
     @pytest.mark.parametrize("raw", [b'{"version": ' + b"1" * 5000 + b"}",   # ValueError before
                                      b"[" * 100_000 + b"]" * 100_000],       # RecursionError before

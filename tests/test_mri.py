@@ -280,6 +280,20 @@ class TestNoise:
         measured = np.sqrt(np.mean(np.abs(noisy) ** 2))
         assert abs(measured - sigma) / sigma < 0.02
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_matches_the_full_grid_formula(self, dtype):
+        # noise drawn over the whole grid, added at the sampled positions
+        _, x, maps, mask = _setup(14)
+        y = mri.forward_op(x, maps, mask).astype(dtype)
+        rng = np.random.default_rng(5)
+        noise = 0.3 / np.sqrt(2.0) * (rng.standard_normal(y.shape)
+                                      + 1j * rng.standard_normal(y.shape))
+        want = y.copy()
+        m = mask.keep.astype(bool)
+        want[:, m] = want[:, m] + noise[:, m]
+        got = mri.add_noise(y, 0.3, mask, seed=5)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_seed_determinism(self):
         _, x, maps, mask = _setup(13)
         y = mri.forward_op(x, maps, mask)

@@ -226,6 +226,43 @@ class TestPoisson2d:
         assert np.array_equal(got.keep, want.keep)
         assert got.extra == want.extra
 
+    def test_calibration_takes_two_or_three_passes(self, monkeypatch):
+        passes = []
+        select = sampling._poisson_disc_select
+
+        def counted(*args):
+            passes[-1] += 1
+            return select(*args)
+        monkeypatch.setattr(sampling, "_poisson_disc_select", counted)
+        for seed in range(20):
+            passes.append(0)
+            mask = sampling.poisson2d_mask(64, 64, 4.0, seed=seed)
+            assert abs(mask.n_kept - 1024) / 1024 <= sampling.POISSON_TOL
+        assert max(passes) <= 3 and np.mean(passes) <= 2.5
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (31, 17), (48, 80), (64, 64)])
+    def test_calibration_meets_the_tolerance_or_the_budget_error(self, h, w):
+        # a large ACS takes a share of the count that no radius scale changes
+        for acceleration in (1.5, 3.0, 6.0, 12.0):
+            for acs_frac in (0.02, 0.4):
+                target = h * w / acceleration
+                try:
+                    mask = sampling.poisson2d_mask(h, w, acceleration, acs_frac=acs_frac)
+                except sampling.MaskBudgetError:
+                    acs = sampling.acs_ellipse(h, w, acs_frac)
+                    assert acs.sum() > target * (1 + sampling.POISSON_TOL)
+                else:
+                    assert abs(mask.n_kept - target) / target <= sampling.POISSON_TOL
+
+    def test_a_count_no_scale_moves_raises_naming_the_miss(self, monkeypatch):
+        # every pass keeps the same 512 of 4096 points, half the 4x target
+        fixed = np.zeros((64, 64), dtype=bool)
+        fixed[::2, ::4] = True
+        monkeypatch.setattr(sampling, "_poisson_disc_select", lambda *args: fixed.copy())
+        with pytest.raises(sampling.MaskCalibrationError,
+                           match=r"4\.0x target by 50\.0% after 50 passes"):
+            sampling.poisson2d_mask(64, 64, 4.0, acs_frac=0.0)
+
 
 class TestMaskReport:
     def test_full_mask_acceleration_one(self):
