@@ -196,12 +196,12 @@ def _mask_from(keep: np.ndarray, meta: dict, where: str, name: str) -> SamplingM
         raise FormatError(f"array {name!r}: {exc}") from None
 
 
-def _region(arrays: dict, name: str, kind: str) -> np.ndarray:
-    """The stored region mask `name` as booleans; a complex one is a FormatError, since
-    `> 0.5` would compare it in lexicographic order."""
+def _real(arrays: dict, name: str, kind: str) -> np.ndarray:
+    """The stored array `name`; a complex one is a FormatError, since a cast would drop its
+    imaginary parts and `> 0.5` would compare it in lexicographic order."""
     if np.iscomplexobj(arrays[name]):
         raise FormatError(f"{kind} array {name} must be real, got {arrays[name].dtype}")
-    return arrays[name] > 0.5
+    return arrays[name]
 
 
 # a record's arrays: its DatasetRecord fields of these names, with its mask's keep as mask_keep
@@ -225,8 +225,8 @@ def read_record(path) -> DatasetRecord:
             maps=arrays["maps"].astype(np.complex128),
             mask=mask,
             kspace=arrays["kspace"].astype(np.complex128),
-            lesion_mask=_region(arrays, "lesion_mask", "record"),
-            wm_mask=_region(arrays, "wm_mask", "record"),
+            lesion_mask=_real(arrays, "lesion_mask", "record") > 0.5,
+            wm_mask=_real(arrays, "wm_mask", "record") > 0.5,
             meta=meta,
         )
     except ValueError as exc:   # an array that does not fit the others, or is not finite
@@ -262,8 +262,8 @@ def read_phantom(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
         if arrays[name].shape != image.shape:
             raise FormatError(f"phantom array {name} must be {image.shape} like the image, "
                               f"got shape {arrays[name].shape}")
-    return (image.astype(np.complex128), _region(arrays, "lesion_mask", "phantom"),
-            _region(arrays, "wm_mask", "phantom"), meta)
+    return (image.astype(np.complex128), _real(arrays, "lesion_mask", "phantom") > 0.5,
+            _real(arrays, "wm_mask", "phantom") > 0.5, meta)
 
 
 def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],
@@ -275,13 +275,13 @@ def save_checkpoint(path, config: dict, values: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """The config echo, the parameters and the other meta, whose `dtype` is always given:
-    a checkpoint from before the field holds float64 parameters."""
+    """The config echo, the real parameters and the other meta, whose `dtype` is always
+    given: a checkpoint from before the field holds float64 parameters."""
     meta, arrays = _read_typed(path, "model")
     config = read_value(dict, meta.pop("config", {}), "meta.config", FormatError)
     meta["dtype"] = read_value(Literal["float32", "float64"], meta.get("dtype", "float64"),
                                "meta.dtype", FormatError)
-    return config, arrays, meta
+    return config, {name: _real(arrays, name, "model") for name in arrays}, meta
 
 
 # ---------------------------------------------------------------------------

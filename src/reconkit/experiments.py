@@ -8,6 +8,8 @@ byte. `desk_pipeline` runs it on CIRIM and a budget-matched GRU RIM.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +68,12 @@ def _gru_rim(channels: int, iterations: int):
 
 
 def matched_rim_channels(target_params: int, iterations: int) -> int:
-    """Hidden width for a single-cascade GRU block closest to a parameter budget."""
-    return min(range(4, 65), key=lambda c: abs(count_parameters(_gru_rim(c, iterations))
-                                               - target_params))
+    """Hidden width in 4..64 of a single-cascade GRU block closest to a parameter budget,
+    the narrower on a tie; the count grows with the width, so a bisection finds it."""
+    count = functools.cache(lambda c: count_parameters(_gru_rim(c, iterations)))
+    widths = range(4, 65)
+    i = bisect.bisect_left(widths, target_params, key=count)
+    return min(widths[max(i - 1, 0):i + 1], key=lambda c: abs(count(c) - target_params))
 
 
 def matched_rim(model, iterations: int):

@@ -11,8 +11,9 @@ after each cascade.  The variational-cascade baseline replaces the recurrent
 regularizer with a small encoder-decoder convnet.  Both run one cascade loop.
 
 All forward passes are built from :mod:`reconkit.autodiff` ops, so the same
-code serves seeded inference (constant parameters, no tape) and training
-(leaf parameters on a tape).  The running image is a real two-channel
+code serves initialisation (each parameter drawn where the pass first uses
+it), seeded inference (constant parameters, no tape) and training (leaf
+parameters on a tape).  The running image is a real two-channel
 ``(2, h, w)`` tensor (real part, imaginary part) from the zero-filled start
 to the output, so it feeds the convolutions as it is.  The forward model
 itself is not rebuilt here: the data-fidelity gradient is
@@ -114,8 +115,8 @@ def _fill(cfg, kind: str):
 # ---------------------------------------------------------------------------
 
 def _real_dtype(params) -> np.dtype:
-    """A forward pass runs in the real dtype of the parameters it is given."""
-    return np.result_type(*(t.dtype for t in params.values()))
+    """A forward pass runs in the real dtype of the parameters it is given (float32 for none)."""
+    return np.result_type(np.float32, *(t.dtype for t in params.values()))
 
 
 class _Operators:
@@ -146,26 +147,32 @@ class _Operators:
         return ad.sub(x, ad.mul(d, self.loglik_gradient(x)))
 
 
-def _init_conv(store: ParameterStore, rng, name: str, c_in: int, c_out: int, k: int,
-               gain: float = 1.0) -> None:
-    std = gain * np.sqrt(2.0 / (c_in * k * k + c_out * k * k))
-    store.add(f"{name}.weight", rng.normal(0.0, std, size=(c_out, c_in, k, k)))
-    store.add(f"{name}.bias", np.zeros(c_out))
+class _Drawing(dict):
+    """The params of an initialising pass: each is drawn into `store` when first used."""
+
+    def __init__(self, store: ParameterStore, rng: np.random.Generator):
+        super().__init__()
+        self.store, self.rng = store, rng
 
 
-def _conv(x, params, name):
-    return ad.conv2d(x, params[f"{name}.weight"], params[f"{name}.bias"])
+def _param(params, name: str, draw) -> Tensor:
+    """params[name]; an initialising pass first adds `draw(rng)` to its store under `name`."""
+    if isinstance(params, _Drawing) and name not in params:
+        params[name] = ad.constant(params.store.add(name, draw(params.rng)).value)
+    return params[name]
+
+
+def _conv(x, params, name: str, c_out: int, k: int, gain: float = 1.0):
+    """A k x k convolution to c_out channels, its weights drawn Glorot-normal times `gain`."""
+    c_in = x.shape[0]
+    weight = _param(params, f"{name}.weight", lambda rng: rng.normal(
+        0.0, gain * np.sqrt(2.0 / (c_in * k * k + c_out * k * k)), size=(c_out, c_in, k, k)))
+    return ad.conv2d(x, weight, _param(params, f"{name}.bias", lambda rng: np.zeros(c_out)))
 
 
 # ---------------------------------------------------------------------------
 # recurrent cells (gates are 1x1 convolutions over the spatial grid)
 # ---------------------------------------------------------------------------
-
-def init_gru(store: ParameterStore, rng, prefix: str, c_in: int, channels: int) -> None:
-    _init_conv(store, rng, f"{prefix}reset", c_in + channels, channels, 1)
-    _init_conv(store, rng, f"{prefix}update", c_in + channels, channels, 1)
-    _init_conv(store, rng, f"{prefix}cand", c_in + channels, channels, 1)
-
 
 def gru_step(x, s_prev, params, prefix: str = ""):
     """Gated recurrent update: s = (1 - z) * s_prev + z * tanh-candidate.
@@ -173,28 +180,25 @@ def gru_step(x, s_prev, params, prefix: str = ""):
     Written as s_prev + z * (candidate - s_prev), which needs no constant
     (a float64 1.0 would turn a float32 pass into float64).
     """
+    c = s_prev.shape[0]
     cat = ad.concat([s_prev, x], axis=0)
-    r = ad.sigmoid(_conv(cat, params, f"{prefix}reset"))
-    z = ad.sigmoid(_conv(cat, params, f"{prefix}update"))
+    r = ad.sigmoid(_conv(cat, params, f"{prefix}reset", c, 1))
+    z = ad.sigmoid(_conv(cat, params, f"{prefix}update", c, 1))
     cat_r = ad.concat([ad.mul(r, s_prev), x], axis=0)
-    s_tilde = ad.tanh(_conv(cat_r, params, f"{prefix}cand"))
+    s_tilde = ad.tanh(_conv(cat_r, params, f"{prefix}cand", c, 1))
     return ad.add(s_prev, ad.mul(z, ad.sub(s_tilde, s_prev)))
-
-
-def init_indrnn(store: ParameterStore, rng, prefix: str, c_in: int, channels: int) -> None:
-    _init_conv(store, rng, f"{prefix}input", c_in, channels, 1)
-    store.add(f"{prefix}recurrent", rng.uniform(0.0, 1.0, size=channels))
 
 
 def indrnn_step(x, s_prev, params, prefix: str = ""):
     """Element-wise recurrence: s = relu(W x + u .* s_prev + b)."""
-    wx = _conv(x, params, f"{prefix}input")
-    u = ad.reshape(params[f"{prefix}recurrent"], (-1, 1, 1))
+    c = s_prev.shape[0]
+    wx = _conv(x, params, f"{prefix}input", c, 1)
+    u = ad.reshape(_param(params, f"{prefix}recurrent",
+                          lambda rng: rng.uniform(0.0, 1.0, size=c)), (-1, 1, 1))
     return ad.relu(ad.add(wx, ad.mul(u, s_prev)))
 
 
 _UNIT_STEPS = {"gru": gru_step, "indrnn": indrnn_step}
-_UNIT_INITS = {"gru": init_gru, "indrnn": init_indrnn}
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +208,14 @@ _UNIT_INITS = {"gru": init_gru, "indrnn": init_indrnn}
 class CascadeModel:
     """Cascaded blocks, each optionally followed by a learned explicit soft-DC step.
 
-    A subclass supplies one block: ``_init_block(store, rng, prefix)`` draws
-    its parameters, ``_apply_block(x, ops, params, prefix)`` returns its
-    output image and per-iteration estimates.
+    A subclass supplies one block: ``_apply_block(x, ops, params, prefix)``
+    returns its output image and per-iteration estimates, and ``_min_side``
+    is the smallest image side it accepts.  The forward pass is the one
+    description of the layers: ``init_params`` runs it once on that side,
+    and each parameter is drawn where the pass first uses it.
     """
+
+    _min_side = 1
 
     def __init__(self, kind: str, cascade: CascadeConfig | None):
         if kind not in MODEL_KINDS:
@@ -223,13 +231,10 @@ class CascadeModel:
         return [self._prefix(k) for k in range(n_blocks)]
 
     def init_params(self, store: ParameterStore, seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        for prefix in self._block_prefixes():
-            self._init_block(store, rng, prefix)
-        if self.cascade.explicit_dc:
-            for k in range(self.cascade.n_cascades):
-                store.add(f"cascade{k}.dc_weight",
-                          np.array([self.cascade.dc_weight_init], dtype=np.float64))
+        """Add every parameter to `store`, drawn by one pass on an all-zero 1-coil image."""
+        side = self._min_side
+        self.forward(np.zeros((1, side, side), np.complex64), np.ones((1, side, side)),
+                     np.ones((side, side)), _Drawing(store, np.random.default_rng(seed)))
 
     def constraints(self) -> list[tuple[str, float, float]]:
         """Value clamps applied after each optimizer step."""
@@ -248,7 +253,8 @@ class CascadeModel:
         for k in range(self.cascade.n_cascades):
             x, estimates = self._apply_block(x, ops, params, self._prefix(k))
             if self.cascade.explicit_dc:
-                x = ops.soft_dc(x, params[f"cascade{k}.dc_weight"])
+                x = ops.soft_dc(x, _param(params, f"cascade{k}.dc_weight",
+                                          lambda rng: np.array([self.cascade.dc_weight_init])))
                 # the cascade's prediction is its data-consistent output
                 estimates[-1] = x
             if not np.all(np.isfinite(x.data)):
@@ -269,14 +275,15 @@ def rim_block(x, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
     """
     s0 = s1 = ad.constant(np.zeros((cfg.channels, ops.h, ops.w), dtype=ops.rdtype))
     step = _UNIT_STEPS[cfg.unit]
+    k1, k2, k3 = cfg.kernel_sizes
     estimates = []
     for tau in range(cfg.iterations):
         feat = ad.concat([ops.loglik_gradient(x), x], axis=0)
-        a1 = _conv(feat, params, f"{prefix}conv1")
+        a1 = _conv(feat, params, f"{prefix}conv1", cfg.channels, k1)
         s0 = step(a1, s0, params, f"{prefix}unit1.")
-        a2 = _conv(s0, params, f"{prefix}conv2")
+        a2 = _conv(s0, params, f"{prefix}conv2", cfg.channels, k2)
         s1 = step(a2, s1, params, f"{prefix}unit2.")
-        x = ad.add(x, _conv(s1, params, f"{prefix}conv3"))
+        x = ad.add(x, _conv(s1, params, f"{prefix}conv3", 2, k3, gain=0.1))
         if not np.all(np.isfinite(x.data)):
             raise DivergedError(f"non-finite reconstruction at unroll iteration {tau}")
         estimates.append(x)
@@ -293,15 +300,6 @@ class CirimModel(CascadeModel):
             raise ConfigError(f"a {kind} model has no recurrent cell; build it with build_model")
         self.cell = _fill(cell or RimCellConfig(), kind)
 
-    def _init_block(self, store: ParameterStore, rng, p: str) -> None:
-        c = self.cell.channels
-        k1, k2, k3 = self.cell.kernel_sizes
-        _init_conv(store, rng, f"{p}conv1", 4, c, k1)
-        _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit1.", c, c)
-        _init_conv(store, rng, f"{p}conv2", c, c, k2)
-        _UNIT_INITS[self.cell.unit](store, rng, f"{p}unit2.", c, c)
-        _init_conv(store, rng, f"{p}conv3", c, 2, k3, gain=0.1)
-
     def _apply_block(self, x, ops, params, prefix):
         return rim_block(x, ops, params, self.cell, prefix)
 
@@ -317,41 +315,23 @@ class CirimModel(CascadeModel):
 # variational cascade baseline
 # ---------------------------------------------------------------------------
 
-def init_unet(store: ParameterStore, rng, prefix: str, cfg: UnetConfig) -> None:
-    ch = cfg.channels
-    cur = 2     # in and out: the two-channel image
-    for i in range(cfg.pools):
-        out = ch << i
-        _init_conv(store, rng, f"{prefix}enc{i}a", cur, out, 3)
-        _init_conv(store, rng, f"{prefix}enc{i}b", out, out, 3)
-        cur = out
-    _init_conv(store, rng, f"{prefix}mid_a", cur, cur * 2, 3)
-    _init_conv(store, rng, f"{prefix}mid_b", cur * 2, cur * 2, 3)
-    below = cur * 2
-    for i in reversed(range(cfg.pools)):
-        skip = ch << i
-        _init_conv(store, rng, f"{prefix}dec{i}a", below + skip, skip, 3)
-        _init_conv(store, rng, f"{prefix}dec{i}b", skip, skip, 3)
-        below = skip
-    _init_conv(store, rng, f"{prefix}out", ch, 2, 1, gain=0.1)
-
-
 def unet_forward(x, params, prefix: str, cfg: UnetConfig):
+    """Encoder-decoder of 3x3 convolutions, `channels << i` wide at depth i, back to two channels."""
     skips = []
     h = x
     for i in range(cfg.pools):
-        h = ad.relu(_conv(h, params, f"{prefix}enc{i}a"))
-        h = ad.relu(_conv(h, params, f"{prefix}enc{i}b"))
+        h = ad.relu(_conv(h, params, f"{prefix}enc{i}a", cfg.channels << i, 3))
+        h = ad.relu(_conv(h, params, f"{prefix}enc{i}b", cfg.channels << i, 3))
         skips.append(h)
         h = ad.avg_pool2(h)
-    h = ad.relu(_conv(h, params, f"{prefix}mid_a"))
-    h = ad.relu(_conv(h, params, f"{prefix}mid_b"))
+    h = ad.relu(_conv(h, params, f"{prefix}mid_a", cfg.channels << cfg.pools, 3))
+    h = ad.relu(_conv(h, params, f"{prefix}mid_b", cfg.channels << cfg.pools, 3))
     for i in reversed(range(cfg.pools)):
         h = ad.upsample2(h)
         h = ad.concat([h, skips[i]], axis=0)
-        h = ad.relu(_conv(h, params, f"{prefix}dec{i}a"))
-        h = ad.relu(_conv(h, params, f"{prefix}dec{i}b"))
-    return _conv(h, params, f"{prefix}out")
+        h = ad.relu(_conv(h, params, f"{prefix}dec{i}a", cfg.channels << i, 3))
+        h = ad.relu(_conv(h, params, f"{prefix}dec{i}b", cfg.channels << i, 3))
+    return _conv(h, params, f"{prefix}out", 2, 1, gain=0.1)
 
 
 class VarnetModel(CascadeModel):
@@ -368,8 +348,9 @@ class VarnetModel(CascadeModel):
         super().__init__("varnet", cascade)
         self.unet = unet or UnetConfig()
 
-    def _init_block(self, store: ParameterStore, rng, prefix: str) -> None:
-        init_unet(store, rng, prefix, self.unet)
+    @property
+    def _min_side(self) -> int:
+        return 1 << self.unet.pools
 
     def _apply_block(self, x, ops, params, prefix):
         x = ad.add(x, unet_forward(x, params, prefix, self.unet))
@@ -377,9 +358,9 @@ class VarnetModel(CascadeModel):
 
     def forward(self, y, maps, mask, params):
         h, w = np.shape(y)[-2:]
-        if h % (1 << self.unet.pools) or w % (1 << self.unet.pools):
+        if h % self._min_side or w % self._min_side:
             raise ConfigError(f"pools={self.unet.pools} needs an image size divisible by "
-                              f"{1 << self.unet.pools}, got {h}x{w}")
+                              f"{self._min_side}, got {h}x{w}")
         # the losses see only the final image
         x, _ = super().forward(y, maps, mask, params)
         return x, [[x]]

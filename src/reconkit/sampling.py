@@ -255,6 +255,12 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
         raise MaskBudgetError(
             f"ACS ellipse holds {n_acs} samples, above the {acceleration}x budget"
         )
+    if abs(round(target) - target) / target > POISSON_TOL:   # the nearest count misses
+        raise MaskCalibrationError(
+            f"no sample count on a {h}x{w} grid is within {POISSON_TOL:.0%} of the "
+            f"{acceleration}x target {target:.2f}: [{target * (1 - POISSON_TOL):.2f}, "
+            f"{target * (1 + POISSON_TOL):.2f}] holds no integer"
+        )
     order = np.random.default_rng(seed).permutation(h * w)
 
     # the count kept outside the ACS falls as the scale grows, about as

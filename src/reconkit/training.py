@@ -120,7 +120,7 @@ def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float) -> 
 # training loop
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
     loss: str = "cirim"              # "l1" | "cirim" | "ssim"
@@ -128,22 +128,21 @@ class TrainConfig:
     dtype: str = "float64"           # the model's one precision; "float32" runs faster
     max_steps: int | None = None
 
+    def __post_init__(self):
+        for name, choices in CONFIG_CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
+        if not (isinstance(self.lr, numbers.Real) and 0 < self.lr < math.inf):
+            raise TrainingError(f"TrainConfig.lr must be finite and positive, got {self.lr!r}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise TrainingError(
+                f"TrainConfig.max_steps must be None or at least 1, got {self.max_steps}")
+
 
 CONFIG_CHOICES = {"loss": ("l1", "cirim", "ssim"),
                   "weight_orientation": ("late", "early"),
                   "dtype": ("float32", "float64")}
-
-
-def _check_config(cfg: TrainConfig) -> None:
-    for name, choices in CONFIG_CHOICES.items():
-        value = getattr(cfg, name)
-        if value not in choices:
-            raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
-    if not (isinstance(cfg.lr, numbers.Real) and 0 < cfg.lr < math.inf):
-        raise TrainingError(f"TrainConfig.lr must be finite and positive, got {cfg.lr!r}")
-    if cfg.max_steps is not None and cfg.max_steps < 1:
-        raise TrainingError(
-            f"TrainConfig.max_steps must be None or at least 1, got {cfg.max_steps}")
 
 
 @dataclass
@@ -229,7 +228,6 @@ def train(model, train_records: Sequence[DatasetRecord],
     (in `cfg.dtype`) ends at `best_values`.
     """
     cfg = cfg or TrainConfig()
-    _check_config(cfg)
     if epochs < 1:
         raise TrainingError(f"need at least one epoch, got {epochs}")
     if len(train_records) < 1:

@@ -1,5 +1,9 @@
 """Recurrent cells, unrolled blocks, cascades and the variational baseline."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,3 +503,41 @@ def test_float32_pass_matches_float64_pass(tiny_record, kind, explicit_dc, share
     assert abs(loss32 - loss64) < 1e-5 * abs(loss64)
     assert grad32.dtype == np.float32
     assert rel_error(grad32, grad64) < 1e-5
+
+
+# What init_params drew at seed 3 when each block listed its layers in an init function
+# of its own: per resolved kind, DC mode and sharing, each parameter's name, shape and the
+# first 16 hex digits of the sha256 of its float32 and of its float64 value, in the store
+# order of that time.  Each case is two cascades of a 3-wide cell (kernels 5, 3, 3) or of
+# a 3-wide U-net two pools deep.
+INIT_PINS = json.loads((Path(__file__).parent / "data" / "init_params_pins.json").read_text())
+
+INIT_CASES = [(kind, dc, share, dtype) for kind, d in networks.MODEL_KINDS.items()
+              for dc in ((None, True) if d.unit is None else (None, False, True))
+              for share in (False, True) for dtype in ("float32", "float64")]
+
+
+@pytest.mark.parametrize("kind, explicit_dc, share_params, dtype", INIT_CASES,
+                         ids=[f"{k}-dc={dc}-{'shared' if s else 'own'}-{t}"
+                              for k, dc, s, t in INIT_CASES])
+def test_init_params_draws_the_pinned_values(kind, explicit_dc, share_params, dtype):
+    """The init pass draws every value bit for bit; only a DC weight may move in the store.
+
+    A cascade's `dc_weight` is drawn when its cascade first uses it, right after
+    its block, where the init functions added all of them after all blocks.
+    """
+    cascade = CascadeConfig(n_cascades=2, explicit_dc=explicit_dc, share_params=share_params)
+    model = (build_model(kind, unet=UnetConfig(pools=2, channels=3), cascade=cascade)
+             if kind == "varnet" else build_model(kind, cell=RimCellConfig(channels=3),
+                                                  cascade=cascade))
+    store = ad.ParameterStore(dtype)
+    model.init_params(store, 3)
+    dc = "explicit" if model.cascade.explicit_dc else "implicit"
+    pinned = INIT_PINS[f"{kind}-{dc}{'-shared' if share_params else ''}"]
+    column = 2 if dtype == "float32" else 3
+    assert {name: [list(p.value.shape), hashlib.sha256(p.value.tobytes()).hexdigest()[:16]]
+            for name, p in store.items()} == {row[0]: [row[1], row[column]] for row in pinned}
+
+    def without_dc(names):
+        return [name for name in names if not name.endswith(".dc_weight")]
+    assert without_dc(store.names()) == without_dc(row[0] for row in pinned)

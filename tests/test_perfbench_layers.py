@@ -111,3 +111,16 @@ def test_dc_comparison_reports_every_row():
         assert math.isfinite(float(ssim)), name
         learned = name not in ("zerofill", "cs")
         assert (int(params) > 0) == learned, name
+
+
+def test_mask_gallery_audits_every_mask_it_writes(tmp_path):
+    done = _run_script(ROOT / "scripts" / "make_mask_gallery.py",
+                       "--size", "32", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    header, *rows = (tmp_path / "audit.csv").read_bytes().decode().split("\r\n")[:-1]
+    assert header.split(",")[:5] == ["kind", "height", "width", "seed", "requested_acc"]
+    stems = sorted(path.stem for path in tmp_path.glob("*.cks"))
+    assert stems and stems == sorted(path.stem for path in tmp_path.glob("*.pbm"))
+    audited = [row.split(",") for row in rows]
+    assert sorted(f"{kind}_{float(acc):g}x" for kind, _h, _w, _seed, acc, *_ in audited) == stems
+    assert all(row[1:3] == ["32", "32"] for row in audited)

@@ -254,6 +254,27 @@ class TestPoisson2d:
                 else:
                     assert abs(mask.n_kept - target) / target <= sampling.POISSON_TOL
 
+    @pytest.mark.parametrize("acceleration, window", [
+        (10.0, r"10\.0x target 6\.40: \[6\.08, 6\.72\]"),
+        (15.0, r"15\.0x target 4\.27: \[4\.05, 4\.48\]"),
+        (20.0, r"20\.0x target 3\.20: \[3\.04, 3\.36\]"),
+    ], ids=["10x", "15x", "20x"])
+    def test_a_window_without_a_count_raises_before_any_pass(self, monkeypatch,
+                                                              acceleration, window):
+        # 8x8 holds 64 points; no integer is within POISSON_TOL of 64 / acceleration
+        passes = []
+        select = sampling._poisson_disc_select
+
+        def counted(*args):
+            passes.append(args)
+            return select(*args)
+        monkeypatch.setattr(sampling, "_poisson_disc_select", counted)
+        for seed in range(4):
+            with pytest.raises(sampling.MaskCalibrationError,
+                               match=window + " holds no integer"):
+                sampling.poisson2d_mask(8, 8, acceleration, seed=seed)
+        assert passes == []
+
     def test_a_count_no_scale_moves_raises_naming_the_miss(self, monkeypatch):
         # every pass keeps the same 512 of 4096 points, half the 4x target
         fixed = np.zeros((64, 64), dtype=bool)

@@ -511,9 +511,16 @@ class TestTrainLoop:
             raise AssertionError("a training step ran")
 
         monkeypatch.setattr(training, "_train_step", no_step)
-        cfg = TrainConfig(**{field: value})
         with pytest.raises(training.TrainingError, match=f"TrainConfig.{field}"):
-            train(_tiny_model(), _tiny_records(1), [], epochs=1, seed=0, cfg=cfg)
+            train(_tiny_model(), _tiny_records(1), [], epochs=1, seed=0,
+                  cfg=TrainConfig(**{field: value}))
+
+    def test_validation_score_cannot_be_reached_with_a_bad_config(self):
+        """A loss name `_loss_for` does not know would otherwise score as the cirim loss."""
+        model, store = _tiny_model(), ad.ParameterStore()
+        model.init_params(store, 0)
+        with pytest.raises(training.TrainingError, match="TrainConfig.loss"):
+            training.validation_score(model, _tiny_records(1), store, TrainConfig(loss="typo"))
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(training.TrainingError):
@@ -640,6 +647,23 @@ class TestEvaluate:
         containers.save_checkpoint(path, config, values)
         with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.bias"):
             training.method_checkpoint(path)
+
+    def test_matched_rim_width_is_the_scans_width(self, monkeypatch):
+        """The bisection picks the width a scan of all 61 picks, at every decision edge."""
+        from reconkit import experiments
+        iterations = 4
+        counts = {c: experiments.count_parameters(experiments._gru_rim(c, iterations))
+                  for c in range(4, 65)}
+        assert all(counts[c] < counts[c + 1] for c in range(4, 64))
+        # each count, each midpoint between neighbours and one on either side of both
+        edges = ([counts[c] for c in counts]
+                 + [(counts[c] + counts[c + 1]) // 2 for c in range(4, 64)])
+        targets = sorted({t + d for t in edges for d in (-1, 0, 1)} | {0, counts[64] + 10**6})
+        monkeypatch.setattr(experiments, "count_parameters",
+                            lambda model: counts[model.cell.channels])
+        for target in targets:
+            want = min(counts, key=lambda c: abs(counts[c] - target))
+            assert experiments.matched_rim_channels(target, iterations) == want, target
 
     def test_run_variants_names_an_empty_test_set(self):
         from reconkit.experiments import DeskDataset, run_variants
