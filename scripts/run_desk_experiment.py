@@ -14,6 +14,7 @@ from pathlib import Path
 
 from reconkit import training
 from reconkit.experiments import DeskConfig, desk_pipeline
+from reconkit.networks import ConfigError
 
 
 def main() -> int:
@@ -31,15 +32,18 @@ def main() -> int:
                         help="training seed")
     parser.add_argument("--timing", action="store_true", help="record wall-clock ms in the CSV")
     args = parser.parse_args()
+    try:        # before any data is drawn or directory made
+        cfg = DeskConfig(steps=args.steps, channels=args.channels, cascades=args.cascades,
+                         iterations=args.iterations, data_seed=args.data_seed,
+                         train_seed=args.train_seed)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    result = desk_pipeline(DeskConfig(steps=args.steps, channels=args.channels,
-                                      cascades=args.cascades, iterations=args.iterations,
-                                      data_seed=args.data_seed, train_seed=args.train_seed),
-                           timing=args.timing)
+    result = desk_pipeline(cfg, timing=args.timing)
     print(f"finished in {time.perf_counter() - t0:.1f}s")
 
     (out / "report.csv").write_bytes(result.csv_bytes)

@@ -31,14 +31,15 @@ from .schema import read_value
 
 
 def _seed(given: int | None) -> int:
-    """A command's seed: its --seed, else RECON_SEED (read only here), else 0."""
-    if given is not None:
-        return given
-    text = os.environ.get("RECON_SEED", "0")
+    """A command's seed: its --seed, else RECON_SEED (read only here), else 0; never negative."""
+    name, text = ("--seed", given) if given is not None else (
+        "RECON_SEED", os.environ.get("RECON_SEED", "0"))
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"RECON_SEED must be an integer, got {text!r}") from None
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    _at_least(name, seed, 0)
+    return seed
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -57,9 +58,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
     `true` becomes a bare flag; `false` and `null` leave the flag out.
     """
-    cfg = json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+    cfg = read_value(dict, json.loads(Path(args.config).read_text()), "--config", ValueError)
     flags = []
     for key, val in cfg.items():
         if hasattr(args, key) and key not in _NOT_FLAGS and val is not None and val is not False:
@@ -399,10 +398,11 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
                     help=f"soft-DC weight init (library default: {CascadeConfig.dc_weight_init})")
     tr.add_argument("--lr", type=float, default=training.TrainConfig.lr,
                     help="ADAM learning rate")
-    tr.add_argument("--loss", choices=training.CONFIG_CHOICES["loss"],
+    tr.add_argument("--loss", choices=typing.get_args(
+                        typing.get_type_hints(training.TrainConfig)["loss"]),
                     default=training.TrainConfig.loss,
                     help="loss; on varnet's one estimate, cirim equals l1")
-    tr.add_argument("--dtype", choices=training.CONFIG_CHOICES["dtype"],
+    tr.add_argument("--dtype", choices=typing.get_args(containers.Precision),
                     default=training.TrainConfig.dtype, help="training precision")
 
     rc = sub.add_parser("recon", **quiet, help="reconstruct one record", formatter_class=fmt)

@@ -31,6 +31,7 @@ from .schema import read_fields, read_value, shown
 
 MAGIC = b"CKS1\x00\x00\x00\x00"
 VERSION = 1
+Precision = Literal["float32", "float64"]       # a model's parameters, trained and stored
 
 
 class ContainerError(Exception):
@@ -279,8 +280,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     given: a checkpoint from before the field holds float64 parameters."""
     meta, arrays = _read_typed(path, "model")
     config = read_value(dict, meta.pop("config", {}), "meta.config", FormatError)
-    meta["dtype"] = read_value(Literal["float32", "float64"], meta.get("dtype", "float64"),
-                               "meta.dtype", FormatError)
+    meta["dtype"] = read_value(Precision, meta.get("dtype", "float64"), "meta.dtype", FormatError)
     return config, {name: _real(arrays, name, "model") for name in arrays}, meta
 
 

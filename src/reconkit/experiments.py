@@ -16,20 +16,24 @@ import numpy as np
 
 from . import containers, training
 from .autodiff import ParameterStore
-from .networks import CascadeConfig, RimCellConfig, build_model
+from .networks import CascadeConfig, ConfigError, RimCellConfig, build_model
 from .phantom import DatasetRecord, default_brain_spec, make_coils, make_phantom, simulate_acquisition
 from .sampling import gaussian2d_mask
+from .schema import Count, check
 
 
 @dataclass(frozen=True)
 class DeskConfig:
     """The desk experiment: CIRIM's shape, the training length and the seeds."""
-    steps: int = 300            # optimizer steps per model
-    channels: int = 16          # CIRIM hidden width
-    cascades: int = 2
-    iterations: int = 4         # unrolled iterations per block
+    steps: Count = 300          # optimizer steps per model
+    channels: Count = 16        # CIRIM hidden width
+    cascades: Count = 2
+    iterations: Count = 4       # unrolled iterations per block
     data_seed: int = 1234
     train_seed: int = 77
+
+    def __post_init__(self):
+        check(self, ConfigError)
 
 
 @dataclass

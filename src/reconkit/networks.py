@@ -25,14 +25,14 @@ place the image is complex.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from . import mri
 from .autodiff import ParameterStore, Tensor
-from .schema import read_fields
+from .schema import Count, check, read_fields, read_value
 
 
 class DivergedError(RuntimeError):
@@ -45,47 +45,35 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RimCellConfig:
-    channels: int = 64
-    kernel_sizes: tuple[int, int, int] = (5, 3, 3)
-    unit: str | None = None           # "gru" | "indrnn"; None: the model kind's
-    iterations: int = 8
+    channels: Count = 64
+    kernel_sizes: tuple[Count, Count, Count] = (5, 3, 3)
+    unit: Literal["gru", "indrnn"] | None = None      # None: the model kind's
+    iterations: Count = 8
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ConfigError(f"channels must be at least 1, got {self.channels}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
-        ks = self.kernel_sizes
-        if not (isinstance(ks, tuple) and len(ks) == 3
-                and all(type(k) is int and k > 0 and k % 2 for k in ks)):
-            raise ConfigError(f"kernel_sizes must be three odd positive ints, got {ks!r}")
-        if self.unit not in ("gru", "indrnn", None):
-            raise ConfigError(f"unit must be one of ['gru', 'indrnn'], got {self.unit!r}")
+        check(self, ConfigError)
+        if not all(k % 2 for k in self.kernel_sizes):
+            raise ConfigError(f"kernel_sizes must be odd, got {self.kernel_sizes}")
 
 
 @dataclass(frozen=True)
 class CascadeConfig:
-    n_cascades: int | None = None     # None: the model kind's
+    n_cascades: Count | None = None   # None: the model kind's
     explicit_dc: bool | None = None   # None: the model kind's
     dc_weight_init: float = 0.5
     share_params: bool = False
 
     def __post_init__(self):
-        if self.n_cascades is not None and self.n_cascades < 1:
-            raise ConfigError(f"n_cascades must be at least 1, got {self.n_cascades}")
-        if not np.isfinite(self.dc_weight_init):
-            raise ConfigError(f"dc_weight_init must be finite, got {self.dc_weight_init}")
+        check(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class UnetConfig:
-    pools: int = 4
-    channels: int = 18
+    pools: Count = 4
+    channels: Count = 18
 
     def __post_init__(self):
-        for name in ("pools", "channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        check(self, ConfigError)
 
 
 class KindDefaults(NamedTuple):
@@ -218,9 +206,7 @@ class CascadeModel:
     _min_side = 1
 
     def __init__(self, kind: str, cascade: CascadeConfig | None):
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        self.kind = kind
+        self.kind = read_value(Literal[tuple(MODEL_KINDS)], kind, "kind", ConfigError)
         self.cascade = _fill(cascade or CascadeConfig(), kind)
 
     def _prefix(self, k: int) -> str:
@@ -393,8 +379,6 @@ def model_from_config(config: dict):
     A field left out, or `null` where the field may be None, is the kind's.
     """
     kind = config.get("kind")
-    if not isinstance(kind, str) or kind not in MODEL_KINDS:
-        raise ConfigError(f"kind must be one of {list(MODEL_KINDS)}, got {kind!r}")
     resolved = vars(build_model(kind))      # the kind's own model has each section it uses
     sections = {}
     for section, raw in config.items():

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mri
 from .mri import SamplingMask
-from .schema import read_fields
+from .schema import Count, Positive, check, read_fields
 
 COIL_PROFILE_WIDTH = 0.9    # a coil's Gaussian width, per unit of the grid's shorter side
 
@@ -31,20 +31,26 @@ class Ellipse:
 
     cy: float
     cx: float
-    ay: float
-    ax: float
+    ay: Positive
+    ax: Positive
     angle: float = 0.0      # radians, counter-clockwise
     intensity: float = 1.0
 
+    def __post_init__(self):
+        check(self, PhantomSpecError)
 
-@dataclass
+
+@dataclass(frozen=True)
 class PhantomSpec:
-    size: int
+    size: Count
     ellipses: list[Ellipse] = field(default_factory=list)
     lesions: list[Ellipse] = field(default_factory=list)   # intensity = added delta
     wm_index: int | None = None                            # ellipse hosting "white matter"
     phase_coeffs: np.ndarray | None = None                 # (3, 3) poly coeffs, degree <= 2
     seed: int = 0
+
+    def __post_init__(self):
+        check(self, PhantomSpecError)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -70,20 +76,9 @@ def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
     return (u / e.ax) ** 2 + (v / e.ay) ** 2 <= 1.0
 
 
-def _check_ellipse(e: Ellipse, where: str) -> None:
-    for axis in ("ay", "ax"):
-        if not getattr(e, axis) > 0:
-            raise PhantomSpecError(f"{where}.{axis} must be positive, got {getattr(e, axis)}")
-    reach = max(abs(e.cy) + max(e.ay, e.ax), abs(e.cx) + max(e.ay, e.ax))
-    if reach > 1.0 + 1e-9:
-        raise PhantomSpecError(f"{where} extends outside the field of view: {e}")
-
-
 def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build (complex image, lesion mask, white-matter mask) from a spec."""
     n = spec.size
-    if n < 1:
-        raise PhantomSpecError(f"size must be at least 1, got {n}")
     if spec.wm_index is not None and not 0 <= spec.wm_index < len(spec.ellipses):
         raise PhantomSpecError(f"wm_index must index one of the {len(spec.ellipses)} ellipses, "
                                f"got {spec.wm_index}")
@@ -91,17 +86,16 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     wm_mask = np.zeros((n, n), dtype=bool)
     lesion_mask = np.zeros((n, n), dtype=bool)
 
-    for i, e in enumerate(spec.ellipses):
-        _check_ellipse(e, f"ellipses[{i}]")
-        inside = _ellipse_mask(e, n)
-        mag[inside] += e.intensity
-        if i == spec.wm_index:
-            wm_mask = inside
-    for i, e in enumerate(spec.lesions):
-        _check_ellipse(e, f"lesions[{i}]")
-        inside = _ellipse_mask(e, n)
-        mag[inside] += e.intensity
-        lesion_mask |= inside
+    for group in ("ellipses", "lesions"):
+        for i, e in enumerate(getattr(spec, group)):
+            if max(abs(e.cy), abs(e.cx)) + max(e.ay, e.ax) > 1.0 + 1e-9:
+                raise PhantomSpecError(f"{group}[{i}] extends outside the field of view: {e}")
+            inside = _ellipse_mask(e, n)
+            mag[inside] += e.intensity
+            if group == "lesions":
+                lesion_mask |= inside
+            elif i == spec.wm_index:
+                wm_mask = inside
     wm_mask = wm_mask & ~lesion_mask
 
     if spec.phase_coeffs is None:

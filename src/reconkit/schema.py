@@ -1,12 +1,13 @@
-"""One reader from a JSON object to a dataclass, by the dataclass's type hints.
-
-Each fault is raised as the caller's error class in one form, ``<path> <fault>``
-(``ellipses[2].ax must be a finite number, got 'x'``), and shows the offending
+"""Each dataclass field's rule, written once in its type hint (a type, a `Literal`'s choices
+or an `Annotated` `Bound`): `read_fields` reads a JSON object by it and `check` holds a built
+dataclass to it. Each fault is raised as the caller's error class in one form, ``<path>
+<fault>`` (``ellipses[2].ax must be a finite number, got 'x'``), and shows the offending
 value through `shown`, so a message stays one short line whatever the input.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import math
 import reprlib
@@ -31,7 +32,18 @@ _PLAIN = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
     dict: ("an object", lambda v: isinstance(v, dict)),
+    collections.abc.Callable: ("a function", callable),
 }
+
+
+class Bound(typing.NamedTuple):
+    """A number's lower bound in an `Annotated` hint: at least `low`, or above it if `strict`."""
+    low: float
+    strict: bool = False
+
+
+Count = typing.Annotated[int, Bound(1)]       # a width, count, step or iteration number
+Positive = typing.Annotated[float, Bound(0, strict=True)]
 
 
 SHOWN_MAX = 200        # characters of a value an error message shows
@@ -49,7 +61,7 @@ def shown(value) -> str:
 @functools.lru_cache(maxsize=None)
 def _schema(cls) -> tuple[dict, tuple[str, ...]]:
     """A dataclass's hint per field, and the fields with no default, each in field order."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return ({f.name: hints[f.name] for f in fields(cls)},
             tuple(f.name for f in fields(cls)
                   if f.default is MISSING and f.default_factory is MISSING))
@@ -78,25 +90,40 @@ def read_fields(cls, obj, error: type[Exception], where: str = "", **given):
         raise error(f"{where}{exc}") from None
 
 
+def check(obj, error: type[Exception]) -> None:
+    """Hold each field of the built dataclass `obj` to its hint by `read_value`'s rules, and set
+    it to what they give (a tuple for a list); a fault raises `error` as ``<field> <fault>``."""
+    for name, hint in _schema(type(obj))[0].items():      # a frozen dataclass too
+        object.__setattr__(obj, name, read_value(hint, getattr(obj, name), name, error))
+
+
 def read_value(hint, value, path: str, error: type[Exception]):
     """`value` read as the type `hint` names: a tuple hint gives a tuple, an array hint a
-    float64 array, and a number, a string or a `Literal`'s value comes back as it is."""
+    float64 array, and a number, a string, a `Literal`'s value, a function or an instance
+    of a dataclass hint comes back as it is."""
     plain = _PLAIN.get(hint) if isinstance(hint, type) else None    # a Literal hashes slowly
     if plain is not None:
         what, fits = plain
         if not fits(value):
             raise error(f"{path} must be {what}, got {shown(value)}")
         return value
+    if is_dataclass(hint):
+        return value if isinstance(value, hint) else read_fields(hint, value, error, path + ".")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Literal:
         if not any(type(value) is type(a) and value == a for a in args):
             raise error(f"{path} must be one of {list(args)}, got {shown(value)}")
         return value
+    if origin is typing.Annotated:
+        inner, (low, strict) = args
+        value = read_value(inner, value, path, error)
+        if value < low or strict and value == low:
+            raise error(f"{path} must be {'above' if strict else 'at least'} {low}, "
+                        f"got {shown(value)}")
+        return value
     if origin in (types.UnionType, typing.Union):        # X | None
         (inner,) = [a for a in args if a is not type(None)]
         return None if value is None else read_value(inner, value, path, error)
-    if is_dataclass(hint):
-        return read_fields(hint, value, error, path + ".")
     if origin in (list, tuple):
         n = len(args) if origin is tuple else 0
         if not isinstance(value, (list, tuple)) or n and len(value) != n:
@@ -110,5 +137,5 @@ def read_value(hint, value, path: str, error: type[Exception]):
             arr = None
         if arr is None or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise error(f"{path} must be an array of finite numbers, got {shown(value)}")
-        return arr.astype(float)
+        return arr.astype(float, copy=False)
     raise TypeError(f"{path}: the reader has no rule for the hint {hint!r}")

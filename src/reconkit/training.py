@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from . import baselines, containers, metrics
 from .autodiff import ParameterStore, Tape, Tensor
 from .networks import DivergedError, model_from_config, reconstruct
 from .phantom import DatasetRecord
+from .schema import Count, Positive, check
 
 
 class TrainingError(RuntimeError):
@@ -122,27 +122,14 @@ def adam_step(store: ParameterStore, *, grads: dict[str, Tensor], lr: float) -> 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-3
-    loss: str = "cirim"              # "l1" | "cirim" | "ssim"
-    weight_orientation: str = "late"  # "late" | "early"
-    dtype: str = "float64"           # the model's one precision; "float32" runs faster
-    max_steps: int | None = None
+    lr: Positive = 1e-3
+    loss: Literal["l1", "cirim", "ssim"] = "cirim"
+    weight_orientation: Literal["late", "early"] = "late"
+    dtype: containers.Precision = "float64"      # the model's one precision; "float32" runs faster
+    max_steps: Count | None = None
 
     def __post_init__(self):
-        for name, choices in CONFIG_CHOICES.items():
-            value = getattr(self, name)
-            if value not in choices:
-                raise TrainingError(f"TrainConfig.{name} must be one of {choices}, got {value!r}")
-        if not (isinstance(self.lr, numbers.Real) and 0 < self.lr < math.inf):
-            raise TrainingError(f"TrainConfig.lr must be finite and positive, got {self.lr!r}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise TrainingError(
-                f"TrainConfig.max_steps must be None or at least 1, got {self.max_steps}")
-
-
-CONFIG_CHOICES = {"loss": ("l1", "cirim", "ssim"),
-                  "weight_orientation": ("late", "early"),
-                  "dtype": ("float32", "float64")}
+        check(self, TrainingError)
 
 
 @dataclass
@@ -294,7 +281,10 @@ def save_trained(path, model, values: dict, extra_meta: dict | None = None) -> N
 @dataclass
 class MethodSpec:
     name: str
-    recon: Callable[[DatasetRecord], np.ndarray]
+    recon: Callable         # a DatasetRecord to its complex image
+
+    def __post_init__(self):
+        check(self, TrainingError)
 
 
 def method_zero_filled() -> MethodSpec:

@@ -198,9 +198,9 @@ BAD_PHANTOM_SPECS = {
     "ellipse_cy_huge": ({"size": 16, "ellipses": [{**_DISC, "cy": 10 ** 400}]},
                         "ellipses[0].cy must be a finite number"),
     "ellipse_ay_0": ({"size": 16, "ellipses": [{**_DISC, "ay": 0}]},
-                     "ellipses[0].ay must be positive"),
+                     "ellipses[0].ay must be above 0, got 0"),
     "lesion_ax_negative": ({"size": 16, "lesions": [{**_DISC, "ax": -0.1}]},
-                           "lesions[0].ax must be positive"),
+                           "lesions[0].ax must be above 0, got -0.1"),
     "phase_coeffs_1d": ({"size": 16, "phase_coeffs": [1, 2]}, "phase_coeffs must be"),
     "phase_coeffs_ragged": ({"size": 16, "phase_coeffs": [[1, 2], [3]]}, "phase_coeffs must be"),
     "phase_coeffs_cubic": ({"size": 16, "phase_coeffs": [[0, 0, 0, 5]]},

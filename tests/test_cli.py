@@ -342,20 +342,25 @@ class TestPipeline:
         (["train", "--epochs", "0"], "TrainingError: need at least one epoch"),
         (["train", "--val-count", "-1", "--steps", "1"], "ValueError: --val-count"),
         (["phantom", "gen", "--count", "-2"], "ValueError: --count"),
-        (["train", "--kernels", "3,3", "--steps", "1"], "ConfigError: kernel_sizes"),
+        (["train", "--kernels", "3,3", "--steps", "1"],
+         "ConfigError: kernel_sizes must be a list of 3 items, got (3, 3)\n"),
         (["train", "--kernels", "3,x", "--steps", "1"], "ValueError: --kernels"),
         (["train", "--channels", "0", "--steps", "1"], "ConfigError: channels"),
         (["train", "--channels", "-2", "--steps", "1"], "ConfigError: channels"),
-        (["train", "--lr", "-1", "--steps", "1"], "TrainingError: TrainConfig.lr"),
-        (["train", "--lr", "0", "--steps", "1"], "TrainingError: TrainConfig.lr"),
-        (["train", "--lr", "nan", "--steps", "1"], "TrainingError: TrainConfig.lr"),
-        (["train", "--lr", "inf", "--steps", "1"], "TrainingError: TrainConfig.lr"),
+        (["train", "--lr", "-1", "--steps", "1"], "TrainingError: lr must be above 0, got -1.0\n"),
+        (["train", "--lr", "0", "--steps", "1"], "TrainingError: lr must be above 0, got 0.0\n"),
+        (["train", "--lr", "nan", "--steps", "1"],
+         "TrainingError: lr must be a finite number, got nan\n"),
+        (["train", "--lr", "inf", "--steps", "1"],
+         "TrainingError: lr must be a finite number, got inf\n"),
+        (["train", "--seed", "-3", "--steps", "1"],
+         "ValueError: --seed must be at least 0, got -3\n"),
         (["phantom", "gen", "--jobs", "0"], "ValueError: --jobs"),
         (["phantom", "gen", "--jobs", "-3"], "ValueError: --jobs"),
         (["train", "--dc", "explicit", "--dc-weight", "nan", "--steps", "1"],
-         "ConfigError: dc_weight_init"),
+         "ConfigError: dc_weight_init must be a finite number, got nan\n"),
         (["train", "--dc", "explicit", "--dc-weight", "inf", "--steps", "1"],
-         "ConfigError: dc_weight_init"),
+         "ConfigError: dc_weight_init must be a finite number, got inf\n"),
         (["train", "--model", "varnet", "--pools", "5", "--steps", "1"], "ConfigError: pools"),
         (["train", "--pools", "2", "--steps", "1"],
          "ConfigError: config section 'unet' is not used by a cirim model"),
@@ -380,7 +385,7 @@ class TestPipeline:
          "ValueError: center_frac"),
     ], ids=["epochs_0", "val_count_negative", "count_negative", "kernels_two", "kernels_not_ints",
             "channels_0", "channels_negative", "lr_negative", "lr_0", "lr_nan", "lr_inf",
-            "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf", "pools_too_deep",
+            "seed_negative", "jobs_0", "jobs_negative", "dc_weight_nan", "dc_weight_inf", "pools_too_deep",
             "pools_on_cirim", "pools_on_rim", "iterations_on_varnet", "kernels_on_varnet",
             "dc_weight_on_irim", "dc_weight_on_implicit_cirim",
             "size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_negative",
@@ -616,6 +621,14 @@ class TestConfigMerging:
         assert float(reports[0][-1]) == 0.0                       # true: --no-timing
         assert float(reports[1][-1]) > 0 and float(reports[2][-1]) > 0
 
+    def test_config_file_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert run(["mask", "gen", "--kind", "full", "--size", "8x8", "--config", str(path),
+                    "--out", str(tmp_path / "m.cks")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: --config must be an object, got [1, 2]\n"
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RECON_SEED", "123")
         out = tmp_path / "m.cks"
@@ -645,6 +658,36 @@ class TestConfigMerging:
             err = capsys.readouterr().err
             assert err == f"error: ValueError: RECON_SEED must be an integer, got {text!r}\n"
         assert not (tmp_path / "bad").exists()
+
+
+    @pytest.mark.parametrize("argv, env_seed, message", [
+        (["phantom", "gen", "--size", "16", "--seed", "-2"], None,
+         "--seed must be at least 0, got -2"),
+        (["phantom", "gen", "--size", "16"], "-3", "RECON_SEED must be at least 0, got -3"),
+        (["simulate", "--seed", "-5", "--sigma", "0.02"], None,
+         "--seed must be at least 0, got -5"),
+        (["simulate", "--seed", "-5"], None, "--seed must be at least 0, got -5"),
+        (["mask", "gen", "--kind", "gaussian2d", "--size", "16x16"], "-1",
+         "RECON_SEED must be at least 0, got -1"),
+    ], ids=["phantom_seed", "phantom_env_seed", "simulate_noisy", "simulate_noiseless",
+            "mask_env_seed"])
+    def test_negative_seed_is_named(self, tmp_path, monkeypatch, capsys, argv, env_seed,
+                                    message):
+        """Named whether or not the command draws anything with it."""
+        ph, mask, out = tmp_path / "ph", tmp_path / "full.cks", tmp_path / "out"
+        if argv[0] == "simulate":
+            assert run(["phantom", "gen", "--size", "16", "--seed", "0", "--out", str(ph)]) == 0
+            assert run(["mask", "gen", "--kind", "full", "--size", "16x16",
+                        "--out", str(mask)]) == 0
+            argv = argv + ["--phantom", str(ph), "--mask", str(mask)]
+        if env_seed is None:
+            monkeypatch.delenv("RECON_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RECON_SEED", env_seed)
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
 
 
 class TestHelp:

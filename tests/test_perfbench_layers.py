@@ -97,6 +97,15 @@ def test_script_help_exits_zero(path):
     assert done.returncode == 0, done.stderr
 
 
+def test_desk_script_names_a_bad_config_before_any_work(tmp_path):
+    out = tmp_path / "desk"
+    done = _run_script(ROOT / "scripts" / "run_desk_experiment.py", "--steps", "0",
+                       "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: steps must be at least 1, got 0\n")
+    assert not out.exists()
+
+
 def test_dc_comparison_reports_every_row():
     done = _run_script(ROOT / "scripts" / "compare_dc_modes.py",
                        "--size", "16", "--steps", "3", "--n-test", "2")

@@ -50,27 +50,28 @@ class TestMakePhantom:
         with pytest.raises(phantom.PhantomSpecError):
             phantom.make_phantom(spec)
 
-    @pytest.mark.parametrize("make, field", [
-        (lambda: phantom.make_phantom(PhantomSpec(size=0)), "size"),
-        (lambda: phantom.make_phantom(PhantomSpec(size=-3)), "size"),
-        (lambda: phantom.default_brain_spec(16, n_lesions=-1), "n_lesions"),
-        (lambda: phantom.default_brain_spec(16, jitter=float("nan")), "jitter"),
-        (lambda: phantom.default_brain_spec(16, jitter=float("inf")), "jitter"),
-        (lambda: phantom.default_brain_spec(16, jitter=-0.01), "jitter"),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: phantom.make_phantom(PhantomSpec(size=0)), "size must be at least 1, got 0"),
+        (lambda: phantom.make_phantom(PhantomSpec(size=-3)), "size must be at least 1, got -3"),
+        (lambda: phantom.default_brain_spec(16, n_lesions=-1), "n_lesions "),
+        (lambda: phantom.default_brain_spec(16, jitter=float("nan")), "jitter "),
+        (lambda: phantom.default_brain_spec(16, jitter=float("inf")), "jitter "),
+        (lambda: phantom.default_brain_spec(16, jitter=-0.01), "jitter "),
         (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.0)])),
-         r"ellipses\[0\]\.ax"),
+         "ax must be above 0, got 0.0"),
         (lambda: phantom.make_phantom(PhantomSpec(size=8, lesions=[Ellipse(0, 0, -0.1, 0.1)])),
-         r"lesions\[0\]\.ay"),
+         "ay must be above 0, got -0.1"),
         (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.5)],
-                                                  wm_index=1)), "wm_index"),
+                                                  wm_index=1)), "wm_index "),
         (lambda: phantom.make_phantom(PhantomSpec(size=8, ellipses=[Ellipse(0, 0, 0.5, 0.5)],
-                                                  wm_index=-1)), "wm_index"),
+                                                  wm_index=-1)), "wm_index "),
     ], ids=["size_0", "size_negative", "lesions_negative", "jitter_nan", "jitter_inf",
             "jitter_negative", "ellipse_ax_0", "lesion_ay_negative", "wm_index_past_end",
             "wm_index_negative"])
-    def test_undrawable_spec_names_its_field(self, make, field):
-        with pytest.raises(phantom.PhantomSpecError, match=f"^{field} "):
+    def test_undrawable_spec_names_its_field(self, make, message):
+        with pytest.raises(phantom.PhantomSpecError) as err:
             make()
+        assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize("row", sorted(BAD_PHANTOM_SPECS))
     def test_malformed_spec_dict_names_its_field(self, row):
