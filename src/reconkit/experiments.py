@@ -19,7 +19,7 @@ from .autodiff import ParameterStore
 from .networks import CascadeConfig, ConfigError, RimCellConfig, build_model
 from .phantom import DatasetRecord, default_brain_spec, make_coils, make_phantom, simulate_acquisition
 from .sampling import gaussian2d_mask
-from .schema import Count, check
+from .schema import Count, Seed, check
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class DeskConfig:
     channels: Count = 16        # CIRIM hidden width
     cascades: Count = 2
     iterations: Count = 4       # unrolled iterations per block
-    data_seed: int = 1234
-    train_seed: int = 77
+    data_seed: Seed = 1234
+    train_seed: Seed = 77
 
     def __post_init__(self):
         check(self, ConfigError)

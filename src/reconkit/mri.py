@@ -38,6 +38,7 @@ import numpy as np
 import scipy.fft
 
 from .fourier import centring_ramps
+from .schema import Seed, read_value
 # not used here: acceptance criterion 4 and the benchmark's layer tracer read the
 # centred FFT pair as mri.fft2c / mri.ifft2c
 from .fourier import fft2c, ifft2c  # noqa: F401
@@ -149,6 +150,7 @@ def adjoint_op(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
 
 def add_noise(y: np.ndarray, sigma: float, mask, seed: int) -> np.ndarray:
     """Add iid complex Gaussian noise (std sigma) at sampled positions only."""
+    read_value(Seed, seed, "seed", ValueError)
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma (the noise level) must be finite and non-negative, got {sigma}")
     y = np.asarray(y)

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import mri
 from .autodiff import ParameterStore, Tensor
-from .schema import Count, check, read_fields, read_value
+from .schema import Count, Seed, check, read_fields, read_value
 
 
 class DivergedError(RuntimeError):
@@ -218,6 +218,7 @@ class CascadeModel:
 
     def init_params(self, store: ParameterStore, seed: int) -> None:
         """Add every parameter to `store`, drawn by one pass on an all-zero 1-coil image."""
+        read_value(Seed, seed, "seed", ValueError)
         side = self._min_side
         self.forward(np.zeros((1, side, side), np.complex64), np.ones((1, side, side)),
                      np.ones((side, side)), _Drawing(store, np.random.default_rng(seed)))
@@ -257,13 +258,14 @@ def rim_block(x, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
     """One unrolled run of cfg.iterations update steps on a two-channel image.
 
     The hidden states start at zero.  Returns (final image, per-iteration
-    estimates).
+    estimates).  An initialising pass runs one iteration: the first uses
+    every parameter of the block.
     """
     s0 = s1 = ad.constant(np.zeros((cfg.channels, ops.h, ops.w), dtype=ops.rdtype))
     step = _UNIT_STEPS[cfg.unit]
     k1, k2, k3 = cfg.kernel_sizes
     estimates = []
-    for tau in range(cfg.iterations):
+    for tau in range(1 if isinstance(params, _Drawing) else cfg.iterations):
         feat = ad.concat([ops.loglik_gradient(x), x], axis=0)
         a1 = _conv(feat, params, f"{prefix}conv1", cfg.channels, k1)
         s0 = step(a1, s0, params, f"{prefix}unit1.")

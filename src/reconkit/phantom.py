@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mri
 from .mri import SamplingMask
-from .schema import Count, Positive, check, read_fields
+from .schema import Count, Positive, Seed, check, read_fields, read_value
 
 COIL_PROFILE_WIDTH = 0.9    # a coil's Gaussian width, per unit of the grid's shorter side
 
@@ -47,7 +47,7 @@ class PhantomSpec:
     lesions: list[Ellipse] = field(default_factory=list)   # intensity = added delta
     wm_index: int | None = None                            # ellipse hosting "white matter"
     phase_coeffs: np.ndarray | None = None                 # (3, 3) poly coeffs, degree <= 2
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         check(self, PhantomSpecError)
@@ -223,6 +223,7 @@ def default_brain_spec(size: int = 64, seed: int = 0, n_lesions: int = 2,
     of the WM level.  Lesions sit on a mid-radius ring inside the host, away
     from the deep structures.
     """
+    read_value(Seed, seed, "seed", PhantomSpecError)
     if n_lesions < 0:
         raise PhantomSpecError(f"n_lesions must be at least 0, got {n_lesions}")
     if not 0 <= jitter < np.inf:

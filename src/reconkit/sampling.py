@@ -11,8 +11,10 @@ Three families:
 * ``poisson2d_mask`` performs variable-density Poisson-disc selection with the
   local exclusion radius growing linearly with distance from the k-space
   center; the radius scale is calibrated, one greedy selection per step,
-  along a power law of the kept count in the scale and then by log-log
-  secant steps, until the achieved acceleration is within tolerance.
+  until the achieved acceleration is within tolerance. A packing law that
+  counts the points a radius below one pixel saturates sets the first
+  scale, refitted after a miss, and log-log secant steps over the scales
+  at which the conflict graph changes follow once the target is bracketed.
 
 All generators are pure functions of their arguments (seed included), so the
 same call always produces the same mask.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mri import SamplingMask
+from .schema import Seed, read_value
 
 _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 # candidate-offset pairs one Poisson-disc window tests at once, which bounds
@@ -31,7 +34,7 @@ _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 _PAIRS_PER_WINDOW = 1 << 15
 POISSON_RADIUS_OFFSET = 0.05   # the Poisson-disc radius at the centre, per unit scale
 POISSON_TOL = 0.05             # the relative miss of the target count calibration accepts
-POISSON_DENSITY_POWER = 1.5   # p in count ~ scale**-p outside the ACS, measured at 64x64 4x
+POISSON_PACKING = 1.6          # grid pixels a kept point takes per squared radius, fitted 32-224 px
 POISSON_MAX_PASSES = 50        # greedy selections calibration may run
 
 
@@ -70,6 +73,7 @@ def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float =
                     acs_frac: float = 0.02, seed: int = 0) -> SamplingMask:
     """Random 2D Gaussian-density mask with an exact sample budget."""
     _check_grid(h, w)
+    read_value(Seed, seed, "seed", ValueError)
     if not 1 < acceleration < np.inf:
         raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 < fwhm_rel <= 2:
@@ -114,6 +118,7 @@ def equidistant1d_mask(h: int, w: int, acceleration: int = 4, center_frac: float
                        offset_policy: str = "fixed", seed: int = 0) -> SamplingMask:
     """Regularly spaced full phase-encode columns plus a central band."""
     _check_grid(h, w)
+    read_value(Seed, seed, "seed", ValueError)
     if not 2 <= acceleration < np.inf or int(acceleration) != acceleration:
         raise ValueError(f"acceleration must be a finite integer >= 2, got {acceleration}")
     if not 0 <= center_frac < 1:
@@ -231,18 +236,74 @@ def _poisson_disc_select(h: int, w: int, scale: float, radius_offset: float,
     return out.reshape(h, w) | acs
 
 
-def _poisson_scale_estimate(h: int, w: int, radius_offset: float, target: float) -> float:
-    """Packing-density seed for the radius-scale calibration."""
+def _packing_tails(h: int, w: int, radius_offset: float, acs: np.ndarray) -> np.ndarray:
+    """Tail sums of the capacities b = 1/(offset + d)**2 outside the ACS, largest first.
+
+    ``tails[k]`` sums every capacity but the k largest. It is all the
+    packing law needs of the grid.
+    """
     dy, dx = _center_offsets(h, w)
-    d = np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
-    coverage = float(np.sum(1.0 / (radius_offset + d) ** 2))
-    return np.sqrt(coverage / (1.8 * target))
+    d = np.hypot(dy, dx)[~acs] / (0.5 * np.hypot(h, w))
+    return np.cumsum(np.sort(1.0 / (radius_offset + d) ** 2))[::-1]
+
+
+def _packing_inverse(tails: np.ndarray, m: float) -> float:
+    """The t at which sum(min(1, b * t)) over the capacities b reaches m.
+
+    The sum is concave and piecewise linear in t, and each line
+    k + t * tails[k] (the k largest capacities saturated) lies on or above
+    it, touching it where exactly k are saturated. So the root is the
+    largest of the lines' roots, one per k below m. With no capacities
+    (the ACS holds the grid) every t keeps the same count, and 1 is taken.
+    """
+    k = np.arange(min(tails.size, int(np.ceil(m))))
+    return float(np.max((m - k) / tails[k], initial=1.0 if tails.size == 0 else 0.0))
+
+
+def _poisson_scale_estimate(tails: np.ndarray, want: float) -> float:
+    """The scale at which the packing law keeps `want` points outside the ACS.
+
+    A point p whose radius is r_p = scale * (offset + d_p) takes about
+    POISSON_PACKING * r_p**2 pixels of the grid, but never less than its
+    own: the law counts sum(min(1, 1 / (POISSON_PACKING * r_p**2))) points
+    outside the ACS. With t = 1 / (POISSON_PACKING * scale**2) that is
+    sum(min(1, b_p * t)), solved in closed form by `_packing_inverse`.
+    """
+    return 1.0 / np.sqrt(POISSON_PACKING * _packing_inverse(tails, want))
+
+
+def _critical_scales(h: int, w: int, radius_offset: float, acs: np.ndarray,
+                     lo: float, hi: float) -> np.ndarray:
+    """The scales strictly between lo and hi at which two points outside the ACS
+    start to conflict, sorted, with values within a relative 1e-12 merged.
+
+    Points p and q conflict once scale * (offset + min(d_p, d_q)) exceeds their
+    distance, so the conflict graph, and with it the greedy selection, is the
+    same at every scale between two adjacent values returned here.
+    """
+    dy, dx = _center_offsets(h, w)
+    base = radius_offset + np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
+    reach = hi * base[~acs].max(initial=0.0)
+    my, mx = min(int(reach), h - 1), min(int(reach), w - 1)
+    found = []
+    for oy in range(my + 1):
+        for ox in range(-mx if oy else 1, mx + 1):      # one of each pair of offsets
+            dist = np.hypot(oy, ox)
+            if dist >= reach:
+                continue
+            p = np.s_[:h - oy, max(0, -ox):w - max(0, ox)]
+            q = np.s_[oy:, max(0, ox):w - max(0, -ox)]
+            c = dist / np.minimum(base[p], base[q])[~(acs[p] | acs[q])]
+            found.append(c[(lo < c) & (c < hi)])
+    c = np.sort(np.concatenate(found or [np.zeros(0)]))
+    return c[np.r_[True, np.diff(c) > 1e-12 * c[1:]]] if c.size else c
 
 
 def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 0.02,
                    seed: int = 0) -> SamplingMask:
     """Variable-density Poisson-disc mask calibrated to the target density."""
     _check_grid(h, w)
+    read_value(Seed, seed, "seed", ValueError)
     if not 1 < acceleration < np.inf:
         raise ValueError(f"acceleration must be finite and exceed 1, got {acceleration}")
     if not 0 <= acs_frac < 1:
@@ -250,26 +311,31 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
 
     acs = acs_ellipse(h, w, acs_frac)
     target = h * w / acceleration
+    lo, hi = target * (1 - POISSON_TOL), target * (1 + POISSON_TOL)
     n_acs = int(acs.sum())
-    if n_acs > target * (1 + POISSON_TOL):
+    if n_acs > hi:
         raise MaskBudgetError(
             f"ACS ellipse holds {n_acs} samples, above the {acceleration}x budget"
         )
     if abs(round(target) - target) / target > POISSON_TOL:   # the nearest count misses
         raise MaskCalibrationError(
             f"no sample count on a {h}x{w} grid is within {POISSON_TOL:.0%} of the "
-            f"{acceleration}x target {target:.2f}: [{target * (1 - POISSON_TOL):.2f}, "
-            f"{target * (1 + POISSON_TOL):.2f}] holds no integer"
+            f"{acceleration}x target {target:.2f}: [{lo:.2f}, {hi:.2f}] holds no integer"
         )
     order = np.random.default_rng(seed).permutation(h * w)
 
-    # the count kept outside the ACS falls as the scale grows, about as
-    # scale**-POISSON_DENSITY_POWER: step along that law until the target is
-    # bracketed, then take the log-log secant between the nearest counts on
-    # either side of it. The first candidate outside the ACS is always kept.
-    scale = _poisson_scale_estimate(h, w, POISSON_RADIUS_OFFSET, target)
+    # the packing law sets the first scale. After a miss the law, refitted to
+    # the count that pass kept, sets the next, until the target is bracketed;
+    # then the log-log secant between the latest counts either side of it,
+    # moved to the middle of the interval between critical scales that holds
+    # it. When no whole interval is left inside the bracket, no scale between
+    # its ends keeps another count. The first candidate outside the ACS is
+    # always kept.
+    tails = _packing_tails(h, w, POISSON_RADIUS_OFFSET, acs)
     want = max(target - n_acs, 1.0)
+    scale = _poisson_scale_estimate(tails, want)
     above = below = None        # the latest (scale, count outside the ACS) either side
+    critical = None             # the critical scales inside the first bracket
     best = np.inf
     for _ in range(POISSON_MAX_PASSES):
         keep = _poisson_disc_select(h, w, scale, POISSON_RADIUS_OFFSET, acs, order)
@@ -283,12 +349,23 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
         else:
             below = (scale, n - n_acs)
         if above is None or below is None:
-            scale *= np.clip(((n - n_acs) / want) ** (1 / POISSON_DENSITY_POWER), 0.5, 2.0)
-        else:
-            (s0, n0), (s1, n1) = above, below
-            scale = s0 * (s1 / s0) ** (np.log(want / n0) / np.log(n1 / n0))
-            if not min(s0, s1) < scale < max(s0, s1):      # rounding: keep inside
-                scale = np.sqrt(s0 * s1)
+            ratio = _packing_inverse(tails, max(n - n_acs, 1)) / _packing_inverse(tails, want)
+            scale *= np.clip(np.sqrt(ratio), 0.5, 2.0)
+            continue
+        (s0, n0), (s1, n1) = above, below
+        s_lo, s_hi = min(s0, s1), max(s0, s1)
+        if critical is None:
+            critical = _critical_scales(h, w, POISSON_RADIUS_OFFSET, acs, s_lo, s_hi)
+        inside = critical[(s_lo < critical) & (critical < s_hi)]
+        if inside.size < 2:
+            raise MaskCalibrationError(
+                f"no scale on a {h}x{w} grid keeps a count in [{lo:.2f}, {hi:.2f}] for "
+                f"the {acceleration}x target {target:.2f}: the count jumps from "
+                f"{n0 + n_acs} to {n1 + n_acs} at one scale"
+            )
+        secant = s0 * (s1 / s0) ** (np.log(want / n0) / np.log(n1 / n0))
+        i = np.clip(np.searchsorted(inside, secant), 1, inside.size - 1)
+        scale = np.sqrt(inside[i - 1] * inside[i])
     else:
         raise MaskCalibrationError(
             f"calibration missed the {acceleration}x target by {best:.1%} "

@@ -44,6 +44,7 @@ class Bound(typing.NamedTuple):
 
 Count = typing.Annotated[int, Bound(1)]       # a width, count, step or iteration number
 Positive = typing.Annotated[float, Bound(0, strict=True)]
+Seed = typing.Annotated[int, Bound(0)]        # a random generator's seed
 
 
 SHOWN_MAX = 200        # characters of a value an error message shows

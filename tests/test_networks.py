@@ -541,3 +541,21 @@ def test_init_params_draws_the_pinned_values(kind, explicit_dc, share_params, dt
     def without_dc(names):
         return [name for name in names if not name.endswith(".dc_weight")]
     assert without_dc(store.names()) == without_dc(row[0] for row in pinned)
+
+
+@pytest.mark.parametrize("kind, convs_per_block", [("rim", 9), ("irim", 5), ("cirim", 5),
+                                                   ("varnet", 19)])
+def test_init_params_runs_each_block_once(kind, convs_per_block, monkeypatch):
+    """The initialising pass runs one unrolled iteration of each cascade's block, the
+    one that draws all its parameters: a GRU cell's makes 9 convolutions, an IndRNN
+    cell's 5 and a four-pool U-net 19, not 8 iterations' worth of a cell's."""
+    calls = []
+    conv2d = ad.conv2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+    monkeypatch.setattr(ad, "conv2d", counted)
+    model = build_model(kind)
+    model.init_params(ad.ParameterStore(), seed=0)
+    assert len(calls) == convs_per_block * model.cascade.n_cascades

@@ -1,5 +1,7 @@
 """Mask generators: budgets, ACS coverage, determinism, Poisson-disc spacing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,26 @@ def _reference_select(h, w, scale, radius_offset, acs, order):
     return placed | acs
 
 
+def _packing_scale(h, w, target):
+    """The radius scale of an earlier packing rule, sqrt(sum(1/(0.05 + d)**2) / (1.8 * target)):
+    the select tests run at multiples of it, so they keep covering the same scales."""
+    dy, dx = sampling._center_offsets(h, w)
+    d = np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
+    return np.sqrt(np.sum(1.0 / (0.05 + d) ** 2) / (1.8 * target))
+
+
+def _counting_passes(monkeypatch):
+    """Patch `_poisson_disc_select` to record each pass's scale; returns the record."""
+    scales = []
+    select = sampling._poisson_disc_select
+
+    def counted(h, w, scale, *args):
+        scales.append(scale)
+        return select(h, w, scale, *args)
+    monkeypatch.setattr(sampling, "_poisson_disc_select", counted)
+    return scales
+
+
 @pytest.fixture(scope="module")
 def mask224():
     return sampling.poisson2d_mask(224, 224, acceleration=7.5, seed=0)
@@ -199,7 +221,7 @@ class TestPoisson2d:
     def test_select_matches_reference_loop(self, h, w, acs_frac, scale, seed):
         # scales relative to the packing estimate at 4x, and one whose radius
         # exceeds the grid, so every offset the grid can hold is in reach
-        est = sampling._poisson_scale_estimate(h, w, 0.05, h * w / 4.0)
+        est = _packing_scale(h, w, h * w / 4.0)
         s = 2.0 * max(h, w) if scale == "beyond_grid" else scale * est
         acs = sampling.acs_ellipse(h, w, acs_frac)
         order = np.random.default_rng(seed).permutation(h * w)
@@ -213,7 +235,7 @@ class TestPoisson2d:
         h, w = 48, 80
         acs = sampling.acs_ellipse(h, w, 0.02)
         order = np.random.default_rng(4).permutation(h * w)
-        s = sampling._poisson_scale_estimate(h, w, 0.05, h * w / 4.0)
+        s = _packing_scale(h, w, h * w / 4.0)
         want = _reference_select(h, w, s, 0.05, acs, order)
         monkeypatch.setattr(sampling, "_PAIRS_PER_WINDOW", pairs)
         assert np.array_equal(sampling._poisson_disc_select(h, w, s, 0.05, acs, order), want)
@@ -226,19 +248,80 @@ class TestPoisson2d:
         assert np.array_equal(got.keep, want.keep)
         assert got.extra == want.extra
 
-    def test_calibration_takes_two_or_three_passes(self, monkeypatch):
-        passes = []
-        select = sampling._poisson_disc_select
-
-        def counted(*args):
-            passes[-1] += 1
-            return select(*args)
-        monkeypatch.setattr(sampling, "_poisson_disc_select", counted)
+    def test_64x64_4x_calibrates_in_one_pass(self, monkeypatch):
+        passes = _counting_passes(monkeypatch)
         for seed in range(20):
-            passes.append(0)
+            passes.clear()
             mask = sampling.poisson2d_mask(64, 64, 4.0, seed=seed)
             assert abs(mask.n_kept - 1024) / 1024 <= sampling.POISSON_TOL
-        assert max(passes) <= 3 and np.mean(passes) <= 2.5
+            assert len(passes) == 1
+
+    def test_calibration_sweep_takes_few_passes(self, monkeypatch):
+        # every case calibrates or names why no scale can, none runs out of passes,
+        # and the mean is two passes (3.6 before the packing law and the jump check)
+        passes = _counting_passes(monkeypatch)
+        counts = []
+        for h, w in [(10, 10), (12, 12), (16, 16), (31, 17), (32, 32), (48, 80), (64, 64),
+                     (96, 96)]:
+            for acceleration in (2.0, 3.0, 4.0, 6.0, 8.0, 12.0):
+                for seed in range(5):
+                    passes.clear()
+                    target = h * w / acceleration
+                    try:
+                        mask = sampling.poisson2d_mask(h, w, acceleration, seed=seed)
+                    except sampling.MaskCalibrationError as err:
+                        assert re.search("holds no integer|the count jumps from", str(err))
+                    else:
+                        assert abs(mask.n_kept - target) / target <= sampling.POISSON_TOL
+                    counts.append(len(passes))
+        assert max(counts) < sampling.POISSON_MAX_PASSES
+        assert np.mean(counts) <= 2.1
+
+    @pytest.mark.parametrize("h, w, acceleration", [
+        (16, 16, 4.0), (32, 32, 4.0), (64, 64, 8.0), (48, 80, 12.0), (96, 96, 6.0),
+    ])
+    def test_packing_law_first_scale_is_near_the_target(self, h, w, acceleration):
+        # the first pass keeps within 10% of the target count at every size
+        acs = sampling.acs_ellipse(h, w, 0.02)
+        tails = sampling._packing_tails(h, w, sampling.POISSON_RADIUS_OFFSET, acs)
+        target = h * w / acceleration
+        scale = sampling._poisson_scale_estimate(tails, target - acs.sum())
+        order = np.random.default_rng(0).permutation(h * w)
+        keep = sampling._poisson_disc_select(h, w, scale, sampling.POISSON_RADIUS_OFFSET,
+                                             acs, order)
+        assert abs(keep.sum() - target) / target <= 0.1
+
+    @pytest.mark.parametrize("m", [1.0, 7.5, 100.0, 1500.0, 4000.0, 4085.0])
+    def test_packing_inverse_solves_the_law(self, m):
+        acs = sampling.acs_ellipse(64, 64, 0.02)
+        tails = sampling._packing_tails(64, 64, 0.05, acs)
+        dy, dx = sampling._center_offsets(64, 64)
+        b = 1.0 / (0.05 + np.hypot(dy, dx)[~acs] / (0.5 * np.hypot(64, 64))) ** 2
+        assert tails[0] == pytest.approx(b.sum())
+        t = sampling._packing_inverse(tails, m)
+        assert np.minimum(1.0, b * t).sum() == pytest.approx(m, rel=1e-12)
+
+    def test_a_count_that_jumps_over_the_window_raises_naming_the_jump(self, monkeypatch):
+        # on 10x10 at 4x the kept count jumps from 28 to 23 at one scale, over [23.75, 26.25]
+        passes = _counting_passes(monkeypatch)
+        with pytest.raises(sampling.MaskCalibrationError,
+                           match=r"10x10 grid keeps a count in \[23\.75, 26\.25\] for the "
+                                 r"4\.0x target 25\.00: the count jumps from 28 to 23"):
+            sampling.poisson2d_mask(10, 10, 4.0, seed=0)
+        assert len(passes) <= 10
+
+    def test_critical_scales_bound_intervals_of_one_selection(self):
+        # between two adjacent critical scales the selection does not change
+        h, w = 12, 12
+        acs = sampling.acs_ellipse(h, w, 0.02)
+        order = np.random.default_rng(3).permutation(h * w)
+        crit = sampling._critical_scales(h, w, 0.05, acs, 2.0, 4.0)
+        assert crit.size > 2 and np.all(np.diff(crit) > 0)
+        assert 2.0 < crit[0] and crit[-1] < 4.0
+        for a, b in zip(crit[:-1], crit[1:]):
+            lo, hi = a + (b - a) * 1e-6, b - (b - a) * 1e-6
+            assert np.array_equal(sampling._poisson_disc_select(h, w, lo, 0.05, acs, order),
+                                  sampling._poisson_disc_select(h, w, hi, 0.05, acs, order))
 
     @pytest.mark.parametrize("h, w", [(16, 16), (31, 17), (48, 80), (64, 64)])
     def test_calibration_meets_the_tolerance_or_the_budget_error(self, h, w):

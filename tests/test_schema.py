@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reconkit
-from reconkit import containers, networks, phantom, sampling, training
+from reconkit import containers, mri, networks, phantom, sampling, training
 from reconkit.autodiff import ParameterStore
 from reconkit.containers import FormatError
 from reconkit.experiments import DeskConfig
@@ -122,6 +122,7 @@ BAD_FIELDS = [
     (PhantomSpec, "phase_coeffs", [[float("inf")]],
      "must be an array of finite numbers, got [[inf]]"),
     (PhantomSpec, "seed", "1", "must be an integer, got '1'"),
+    (PhantomSpec, "seed", -1, "must be at least 0, got -1"),
     (Ellipse, "cy", "a", "must be a finite number, got 'a'"),
     (Ellipse, "cy", float("inf"), "must be a finite number, got inf"),
     (Ellipse, "cx", None, "must be a finite number, got None"),
@@ -139,7 +140,9 @@ BAD_FIELDS = [
     (DeskConfig, "iterations", 4.0, "must be an integer, got 4.0"),
     (DeskConfig, "iterations", -1, "must be at least 1, got -1"),
     (DeskConfig, "data_seed", "1", "must be an integer, got '1'"),
+    (DeskConfig, "data_seed", -1, "must be at least 0, got -1"),
     (DeskConfig, "train_seed", 7.0, "must be an integer, got 7.0"),
+    (DeskConfig, "train_seed", -3, "must be at least 0, got -3"),
 ]
 
 
@@ -160,6 +163,25 @@ def test_the_bad_fields_cover_every_field_of_the_seven_configs():
     covered = {(cls, path.split("[")[0]) for cls, path, _value, _fault in BAD_FIELDS}
     assert covered == {(cls, f.name) for cls in BUILDS if cls is not MethodSpec
                        for f in dataclasses.fields(cls)}
+
+
+# each library function that seeds a generator, called with seed -1
+NEGATIVE_SEEDS = {
+    "default_brain_spec": lambda: phantom.default_brain_spec(16, seed=-1),
+    "gaussian2d_mask": lambda: sampling.gaussian2d_mask(16, 16, 2.0, seed=-1),
+    "poisson2d_mask": lambda: sampling.poisson2d_mask(16, 16, 4.0, seed=-1),
+    "equidistant1d_mask": lambda: sampling.equidistant1d_mask(16, 16, 4, offset_policy="random",
+                                                              seed=-1),
+    "add_noise": lambda: mri.add_noise(np.zeros((1, 4, 4), np.complex64), 0.1, np.ones((4, 4)),
+                                       seed=-1),
+    "init_params": lambda: networks.build_model("rim").init_params(ParameterStore(), seed=-1),
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_SEEDS.values(), ids=NEGATIVE_SEEDS.keys())
+def test_a_negative_seed_is_named(call):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        call()
 
 
 def _checked_dataclasses() -> set[type]:
