@@ -6,9 +6,11 @@ The compressed-sensing solver minimizes
 
 with W an orthogonal Daubechies 4-tap wavelet transform (periodic, 3 levels)
 applied to the real and imaginary parts, using the monotone FISTA variant.
-A is linear, so each image the solver holds keeps its residual A(.) - y
-beside it, and an iteration runs one forward operator, one adjoint operator
-and one wavelet analysis (two when the size needs padding).
+The solver builds one ``mri.SenseOperator`` and keeps the measurements on
+its sampled entries.  A is linear, so each image the solver holds keeps its
+residual A(.) - y beside it, on those entries only, and an iteration runs
+one forward operator, one adjoint operator and one wavelet analysis (two
+when the size needs padding).
 Each wavelet level is an orthogonal matrix per size, applied to rows and
 columns as two GEMMs; synthesis is the transpose.
 Under the orthonormal-FFT / normalized-maps / binary-mask construction the
@@ -19,10 +21,12 @@ and there is nothing to tune beyond alpha.
 from __future__ import annotations
 
 import functools
+from typing import Annotated
 
 import numpy as np
 
 from . import mri
+from .schema import Bound, read_value
 
 # Daubechies 4-tap analysis filters (orthogonal)
 _SQRT3 = np.sqrt(3.0)
@@ -31,8 +35,8 @@ DB4_HI = np.array([DB4_LO[3], -DB4_LO[2], DB4_LO[1], -DB4_LO[0]])
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Sign-preserving shrinkage: sign(v) * max(|v| - t, 0)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Sign-preserving shrinkage: sign(v) * max(|v| - t, 0), formed as v - clip(v, -t, t)."""
+    return v - np.clip(v, -t, t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -107,8 +111,9 @@ def _wavelet_shrink(x: np.ndarray, t: float, levels: int) -> tuple[np.ndarray, f
     """The image of the soft-thresholded coefficients of `x`, and their l1 norm."""
     h, w = x.shape
     c = soft_threshold(_coefficients(x, levels), t)
-    re, im = iwavelet2(c, levels)[:, :h, :w]
-    return re + 1j * im, float(np.abs(c).sum())
+    out = np.empty((h, w), np.complex128)
+    out.real, out.imag = iwavelet2(c, levels)[:, :h, :w]
+    return out, float(np.abs(c).sum())
 
 
 def zero_filled(y: np.ndarray, maps: np.ndarray, mask) -> np.ndarray:
@@ -122,6 +127,9 @@ CS_ALPHA = 0.005
 CS_MAX_ITER = 60
 CS_LEVELS = 3
 CS_TOL = 1e-6
+# the rules cs_l1wavelet reads its alpha and max_iter by
+_ALPHA = Annotated[float, Bound(0)]
+_ITERATIONS = Annotated[int, Bound(0)]
 
 
 def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
@@ -130,30 +138,26 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
 
     Stops at `max_iter` iterations or once the relative change between
     successive proximal candidates drops below `CS_TOL`.  Pass a list as
-    `history` to collect the objective value per iteration.  An iteration
-    runs the forward operator once, on the candidate: its residual serves
-    the objective and, combined like the images, the next gradient.  The
-    candidate's wavelet l1 is that of the shrunk coefficients, which W of
+    `history` to collect the objective value per iteration; its data term
+    sums the residual over the sampled entries, the only ones A sees.  An
+    iteration runs the forward operator once, on the candidate: its residual
+    serves the objective and, combined like the images, the next gradient.
+    The candidate's wavelet l1 is that of the shrunk coefficients, which W of
     the candidate equals up to rounding, unless the size needs padding:
     then the candidate is analysed again.
-    `alpha` must be finite and non-negative, `max_iter` non-negative.
+    `alpha` must be a finite number of at least 0, `max_iter` an integer of at least 0.
     """
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    alpha = read_value(_ALPHA, alpha, "alpha", ValueError)
+    max_iter = read_value(_ITERATIONS, max_iter, "max_iter", ValueError)
+    op = mri.SenseOperator(maps, mask)
+    y = op.take(y)
 
     def objective(r, l1):
         return 0.5 * float(np.sum(np.abs(r) ** 2)) + alpha * l1
 
-    def residual(x):
-        r = mri.forward_op(x, maps, mask)
-        r -= y
-        return r
-
-    x = mri.adjoint_op(y, maps, mask)
+    x = op.adjoint(y)
     padded = any(n % (1 << CS_LEVELS) for n in x.shape)
-    r_x = residual(x)
+    r_x = op.residual(x, y)
     z, r_z = x, r_x
     t = 1.0
     fx = objective(r_x, _wavelet_l1(x, CS_LEVELS) if alpha > 0 else 0.0)
@@ -161,14 +165,14 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
         history.append(fx)
     cand_prev = None
     for _ in range(max_iter):
-        u = z - mri.adjoint_op(r_z, maps, mask)   # unit step: ||A|| <= 1 by construction
+        u = z - op.adjoint(r_z)   # unit step: ||A|| <= 1 by construction
         if alpha > 0:
             cand, l1 = _wavelet_shrink(u, alpha, CS_LEVELS)
             if padded:
                 l1 = _wavelet_l1(cand, CS_LEVELS)
         else:
             cand, l1 = u, 0.0
-        r_cand = residual(cand)
+        r_cand = op.residual(cand, y)
         f_cand = objective(r_cand, l1)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         x_prev, r_prev = x, r_x
@@ -180,7 +184,9 @@ def cs_l1wavelet(y: np.ndarray, maps: np.ndarray, mask, alpha: float = CS_ALPHA,
         # z = x + (t / t_next) * (cand - x) + ((t - 1) / t_next) * (x - x_prev) has one
         # nonzero difference, cand - x_prev.  A is linear, so r_z is the same combination
         # of residuals, formed in the residual buffer the selection left unused.
-        z = x + step * (cand - x_prev)
+        z = cand - x_prev
+        np.multiply(step, z, out=z)
+        z += x
         np.subtract(r_cand, r_prev, out=r_z)
         r_z *= step
         r_z += r_x

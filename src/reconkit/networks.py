@@ -16,10 +16,11 @@ it), seeded inference (constant parameters, no tape) and training (leaf
 parameters on a tape).  The running image is a real two-channel
 ``(2, h, w)`` tensor (real part, imaginary part) from the zero-filled start
 to the output, so it feeds the convolutions as it is.  The forward model
-itself is not rebuilt here: the data-fidelity gradient is
-:func:`reconkit.mri.loglik_gradient` put on the tape as one
-``autodiff.linear`` node whose VJP is the normal operator A*A; it is the one
-place the image is complex.
+itself is not rebuilt here: each forward pass builds one
+:class:`reconkit.mri.SenseOperator` and keeps the measurements on its
+sampled entries, and the data-fidelity gradient A*(A(x) - y) goes on the
+tape as one ``autodiff.linear`` node whose VJP is the normal operator A*A;
+it is the one place the image is complex.
 """
 
 from __future__ import annotations
@@ -108,27 +109,27 @@ def _real_dtype(params) -> np.dtype:
 
 
 class _Operators:
-    """Measurements, maps and mask of one forward pass, cast to its dtype."""
+    """The forward model of one forward pass, in its dtype: the operator and the sampled data."""
 
     def __init__(self, y: np.ndarray, maps: np.ndarray, mask, rdtype=np.float64):
         self.rdtype = np.dtype(rdtype)
-        self.y = np.asarray(y).astype(np.result_type(self.rdtype, np.complex64))
-        self.maps = np.asarray(maps).astype(self.y.dtype)
-        self.mask = mri._mask_array(mask).astype(self.rdtype)
-        self.h, self.w = self.mask.shape
+        cdtype = np.result_type(self.rdtype, np.complex64)
+        self.op = mri.SenseOperator(np.asarray(maps).astype(cdtype),
+                                    mri._mask_array(mask).astype(self.rdtype))
+        self.y = self.op.take(y).astype(cdtype, copy=False)
+        self.h, self.w = self.op.maps.shape[1:]
 
     def zero_filled(self) -> Tensor:
-        return ad.constant(ad.complex_to_channels(mri.adjoint_op(self.y, self.maps, self.mask)))
+        return ad.constant(ad.complex_to_channels(self.op.adjoint(self.y)))
 
     def loglik_gradient(self, x: Tensor) -> Tensor:
         """A*(A(x) - y) of a two-channel image, complex only inside the node."""
         def on_channels(f):
             return lambda v: ad.complex_to_channels(f(ad.channels_to_complex(v)))
 
-        return ad.linear(
-            x, on_channels(lambda z: mri.loglik_gradient(z, self.y, self.maps, self.mask)),
-            on_channels(lambda z: mri.adjoint_op(mri.forward_op(z, self.maps, self.mask),
-                                                 self.maps, self.mask)))
+        op = self.op
+        return ad.linear(x, on_channels(lambda z: op.adjoint(op.residual(z, self.y))),
+                         on_channels(lambda z: op.adjoint(op.sample(z))))
 
     def soft_dc(self, x: Tensor, d: Tensor) -> Tensor:
         """x - d * A*(A(x) - y); an exact no-op at d = 0."""

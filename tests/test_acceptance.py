@@ -5,6 +5,7 @@ with runtime bounds assert their own elapsed time.
 """
 
 import functools
+import hashlib
 import time
 
 import numpy as np
@@ -262,6 +263,18 @@ def test_criterion_9_loss_weights():
     assert w[-1] / w[0] == pytest.approx(10.0, rel=1e-12)
     ratios = w[1:] / w[:-1]
     assert np.allclose(ratios, 10.0 ** (1.0 / 7.0), rtol=1e-12)
+
+
+# the first 16 hex digits of sha256 of the desk_pipeline CSV
+DESK_CSV_SHA256 = "390fbdde653df1a6"
+
+
+def test_desk_csv_bytes_are_pinned(desk_run):
+    result, _ = desk_run
+    digest = hashlib.sha256(result.csv_bytes).hexdigest()
+    assert digest.startswith(DESK_CSV_SHA256), (
+        f"the desk_pipeline CSV changed: sha256 {digest}. A change that moves these bits on "
+        f"purpose documents the move and updates DESK_CSV_SHA256")
 
 
 @criterion(10, "repeating the pipeline with identical seeds is byte-identical")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from reconkit import baselines, metrics, mri, phantom, sampling
 
 from conftest import random_complex, rel_error
+from test_mri import _full_grid_adjoint, _full_grid_forward
 
 
 class TestSoftThreshold:
@@ -221,8 +222,10 @@ class TestCsL1Wavelet:
 
     @pytest.mark.parametrize("option, name", [
         ({"alpha": float("nan")}, "alpha"), ({"alpha": float("inf")}, "alpha"),
-        ({"max_iter": -1}, "max_iter"),
-    ], ids=["alpha_nan", "alpha_inf", "max_iter_negative"])
+        ({"max_iter": -1}, "max_iter"), ({"max_iter": 1.5}, "max_iter"),
+        ({"alpha": "0.1"}, "alpha"), ({"max_iter": True}, "max_iter"),
+    ], ids=["alpha_nan", "alpha_inf", "max_iter_negative", "max_iter_fraction", "alpha_text",
+            "max_iter_true"])
     def test_argument_out_of_range_is_named(self, small_record, option, name):
         rec = small_record
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -236,20 +239,20 @@ class TestCsL1Wavelet:
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_one_forward_and_one_adjoint_per_iteration(self, small_record, monkeypatch, n):
-        calls = {"forward_op": 0, "adjoint_op": 0}
+        calls = {"sample": 0, "adjoint": 0}
         for name in calls:
-            op = getattr(mri, name)
+            op = getattr(mri.SenseOperator, name)
 
-            def counted(*args, _op=op, _name=name):
+            def counted(self, *args, _op=op, _name=name):
                 calls[_name] += 1
-                return _op(*args)
-            monkeypatch.setattr(mri, name, counted)
+                return _op(self, *args)
+            monkeypatch.setattr(mri.SenseOperator, name, counted)
         rec = small_record
         history = []
         monkeypatch.setattr(baselines, "CS_TOL", 0.0)
         baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=n, history=history)
         assert len(history) == 1 + n
-        assert calls == {"forward_op": 1 + n, "adjoint_op": 1 + n}
+        assert calls == {"sample": 1 + n, "adjoint": 1 + n}
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     @pytest.mark.parametrize("case, per_iteration", [("unpadded", 1), ("padded_20x20", 2)])
@@ -280,3 +283,95 @@ class TestCsL1Wavelet:
                                  **options)
         assert rel_error(got, want) < 1e-12
         np.testing.assert_allclose(got_history, want_history, rtol=1e-12, atol=0)
+
+    def test_measurements_off_the_mask_change_nothing(self, small_record):
+        # the data term sums the residual over the sampled entries only
+        rec = small_record
+        off = rec.kspace + (1 - rec.mask.keep)
+        got_history, want_history = [], []
+        got = baselines.cs_l1wavelet(off, rec.maps, rec.mask, max_iter=5, history=got_history)
+        want = baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, max_iter=5,
+                                      history=want_history)
+        assert got.tobytes() == want.tobytes()
+        assert got_history == want_history
+
+    @pytest.mark.parametrize("case", ["desk", "padded_20x20", "alpha_zero"])
+    def test_bitwise_the_full_grid_solver(self, desk_record, case):
+        rec = padded_record() if case == "padded_20x20" else desk_record
+        options = {"alpha": 0.0} if case == "alpha_zero" else {}
+        got_history, want_history = [], []
+        got = baselines.cs_l1wavelet(rec.kspace, rec.maps, rec.mask, history=got_history,
+                                     **options)
+        want = full_grid_cs(rec.kspace, rec.maps, rec.mask, history=want_history, **options)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the data term now sums over fewer entries, in another order
+        np.testing.assert_allclose(got_history, want_history, rtol=1e-13, atol=0)
+
+
+def full_grid_soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def full_grid_wavelet_shrink(x, t, levels):
+    h, w = x.shape
+    c = full_grid_soft_threshold(baselines._coefficients(x, levels), t)
+    re, im = baselines.iwavelet2(c, levels)[:, :h, :w]
+    return re + 1j * im, float(np.abs(c).sum())
+
+
+def full_grid_cs(y, maps, mask, alpha=baselines.CS_ALPHA, max_iter=baselines.CS_MAX_ITER,
+                 history=None):
+    """A verbatim copy of cs_l1wavelet before SenseOperator, over the verbatim full-grid
+    operators: its residuals are whole coil stacks."""
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+
+    def objective(r, l1):
+        return 0.5 * float(np.sum(np.abs(r) ** 2)) + alpha * l1
+
+    def residual(x):
+        r = _full_grid_forward(x, maps, mask)
+        r -= y
+        return r
+
+    x = _full_grid_adjoint(y, maps, mask)
+    padded = any(n % (1 << baselines.CS_LEVELS) for n in x.shape)
+    r_x = residual(x)
+    z, r_z = x, r_x
+    t = 1.0
+    fx = objective(r_x, baselines._wavelet_l1(x, baselines.CS_LEVELS) if alpha > 0 else 0.0)
+    if history is not None:
+        history.append(fx)
+    cand_prev = None
+    for _ in range(max_iter):
+        u = z - _full_grid_adjoint(r_z, maps, mask)   # unit step: ||A|| <= 1 by construction
+        if alpha > 0:
+            cand, l1 = full_grid_wavelet_shrink(u, alpha, baselines.CS_LEVELS)
+            if padded:
+                l1 = baselines._wavelet_l1(cand, baselines.CS_LEVELS)
+        else:
+            cand, l1 = u, 0.0
+        r_cand = residual(cand)
+        f_cand = objective(r_cand, l1)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        x_prev, r_prev = x, r_x
+        if f_cand <= fx:                   # monotone selection
+            x, r_x, fx = cand, r_cand, f_cand
+            step, r_z = (t - 1.0) / t_next, r_prev
+        else:
+            step, r_z = t / t_next, r_cand
+        z = x + step * (cand - x_prev)
+        np.subtract(r_cand, r_prev, out=r_z)
+        r_z *= step
+        r_z += r_x
+        t = t_next
+        if history is not None:
+            history.append(fx)
+        if cand_prev is not None:
+            denom = np.linalg.norm(cand)
+            if denom > 0 and np.linalg.norm(cand - cand_prev) / denom < baselines.CS_TOL:
+                break
+        cand_prev = cand
+    return x

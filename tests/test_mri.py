@@ -8,7 +8,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from reconkit import autodiff as ad
-from reconkit import fourier, metrics, mri, networks, phantom, sampling
+from reconkit import baselines, fourier, metrics, mri, networks, phantom, sampling
 from reconkit.fourier import fft2c
 
 from conftest import random_complex, rel_error
@@ -111,6 +111,30 @@ class TestMaskValues:
         keep[1, 2] = bad
         with pytest.raises(ValueError, match="keep"):
             mri.SamplingMask(keep)
+
+    # a raw keep array enters through mri._mask_array, and is held to the same rule
+    @pytest.mark.parametrize("bad", [2.0, 3.0, -1.0, np.nan])
+    @pytest.mark.parametrize("call", ["forward_op", "adjoint_op", "zero_filled", "cs_l1wavelet",
+                                      "add_noise"])
+    def test_raw_keep_outside_zero_one_is_named(self, small_record, call, bad):
+        rec = small_record
+        keep = rec.mask.keep.copy()
+        keep[keep == 1] = bad
+        calls = {
+            "forward_op": lambda: mri.forward_op(rec.reference, rec.maps, keep),
+            "adjoint_op": lambda: mri.adjoint_op(rec.kspace, rec.maps, keep),
+            "zero_filled": lambda: baselines.zero_filled(rec.kspace, rec.maps, keep),
+            "cs_l1wavelet": lambda: baselines.cs_l1wavelet(rec.kspace, rec.maps, keep,
+                                                           max_iter=2),
+            "add_noise": lambda: mri.add_noise(rec.kspace, 0.1, keep, seed=0),
+        }
+        with pytest.raises(ValueError, match="mask keep must hold only 0 and 1"):
+            calls[call]()
+
+    def test_raw_keep_without_samples_is_named(self, small_record):
+        rec = small_record
+        with pytest.raises(ValueError, match="mask keeps no samples"):
+            mri.adjoint_op(rec.kspace, rec.maps, np.zeros(rec.mask.keep.shape))
 
     @pytest.mark.parametrize("dtype", [bool, np.float32, np.float64])
     def test_binary_keep_accepted(self, dtype):
@@ -228,6 +252,118 @@ class TestResultDtypes:
                 assert not any(np.shares_memory(got, a) for a in inputs)
                 assert np.array_equal(got, want)
                 got[...] = np.nan
+
+
+# --- the one operator against the full-grid operators it replaced -------------
+
+def _full_grid_times(a, b):
+    return np.multiply(a, b, out=b if np.result_type(a, b) == b.dtype else None)
+
+
+# verbatim copies of forward_op, adjoint_op and loglik_gradient before SenseOperator: each
+# call rebuilt its operands and worked on the whole coil stack
+def _full_grid_forward(x, maps, mask):
+    x = np.asarray(x)
+    maps = mri._check_maps(maps)
+    m = mri._mask_array(mask)
+    if x.shape != maps.shape[1:]:
+        raise mri.DimensionError(f"image {x.shape} does not match maps {maps.shape}")
+    if m.shape != x.shape:
+        raise mri.DimensionError(f"mask {m.shape} does not match image {x.shape}")
+    img_ramp, k_ramp = fourier.centring_ramps(*x.shape, np.result_type(x, maps, np.complex64))
+    k = scipy.fft.fft2(mri.expand(img_ramp * x, maps), axes=(-2, -1), norm="ortho",
+                       overwrite_x=True)
+    return _full_grid_times(m * k_ramp, k)
+
+
+def _full_grid_adjoint(y, maps, mask):
+    y = np.asarray(y)
+    maps = mri._check_maps(maps)
+    m = mri._mask_array(mask)
+    if y.shape != maps.shape:
+        raise mri.DimensionError(f"k-space {y.shape} does not match maps {maps.shape}")
+    if m.shape != y.shape[1:]:
+        raise mri.DimensionError(f"mask {m.shape} does not match k-space {y.shape}")
+    img_ramp, k_ramp = fourier.centring_ramps(*m.shape, np.result_type(m, y, np.complex64))
+    stack = scipy.fft.ifft2((m * np.conjugate(k_ramp)) * y, axes=(-2, -1), norm="ortho",
+                            overwrite_x=True)
+    x = np.sum(_full_grid_times(np.conjugate(maps), stack), axis=0)
+    return np.multiply(np.conjugate(img_ramp), x, out=x)
+
+
+def _full_grid_loglik_gradient(x, y, maps, mask):
+    k = _full_grid_forward(x, maps, mask)
+    if k.shape != np.shape(y):
+        raise mri.DimensionError(f"k-space {np.shape(y)} does not match prediction {k.shape}")
+    return _full_grid_adjoint(k - y, maps, mask)
+
+
+GRIDS = [(64, 64), (16, 16), (15, 15), (12, 20)]
+
+
+def _record_operands(h, w, cdtype, coils=4, seed=0):
+    """An image, measurements zero off the mask, maps and a 3x mask in the matching real dtype."""
+    rng = np.random.default_rng(seed)
+    keep = sampling.gaussian2d_mask(h, w, 3.0, seed=seed).keep.astype(
+        np.finfo(cdtype).dtype)
+    x = random_complex(rng, (h, w)).astype(cdtype)
+    y = (random_complex(rng, (coils, h, w)) * keep).astype(cdtype)
+    return x, y, phantom.make_coils(coils, h, w).astype(cdtype), keep
+
+
+class TestSenseOperator:
+    @pytest.mark.parametrize("cdtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("h, w", GRIDS, ids=[f"{h}x{w}" for h, w in GRIDS])
+    def test_wrappers_are_bitwise_the_full_grid_operators(self, h, w, cdtype):
+        x, y, maps, keep = _record_operands(h, w, cdtype)
+        for got, want in [(mri.forward_op(x, maps, keep), _full_grid_forward(x, maps, keep)),
+                          (mri.adjoint_op(y, maps, keep), _full_grid_adjoint(y, maps, keep)),
+                          (mri.loglik_gradient(x, y, maps, keep),
+                           _full_grid_loglik_gradient(x, y, maps, keep))]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)     # a zero's sign may differ off the mask
+        op = mri.SenseOperator(maps, keep)
+        on = keep.astype(bool)
+        assert op.sample(x).tobytes() == _full_grid_forward(x, maps, keep)[:, on].tobytes()
+        assert op.adjoint(op.take(y)).tobytes() == _full_grid_adjoint(y, maps, keep).tobytes()
+
+    @pytest.mark.parametrize("h, w", [(15, 15), (12, 20)])
+    def test_sample_and_adjoint_are_an_adjoint_pair(self, h, w):
+        rng = np.random.default_rng(h + w)
+        maps = phantom.make_coils(3, h, w)
+        op = mri.SenseOperator(maps, sampling.gaussian2d_mask(h, w, 2.0, seed=h))
+        x = random_complex(rng, (h, w))
+        v = random_complex(rng, (3, op.kept.size))
+        lhs, rhs = np.vdot(v, op.sample(x)), np.vdot(op.adjoint(v), x)
+        assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(v)) < 1e-12
+
+    def test_take_picks_the_sampled_entries_in_order(self):
+        rng, _, maps, mask = _setup(19)
+        y = random_complex(rng, maps.shape)
+        op = mri.SenseOperator(maps, mask)
+        assert np.array_equal(op.take(y), y[:, mask.keep.astype(bool)])
+        assert np.array_equal(mri.adjoint_op(y, maps, mask), op.adjoint(op.take(y)))
+
+    def test_measurements_off_the_mask_are_not_read(self):
+        rng, x, maps, mask = _setup(20)
+        y = mri.forward_op(x, maps, mask)
+        off = y.copy()
+        off[:, ~mask.keep.astype(bool)] = np.nan
+        assert np.array_equal(mri.adjoint_op(off, maps, mask), mri.adjoint_op(y, maps, mask))
+
+    def test_shapes_that_do_not_fit_are_named(self):
+        _, x, maps, mask = _setup(21)
+        op = mri.SenseOperator(maps, mask)
+        with pytest.raises(mri.DimensionError, match="image"):
+            op.sample(x[:4])
+        with pytest.raises(mri.DimensionError, match="sampled k-space"):
+            op.adjoint(np.zeros((len(maps), op.kept.size + 1), complex))
+        with pytest.raises(mri.DimensionError, match="k-space"):
+            op.take(np.zeros((1, 8, 8), complex))
+        with pytest.raises(mri.DimensionError, match="mask"):
+            mri.SenseOperator(maps, np.ones((8, 7)))
+        with pytest.raises(mri.DimensionError, match="at least one coil"):
+            mri.SenseOperator(maps[:0], mask)
 
 
 class TestOperatorMemory:
