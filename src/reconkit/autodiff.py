@@ -587,20 +587,3 @@ class ParameterStore:
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._entries.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Set every parameter, cast to the store's dtype, from exactly its names and shapes.
-
-        Nothing is set unless all fit; the first name, in sorted order, that does not is named.
-        """
-        for name in sorted(self._entries.keys() | values.keys()):
-            if name not in values:
-                raise GraphError(f"parameter {name} is missing")
-            if name not in self._entries:
-                raise GraphError(f"value {name} is not a parameter of the store")
-            shape = self._entries[name].value.shape
-            if values[name].shape != shape:
-                raise GraphError(f"parameter {name} has shape {values[name].shape}, "
-                                 f"the store's is {shape}")
-        for name, p in self._entries.items():
-            p.value = np.array(values[name], dtype=self.dtype)

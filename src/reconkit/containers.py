@@ -281,7 +281,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     meta, arrays = _read_typed(path, "model")
     config = read_value(dict, meta.pop("config", {}), "meta.config", FormatError)
     meta["dtype"] = read_value(Precision, meta.get("dtype", "float64"), "meta.dtype", FormatError)
-    return config, {name: _real(arrays, name, "model") for name in arrays}, meta
+    for name in arrays:
+        if not np.isfinite(_real(arrays, name, "model")).all():
+            raise FormatError(f"model array {name} must be finite")
+    return config, arrays, meta
 
 
 # ---------------------------------------------------------------------------

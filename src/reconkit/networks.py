@@ -11,9 +11,9 @@ after each cascade.  The variational-cascade baseline replaces the recurrent
 regularizer with a small encoder-decoder convnet.  Both run one cascade loop.
 
 All forward passes are built from :mod:`reconkit.autodiff` ops, so the same
-code serves initialisation (each parameter drawn where the pass first uses
-it), seeded inference (constant parameters, no tape) and training (leaf
-parameters on a tape).  The running image is a real two-channel
+code serves initialisation and loading (each parameter drawn or loaded where
+the pass first uses it), seeded inference (constant parameters, no tape) and
+training (leaf parameters on a tape).  The running image is a real two-channel
 ``(2, h, w)`` tensor (real part, imaginary part) from the zero-filled start
 to the output, so it feeds the convolutions as it is.  The forward model
 itself is not rebuilt here: each forward pass builds one
@@ -136,27 +136,34 @@ class _Operators:
         return ad.sub(x, ad.mul(d, self.loglik_gradient(x)))
 
 
-class _Drawing(dict):
-    """The params of an initialising pass: each is drawn into `store` when first used."""
+class _Pass(dict):
+    """The params of a pass that fills `store`: each is drawn from `rng`, or a loading pass
+    takes it from the checkpoint's `loaded` values, when the forward pass first uses it."""
 
-    def __init__(self, store: ParameterStore, rng: np.random.Generator):
+    def __init__(self, store: ParameterStore, rng=None, loaded=None):
         super().__init__()
-        self.store, self.rng = store, rng
+        self.store, self.rng, self.loaded = store, rng, loaded
 
 
-def _param(params, name: str, draw) -> Tensor:
-    """params[name]; an initialising pass first adds `draw(rng)` to its store under `name`."""
-    if isinstance(params, _Drawing) and name not in params:
-        params[name] = ad.constant(params.store.add(name, draw(params.rng)).value)
+def _param(params, name: str, shape: tuple, init) -> Tensor:
+    """params[name]; a pass that fills its store first adds `init(rng, shape)` to it under
+    `name`, or the checkpoint's array once its name and shape are checked."""
+    if isinstance(params, _Pass) and name not in params:
+        value = init(params.rng, shape) if params.loaded is None else params.loaded.get(name)
+        if value is None:
+            raise ad.GraphError(f"parameter {name} is missing")
+        if value.shape != shape:
+            raise ad.GraphError(f"parameter {name} has shape {value.shape}, the model's is {shape}")
+        params[name] = ad.constant(params.store.add(name, value).value)
     return params[name]
 
 
 def _conv(x, params, name: str, c_out: int, k: int, gain: float = 1.0):
     """A k x k convolution to c_out channels, its weights drawn Glorot-normal times `gain`."""
     c_in = x.shape[0]
-    weight = _param(params, f"{name}.weight", lambda rng: rng.normal(
-        0.0, gain * np.sqrt(2.0 / (c_in * k * k + c_out * k * k)), size=(c_out, c_in, k, k)))
-    return ad.conv2d(x, weight, _param(params, f"{name}.bias", lambda rng: np.zeros(c_out)))
+    weight = _param(params, f"{name}.weight", (c_out, c_in, k, k), lambda rng, shape: rng.normal(
+        0.0, gain * np.sqrt(2.0 / (c_in * k * k + c_out * k * k)), size=shape))
+    return ad.conv2d(x, weight, _param(params, f"{name}.bias", (c_out,), lambda _, s: np.zeros(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +189,8 @@ def indrnn_step(x, s_prev, params, prefix: str = ""):
     """Element-wise recurrence: s = relu(W x + u .* s_prev + b)."""
     c = s_prev.shape[0]
     wx = _conv(x, params, f"{prefix}input", c, 1)
-    u = ad.reshape(_param(params, f"{prefix}recurrent",
-                          lambda rng: rng.uniform(0.0, 1.0, size=c)), (-1, 1, 1))
+    u = ad.reshape(_param(params, f"{prefix}recurrent", (c,),
+                          lambda rng, shape: rng.uniform(0.0, 1.0, size=shape)), (-1, 1, 1))
     return ad.relu(ad.add(wx, ad.mul(u, s_prev)))
 
 
@@ -200,8 +207,8 @@ class CascadeModel:
     A subclass supplies one block: ``_apply_block(x, ops, params, prefix)``
     returns its output image and per-iteration estimates, and ``_min_side``
     is the smallest image side it accepts.  The forward pass is the one
-    description of the layers: ``init_params`` runs it once on that side,
-    and each parameter is drawn where the pass first uses it.
+    description of the layers: ``init_params`` and ``load_params`` run it once
+    on that side, and each parameter is drawn or loaded where the pass first uses it.
     """
 
     _min_side = 1
@@ -220,9 +227,19 @@ class CascadeModel:
     def init_params(self, store: ParameterStore, seed: int) -> None:
         """Add every parameter to `store`, drawn by one pass on an all-zero 1-coil image."""
         read_value(Seed, seed, "seed", ValueError)
+        self._run_pass(_Pass(store, rng=np.random.default_rng(seed)))
+
+    def load_params(self, store: ParameterStore, values: dict[str, np.ndarray]) -> None:
+        """Add to `store` the parameters `values` holds, by that pass, which draws nothing; a
+        GraphError names the first one missing or of another shape, or else an extra value."""
+        self._run_pass(params := _Pass(store, loaded=values))
+        if extra := [name for name in values if name not in params]:
+            raise ad.GraphError(f"value {extra[0]} is not a parameter of the model")
+
+    def _run_pass(self, params: _Pass) -> None:
         side = self._min_side
         self.forward(np.zeros((1, side, side), np.complex64), np.ones((1, side, side)),
-                     np.ones((side, side)), _Drawing(store, np.random.default_rng(seed)))
+                     np.ones((side, side)), params)
 
     def constraints(self) -> list[tuple[str, float, float]]:
         """Value clamps applied after each optimizer step."""
@@ -241,8 +258,8 @@ class CascadeModel:
         for k in range(self.cascade.n_cascades):
             x, estimates = self._apply_block(x, ops, params, self._prefix(k))
             if self.cascade.explicit_dc:
-                x = ops.soft_dc(x, _param(params, f"cascade{k}.dc_weight",
-                                          lambda rng: np.array([self.cascade.dc_weight_init])))
+                x = ops.soft_dc(x, _param(params, f"cascade{k}.dc_weight", (1,), lambda _, shape:
+                                          np.full(shape, self.cascade.dc_weight_init)))
                 # the cascade's prediction is its data-consistent output
                 estimates[-1] = x
             if not np.all(np.isfinite(x.data)):
@@ -259,14 +276,14 @@ def rim_block(x, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
     """One unrolled run of cfg.iterations update steps on a two-channel image.
 
     The hidden states start at zero.  Returns (final image, per-iteration
-    estimates).  An initialising pass runs one iteration: the first uses
-    every parameter of the block.
+    estimates).  A pass that fills its store, drawing or loading, runs one
+    iteration: the first uses every parameter of the block.
     """
     s0 = s1 = ad.constant(np.zeros((cfg.channels, ops.h, ops.w), dtype=ops.rdtype))
     step = _UNIT_STEPS[cfg.unit]
     k1, k2, k3 = cfg.kernel_sizes
     estimates = []
-    for tau in range(1 if isinstance(params, _Drawing) else cfg.iterations):
+    for tau in range(1 if isinstance(params, _Pass) else cfg.iterations):
         feat = ad.concat([ops.loglik_gradient(x), x], axis=0)
         a1 = _conv(feat, params, f"{prefix}conv1", cfg.channels, k1)
         s0 = step(a1, s0, params, f"{prefix}unit1.")
@@ -274,7 +291,8 @@ def rim_block(x, ops: _Operators, params, cfg: RimCellConfig, prefix: str = ""):
         s1 = step(a2, s1, params, f"{prefix}unit2.")
         x = ad.add(x, _conv(s1, params, f"{prefix}conv3", 2, k3, gain=0.1))
         if not np.all(np.isfinite(x.data)):
-            raise DivergedError(f"non-finite reconstruction at unroll iteration {tau}")
+            raise DivergedError(f"non-finite reconstruction in {prefix.rstrip('.')} "
+                                f"at unroll iteration {tau}")
         estimates.append(x)
     return x, estimates
 

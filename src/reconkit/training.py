@@ -212,7 +212,7 @@ def train(model, train_records: Sequence[DatasetRecord],
     the run: from a step (non-finite reconstruction, loss or updated
     parameter; that step is not counted) or from the validation pass;
     `best_values` then holds the last good parameters.  Either way `store`
-    (in `cfg.dtype`) ends at `best_values`.
+    (in `cfg.dtype`) ends at a copy of `best_values`.
     """
     cfg = cfg or TrainConfig()
     if epochs < 1:
@@ -258,7 +258,8 @@ def train(model, train_records: Sequence[DatasetRecord],
                 break
     except DivergedError:
         result.diverged = True
-    store.load_values(result.best_values)
+    for name, p in store.items():
+        p.value = result.best_values[name].copy()
     return result
 
 
@@ -306,9 +307,8 @@ def method_checkpoint(path, name: str | None = None) -> MethodSpec:
     config, values, extra = containers.load_checkpoint(path)
     model = model_from_config(config)
     store = ParameterStore(extra["dtype"])
-    model.init_params(store, seed=0)
     try:
-        store.load_values(values)
+        model.load_params(store, values)
     except ad.GraphError as exc:
         raise containers.CheckpointMismatchError(
             f"the checkpoint does not fit its {model.kind} model: {exc}") from exc

@@ -7,7 +7,7 @@ import pytest
 
 from reconkit import containers, phantom, sampling, training
 from reconkit.autodiff import ParameterStore
-from reconkit.networks import RimCellConfig, build_model
+from reconkit.networks import CascadeConfig, RimCellConfig, build_model
 
 
 def finite_diff(f, arrays, eps=1e-6):
@@ -65,6 +65,7 @@ BAD_TYPED_FILES = {
     "model_dtype_float16": "meta.dtype must be one of",
     "model_dtype_32": "meta.dtype must be one of",
     "model_weight_complex": "model array cascade0.conv3.weight must be real",
+    "model_weight_nan": "model array cascade1.conv3.bias must be finite",
     "record_reference_8x8": "record array reference",
     "record_no_coils": "record array maps",
     "record_lesion_mask_8x8": "record array lesion_mask",
@@ -151,13 +152,18 @@ def write_bad_typed_file(row, path, record) -> None:
     elif row.startswith("model_dtype_"):
         dtype = {"model_dtype_float16": "float16", "model_dtype_32": 32}[row]
         containers.save_checkpoint(path, {"kind": "cirim"}, {}, meta={"dtype": dtype})
-    elif row == "model_weight_complex":
-        # a model that fits its values, but one of them would be cast to its real part
-        model = build_model("rim", cell=RimCellConfig(channels=2, iterations=1))
+    elif row.startswith("model_weight_"):
+        # a model that fits its values, but one of them would be cast to its real part, or
+        # is not finite, which training never saves
+        model = build_model("cirim", cell=RimCellConfig(channels=2, iterations=1),
+                            cascade=CascadeConfig(n_cascades=2))
         store = ParameterStore()
         model.init_params(store, 0)
         values = store.copy_values()
-        values["cascade0.conv3.weight"] = values["cascade0.conv3.weight"] + 1j
+        if row == "model_weight_complex":
+            values["cascade0.conv3.weight"] = values["cascade0.conv3.weight"] + 1j
+        else:
+            values["cascade1.conv3.bias"][0] = np.nan
         containers.save_checkpoint(path, model.config_dict(), values)
     elif row.startswith("phantom_"):
         arrays = {"image": record.reference, "lesion_mask": record.lesion_mask,

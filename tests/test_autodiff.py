@@ -356,20 +356,6 @@ class TestParameterStore:
         ad.backward(loss)
         assert np.allclose(leaves["w"].grad, [2.0, 4.0])
 
-    def test_load_values_shape_check(self):
-        store = ad.ParameterStore()
-        store.add("w", np.zeros(3))
-        with pytest.raises(ad.GraphError):
-            store.load_values({"w": np.zeros(4)})
-
-    def test_load_values_names_a_missing_parameter(self):
-        store = ad.ParameterStore()
-        store.add("w", np.zeros(3))
-        store.add("b", np.zeros(2))
-        with pytest.raises(ad.GraphError, match="parameter b is missing"):
-            store.load_values({"w": np.ones(3)})
-        assert not store["w"].value.any()      # a snapshot that does not fit sets nothing
-
 
 def _idle(tape: ad.Tape) -> list[int]:
     """The ids of the pool's buffers that only the pool holds (an id holds no reference)."""

@@ -164,6 +164,20 @@ class TestRimBlock:
         with np.errstate(invalid="ignore"), pytest.raises(networks.DivergedError, match="iteration 0"):
             model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
 
+    @pytest.mark.parametrize("share_params, name, block", [
+        (False, "cascade1.conv3.bias", "cascade1"), (True, "shared.conv3.bias", "shared")])
+    def test_divergence_names_the_block(self, small_record, share_params, name, block):
+        rec = small_record
+        model = CirimModel(_tiny_cell(), CascadeConfig(n_cascades=2, share_params=share_params),
+                           kind="cirim")
+        store = ad.ParameterStore()
+        model.init_params(store, 0)
+        store[name].value[:] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                networks.DivergedError,
+                match=f"non-finite reconstruction in {block} at unroll iteration 0$"):
+            model.forward(rec.kspace, rec.maps, rec.mask, store.frozen())
+
 
 class TestCirim:
     def test_single_cascade_equals_rim_block(self, small_record):
@@ -512,6 +526,14 @@ def test_float32_pass_matches_float64_pass(tiny_record, kind, explicit_dc, share
 # a 3-wide U-net two pools deep.
 INIT_PINS = json.loads((Path(__file__).parent / "data" / "init_params_pins.json").read_text())
 
+
+def _init_case_model(kind, explicit_dc, share_params):
+    cascade = CascadeConfig(n_cascades=2, explicit_dc=explicit_dc, share_params=share_params)
+    return (build_model(kind, unet=UnetConfig(pools=2, channels=3), cascade=cascade)
+            if kind == "varnet" else build_model(kind, cell=RimCellConfig(channels=3),
+                                                 cascade=cascade))
+
+
 INIT_CASES = [(kind, dc, share, dtype) for kind, d in networks.MODEL_KINDS.items()
               for dc in ((None, True) if d.unit is None else (None, False, True))
               for share in (False, True) for dtype in ("float32", "float64")]
@@ -526,10 +548,7 @@ def test_init_params_draws_the_pinned_values(kind, explicit_dc, share_params, dt
     A cascade's `dc_weight` is drawn when its cascade first uses it, right after
     its block, where the init functions added all of them after all blocks.
     """
-    cascade = CascadeConfig(n_cascades=2, explicit_dc=explicit_dc, share_params=share_params)
-    model = (build_model(kind, unet=UnetConfig(pools=2, channels=3), cascade=cascade)
-             if kind == "varnet" else build_model(kind, cell=RimCellConfig(channels=3),
-                                                  cascade=cascade))
+    model = _init_case_model(kind, explicit_dc, share_params)
     store = ad.ParameterStore(dtype)
     model.init_params(store, 3)
     dc = "explicit" if model.cascade.explicit_dc else "implicit"
@@ -543,12 +562,32 @@ def test_init_params_draws_the_pinned_values(kind, explicit_dc, share_params, dt
     assert without_dc(store.names()) == without_dc(row[0] for row in pinned)
 
 
+@pytest.mark.parametrize("kind, explicit_dc, share_params, dtype", INIT_CASES,
+                         ids=[f"{k}-dc={dc}-{'shared' if s else 'own'}-{t}"
+                              for k, dc, s, t in INIT_CASES])
+def test_pinned_init_round_trips_through_a_checkpoint(kind, explicit_dc, share_params, dtype,
+                                                      tmp_path, monkeypatch):
+    """The loading pass gives back the store it was saved from: names in order, dtype, bytes."""
+    model = _init_case_model(kind, explicit_dc, share_params)
+    store = ad.ParameterStore(dtype)
+    model.init_params(store, 3)
+    path = tmp_path / "ckpt.cks"
+    training.save_trained(path, model, store.copy_values())
+    # the method's store, in place of the method that runs it
+    monkeypatch.setattr(training, "method_model", lambda name, model, store: store)
+    loaded = training.method_checkpoint(path)
+    assert loaded.dtype == store.dtype
+    assert ([(name, p.value.dtype, p.value.tobytes()) for name, p in loaded.items()]
+            == [(name, p.value.dtype, p.value.tobytes()) for name, p in store.items()])
+
+
 @pytest.mark.parametrize("kind, convs_per_block", [("rim", 9), ("irim", 5), ("cirim", 5),
                                                    ("varnet", 19)])
 def test_init_params_runs_each_block_once(kind, convs_per_block, monkeypatch):
-    """The initialising pass runs one unrolled iteration of each cascade's block, the
-    one that draws all its parameters: a GRU cell's makes 9 convolutions, an IndRNN
-    cell's 5 and a four-pool U-net 19, not 8 iterations' worth of a cell's."""
+    """The initialising pass, and the loading pass, run one unrolled iteration of each
+    cascade's block, the one that adds all its parameters: a GRU cell's makes 9
+    convolutions, an IndRNN cell's 5 and a four-pool U-net 19, not 8 iterations' worth
+    of a cell's."""
     calls = []
     conv2d = ad.conv2d
 
@@ -557,5 +596,9 @@ def test_init_params_runs_each_block_once(kind, convs_per_block, monkeypatch):
         return conv2d(*args, **kwargs)
     monkeypatch.setattr(ad, "conv2d", counted)
     model = build_model(kind)
-    model.init_params(ad.ParameterStore(), seed=0)
+    store = ad.ParameterStore()
+    model.init_params(store, seed=0)
+    assert len(calls) == convs_per_block * model.cascade.n_cascades
+    calls.clear()
+    model.load_params(ad.ParameterStore(), {name: p.value for name, p in store.items()})
     assert len(calls) == convs_per_block * model.cascade.n_cascades

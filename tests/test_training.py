@@ -656,8 +656,22 @@ class TestEvaluate:
         config, values, _ = containers.load_checkpoint(path)
         config["cell"]["channels"] = 32          # no longer matches the records
         containers.save_checkpoint(path, config, values)
-        with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.bias"):
+        with pytest.raises(containers.CheckpointMismatchError, match="cascade0.conv1.weight"):
             training.method_checkpoint(path)
+
+    def test_checkpoint_loads_without_a_draw(self, tmp_path, small_record, monkeypatch):
+        model = _tiny_model()
+        store = ad.ParameterStore()
+        model.init_params(store, 0)
+        path = tmp_path / "ckpt.cks"
+        training.save_trained(path, model, store.copy_values())
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"loading a checkpoint drew from rng.{name}")
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        out = training.method_checkpoint(path).recon(small_record)
+        assert out.tobytes() == reconstruct(model, store, small_record).tobytes()
 
     def test_matched_rim_width_is_the_scans_width(self, monkeypatch):
         """The bisection picks the width a scan of all 61 picks, at every decision edge."""
@@ -707,20 +721,34 @@ class TestEvaluate:
         ("drop", "cascade0.conv1.bias is missing"),
         ("add", "cascade9.extra is not a parameter"),
         ("reshape", "cascade0.conv3.bias has shape"),
+        ("channels_512", "cascade0.conv1.weight has shape"),
+        ("cascades_40", "cascade2.conv1.weight is missing"),
     ])
     def test_checkpoint_parameter_mismatch_named(self, tmp_path, edit, message):
+        """The first parameter the loading pass reaches that does not fit is named before
+        the pass runs its layer, so the echo of a far wider model costs no draw or layer."""
         from reconkit import containers
-        model = _tiny_model()
-        store = ad.ParameterStore()
+        model = _tiny_model(iterations=4, channels=16, cascades=2)     # the desk CIRIM
+        store = ad.ParameterStore("float32")
         model.init_params(store, 0)
-        values = store.copy_values()
+        config, values = model.config_dict(), store.copy_values()
         if edit == "drop":
             del values["cascade0.conv1.bias"]
         elif edit == "add":
             values["cascade9.extra"] = np.zeros(3)
-        else:
+        elif edit == "reshape":
             values["cascade0.conv3.bias"] = np.zeros(3)
+        elif edit == "channels_512":
+            config["cell"]["channels"] = 512
+        else:
+            config["cascade"]["n_cascades"] = 40
         path = tmp_path / "ckpt.cks"
-        training.save_trained(path, model, values)
-        with pytest.raises(containers.CheckpointMismatchError, match=message):
-            training.method_checkpoint(path)
+        containers.save_checkpoint(path, config, values, meta={"dtype": "float32"})
+        tracemalloc.start()
+        try:
+            with pytest.raises(containers.CheckpointMismatchError, match=message):
+                training.method_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
