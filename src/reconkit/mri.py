@@ -216,13 +216,17 @@ def add_noise(y: np.ndarray, sigma: float, mask, seed: int) -> np.ndarray:
     y = np.asarray(y)
     if sigma == 0:
         return y.copy()
-    m = _mask_array(mask).astype(bool)
-    rng = np.random.default_rng(seed)
+    m = _mask_array(mask)
+    if y.shape[1:] != m.shape:
+        raise DimensionError(f"k-space {y.shape} does not match mask {m.shape}")
+    at = np.flatnonzero(m != 0)      # numpy finds a bool array's nonzeros fastest
     scale = sigma / np.sqrt(2.0)
-    # drawn over the whole grid, so the noise at a position does not depend on the mask
-    re, im = rng.standard_normal(y.shape), rng.standard_normal(y.shape)
+    # drawn over the whole grid, real parts then imaginary, so the noise at a
+    # position does not depend on the mask
+    re, im = np.random.default_rng(seed).standard_normal((2, *y.shape)).reshape(2, len(y), -1)
     out = y.copy()
-    out[:, m] = out[:, m] + scale * (re[:, m] + 1j * im[:, m])
+    flat = out.reshape(len(y), -1)
+    flat[:, at] = flat[:, at] + scale * (re[:, at] + 1j * im[:, at])
     return out
 
 

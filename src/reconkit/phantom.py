@@ -11,6 +11,7 @@ that sum_i |S_i|^2 == 1.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +66,21 @@ class PhantomSpec:
         return read_fields(cls, d, PhantomSpecError)
 
 
-def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
-    # normalized coordinates in [-1, 1)
+@lru_cache(maxsize=16)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized coordinates (yy, xx) in [-1, 1) of a size x size image.
+
+    Read-only, because every caller shares the cached arrays.
+    """
     coords = (np.arange(size) - size / 2.0) / (size / 2.0)
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
+    yy.setflags(write=False)
+    xx.setflags(write=False)
+    return yy, xx
+
+
+def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
+    yy, xx = _grid(size)
     dy, dx = yy - e.cy, xx - e.cx
     c, s = np.cos(e.angle), np.sin(e.angle)
     u = c * dx + s * dy
@@ -77,7 +89,12 @@ def _ellipse_mask(e: Ellipse, size: int) -> np.ndarray:
 
 
 def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (complex image, lesion mask, white-matter mask) from a spec."""
+    """Build (complex image, lesion mask, white-matter mask) from a spec.
+
+    The ellipses and the phase polynomial are evaluated on one normalized
+    grid per size (`_grid`), built once and shared by every phantom of that
+    size.
+    """
     n = spec.size
     if spec.wm_index is not None and not 0 <= spec.wm_index < len(spec.ellipses):
         raise PhantomSpecError(f"wm_index must index one of the {len(spec.ellipses)} ellipses, "
@@ -112,8 +129,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             i, j = high[0]
             raise PhantomSpecError(f"phase_coeffs[{i}][{j}] weighs a term of degree {i + j}; "
                                    f"the phase is a polynomial of degree 2 at most")
-        coords = (np.arange(n) - n / 2.0) / (n / 2.0)
-        yy, xx = np.meshgrid(coords, coords, indexing="ij")
+        yy, xx = _grid(n)
         phase = np.zeros((n, n))
         for i, j in terms:
             phase += c[i, j] * yy ** i * xx ** j

@@ -17,10 +17,14 @@ Three families:
   at which the conflict graph changes follow once the target is bracketed.
 
 All generators are pure functions of their arguments (seed included), so the
-same call always produces the same mask.
+same call always produces the same mask. Each grid's geometry (the centre
+offsets, the normalized distance d, the ACS ellipse and the packing law's tail
+sums) is built once, cached for at most 16 grids and shared read-only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,17 +55,47 @@ def _check_grid(h: int, w: int) -> None:
         raise ValueError(f"h and w must be at least 1, got size {h}x{w}")
 
 
+@lru_cache(maxsize=16)
 def _center_offsets(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid point's row and column offset from the k-space centre (h // 2, w // 2).
+
+    Read-only, because every caller shares the cached arrays.
+    """
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    return yy - h // 2, xx - w // 2
+    dy, dx = yy - h // 2, xx - w // 2
+    dy.setflags(write=False)
+    dx.setflags(write=False)
+    return dy, dx
+
+
+@lru_cache(maxsize=16)
+def _center_distance(h: int, w: int) -> np.ndarray:
+    """d(p): each grid point's distance to the k-space centre over half the grid's diagonal.
+
+    The Poisson-disc radius is scale * (offset + d). Read-only, because every
+    caller shares the cached array.
+    """
+    dy, dx = _center_offsets(h, w)
+    d = np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
+    d.setflags(write=False)
+    return d
+
+
+@lru_cache(maxsize=16)
+def _acs(h: int, w: int, acs_frac: float) -> np.ndarray:
+    """The ellipse of `acs_ellipse`, cached per grid and fraction; read-only."""
+    if acs_frac <= 0:
+        acs = np.zeros((h, w), dtype=bool)
+    else:
+        dy, dx = _center_offsets(h, w)
+        acs = (2.0 * dy / h) ** 2 + (2.0 * dx / w) ** 2 <= acs_frac ** 2
+    acs.setflags(write=False)
+    return acs
 
 
 def acs_ellipse(h: int, w: int, acs_frac: float) -> np.ndarray:
-    """Central ellipse with half-axes acs_frac * dim / 2 per axis."""
-    if acs_frac <= 0:
-        return np.zeros((h, w), dtype=bool)
-    dy, dx = _center_offsets(h, w)
-    return (2.0 * dy / h) ** 2 + (2.0 * dx / w) ** 2 <= acs_frac ** 2
+    """Central ellipse with half-axes acs_frac * dim / 2 per axis, as a fresh array."""
+    return _acs(h, w, acs_frac).copy()
 
 
 def full_mask(h: int, w: int) -> SamplingMask:
@@ -82,7 +116,7 @@ def gaussian2d_mask(h: int, w: int, acceleration: float = 4.0, fwhm_rel: float =
         raise ValueError(f"acs_frac must be in [0, 1), got {acs_frac}")
 
     n_keep = int(round(h * w / acceleration))
-    acs = acs_ellipse(h, w, acs_frac)
+    acs = _acs(h, w, acs_frac)
     n_acs = int(acs.sum())
     if n_acs > n_keep:
         raise MaskBudgetError(
@@ -152,10 +186,11 @@ def _poisson_disc_select(h: int, w: int, scale: float, radius_offset: float,
 
     Points p and q outside the ACS conflict when their squared distance is
     below min(r(p), r(q))**2, with r(p) = scale*(offset + d(p)) and d the
-    distance to the k-space center normalized by half the diagonal. Dart
-    throwing visits the candidates in ``order`` and keeps p unless an earlier
-    kept point conflicts with it, so its result is the lexicographically
-    first maximal independent set of this fixed, symmetric conflict graph.
+    distance to the k-space center normalized by half the diagonal
+    (`_center_distance`). Dart throwing visits the candidates in ``order``
+    and keeps p unless an earlier kept point conflicts with it, so its result
+    is the lexicographically first maximal independent set of this fixed,
+    symmetric conflict graph.
 
     The same set is computed here without a step per candidate. The order is
     cut into windows of consecutive candidates. Within a window, every open
@@ -173,9 +208,7 @@ def _poisson_disc_select(h: int, w: int, scale: float, radius_offset: float,
     offsets up to int(max r) per axis find every one, as the greedy
     window of int(r(p)) + 1 around p does.
     """
-    dy, dx = _center_offsets(h, w)
-    half_diag = 0.5 * np.hypot(h, w)
-    radius = scale * (radius_offset + np.hypot(dy, dx) / half_diag)
+    radius = scale * (radius_offset + _center_distance(h, w))
     rmax = radius[~acs].max(initial=0.0)
 
     # the offsets a conflict can span, as index shifts on a grid padded by
@@ -242,9 +275,17 @@ def _packing_tails(h: int, w: int, radius_offset: float, acs: np.ndarray) -> np.
     ``tails[k]`` sums every capacity but the k largest. It is all the
     packing law needs of the grid.
     """
-    dy, dx = _center_offsets(h, w)
-    d = np.hypot(dy, dx)[~acs] / (0.5 * np.hypot(h, w))
+    d = _center_distance(h, w)[~acs]
     return np.cumsum(np.sort(1.0 / (radius_offset + d) ** 2))[::-1]
+
+
+@lru_cache(maxsize=16)
+def _poisson_tails(h: int, w: int, acs_frac: float) -> np.ndarray:
+    """`_packing_tails` at POISSON_RADIUS_OFFSET outside the ACS of acs_frac, cached per
+    grid and fraction; read-only."""
+    tails = _packing_tails(h, w, POISSON_RADIUS_OFFSET, _acs(h, w, acs_frac))
+    tails.setflags(write=False)
+    return tails
 
 
 def _packing_inverse(tails: np.ndarray, m: float) -> float:
@@ -281,8 +322,7 @@ def _critical_scales(h: int, w: int, radius_offset: float, acs: np.ndarray,
     distance, so the conflict graph, and with it the greedy selection, is the
     same at every scale between two adjacent values returned here.
     """
-    dy, dx = _center_offsets(h, w)
-    base = radius_offset + np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
+    base = radius_offset + _center_distance(h, w)
     reach = hi * base[~acs].max(initial=0.0)
     my, mx = min(int(reach), h - 1), min(int(reach), w - 1)
     found = []
@@ -309,7 +349,7 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
     if not 0 <= acs_frac < 1:
         raise ValueError(f"acs_frac must be in [0, 1), got {acs_frac}")
 
-    acs = acs_ellipse(h, w, acs_frac)
+    acs = _acs(h, w, acs_frac)
     target = h * w / acceleration
     lo, hi = target * (1 - POISSON_TOL), target * (1 + POISSON_TOL)
     n_acs = int(acs.sum())
@@ -331,7 +371,7 @@ def poisson2d_mask(h: int, w: int, acceleration: float = 7.5, acs_frac: float = 
     # it. When no whole interval is left inside the bracket, no scale between
     # its ends keeps another count. The first candidate outside the ACS is
     # always kept.
-    tails = _packing_tails(h, w, POISSON_RADIUS_OFFSET, acs)
+    tails = _poisson_tails(h, w, acs_frac)
     want = max(target - n_acs, 1.0)
     scale = _poisson_scale_estimate(tails, want)
     above = below = None        # the latest (scale, count outside the ACS) either side

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reconkit import autodiff as ad
 from reconkit import baselines, fourier, metrics, mri, networks, phantom, sampling
 from reconkit.fourier import fft2c
+from reconkit.schema import Seed, read_value
 
 from conftest import random_complex, rel_error
 
@@ -381,6 +382,24 @@ class TestOperatorMemory:
         assert peak <= 2.5 * maps.nbytes
 
 
+def _add_noise_two_draws(y, sigma, mask, seed):
+    """`mri.add_noise` as it was with two draws and boolean gathers, kept as the reference."""
+    read_value(Seed, seed, "seed", ValueError)
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma (the noise level) must be finite and non-negative, got {sigma}")
+    y = np.asarray(y)
+    if sigma == 0:
+        return y.copy()
+    m = mri._mask_array(mask).astype(bool)
+    rng = np.random.default_rng(seed)
+    scale = sigma / np.sqrt(2.0)
+    # drawn over the whole grid, so the noise at a position does not depend on the mask
+    re, im = rng.standard_normal(y.shape), rng.standard_normal(y.shape)
+    out = y.copy()
+    out[:, m] = out[:, m] + scale * (re[:, m] + 1j * im[:, m])
+    return out
+
+
 class TestNoise:
     def test_sigma_zero_is_identity(self):
         rng, x, maps, mask = _setup(10)
@@ -429,6 +448,25 @@ class TestNoise:
         want[:, m] = want[:, m] + noise[:, m]
         got = mri.add_noise(y, 0.3, mask, seed=5)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("keep_dtype", [np.float64, np.float32, bool])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_matches_the_two_draw_version(self, dtype, keep_dtype, sigma):
+        # one draw of both parts, indexed by flat position, keeps every byte
+        for seed in (0, 1, 7, 123):
+            _, x, maps, mask = _setup(seed, h=12, w=10, coils=4)
+            y = mri.forward_op(x, maps, mask).astype(dtype)
+            keep = mask.keep.astype(keep_dtype)
+            got, want = mri.add_noise(y, sigma, keep, seed), _add_noise_two_draws(y, sigma, keep,
+                                                                                    seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_mask_of_another_grid_is_named(self):
+        _, x, maps, mask = _setup(15)
+        y = mri.forward_op(x, maps, mask)
+        with pytest.raises(mri.DimensionError, match="does not match mask"):
+            mri.add_noise(y, 0.3, np.ones((4, 16)), seed=0)
 
     def test_seed_determinism(self):
         _, x, maps, mask = _setup(13)

@@ -95,6 +95,24 @@ class TestMakePhantom:
         b, _, _ = phantom.make_phantom(back)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size, other", [(16, 64), (15, 16), (12, 20), (20, 12), (64, 15)])
+    def test_a_cold_call_and_a_warm_call_give_the_same_bytes(self, size, other):
+        # the warm call comes after a phantom of another size has been built
+        spec = phantom.default_brain_spec(size, seed=3)
+        assert spec.phase_coeffs is not None
+        phantom._grid.cache_clear()
+        cold = phantom.make_phantom(spec)
+        phantom.make_phantom(phantom.default_brain_spec(other, seed=3))
+        warm = phantom.make_phantom(spec)
+        for a, b in zip(cold, warm):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_cached_grid_is_read_only(self):
+        phantom.make_phantom(phantom.default_brain_spec(16))
+        for a in phantom._grid(16):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
 
 class TestMakeCoils:
     def test_single_coil_is_unit(self):

@@ -368,6 +368,87 @@ class TestPoisson2d:
             sampling.poisson2d_mask(64, 64, 4.0, acs_frac=0.0)
 
 
+GRIDS = [(16, 16), (15, 15), (12, 20), (64, 64)]
+GRID_CACHES = (sampling._center_offsets, sampling._center_distance, sampling._acs,
+               sampling._poisson_tails)
+
+
+def _packing_tails_before(h, w, radius_offset, acs):
+    """`_packing_tails` as it was before the one distance helper, kept as the reference."""
+    dy, dx = sampling._center_offsets(h, w)
+    d = np.hypot(dy, dx)[~acs] / (0.5 * np.hypot(h, w))
+    return np.cumsum(np.sort(1.0 / (radius_offset + d) ** 2))[::-1]
+
+
+def _critical_scales_before(h, w, radius_offset, acs, lo, hi):
+    """`_critical_scales` as it was before the one distance helper, kept as the reference."""
+    dy, dx = sampling._center_offsets(h, w)
+    base = radius_offset + np.hypot(dy, dx) / (0.5 * np.hypot(h, w))
+    reach = hi * base[~acs].max(initial=0.0)
+    my, mx = min(int(reach), h - 1), min(int(reach), w - 1)
+    found = []
+    for oy in range(my + 1):
+        for ox in range(-mx if oy else 1, mx + 1):      # one of each pair of offsets
+            dist = np.hypot(oy, ox)
+            if dist >= reach:
+                continue
+            p = np.s_[:h - oy, max(0, -ox):w - max(0, ox)]
+            q = np.s_[oy:, max(0, ox):w - max(0, -ox)]
+            c = dist / np.minimum(base[p], base[q])[~(acs[p] | acs[q])]
+            found.append(c[(lo < c) & (c < hi)])
+    c = np.sort(np.concatenate(found or [np.zeros(0)]))
+    return c[np.r_[True, np.diff(c) > 1e-12 * c[1:]]] if c.size else c
+
+
+class TestGridCaches:
+    @pytest.mark.parametrize("make", [sampling.gaussian2d_mask, sampling.poisson2d_mask])
+    @pytest.mark.parametrize("i", range(len(GRIDS)))
+    def test_a_cold_call_and_a_warm_call_give_the_same_bytes(self, make, i):
+        # the warm call comes after another grid has been built
+        (h, w), (other_h, other_w) = GRIDS[i], GRIDS[i - 1]
+        for cache in GRID_CACHES:
+            cache.cache_clear()
+        cold = make(h, w, 4.0, seed=1)
+        make(other_h, other_w, 4.0, seed=1)
+        warm = make(h, w, 4.0, seed=1)
+        assert warm.keep.tobytes() == cold.keep.tobytes() and warm.extra == cold.extra
+        assert sampling.acs_ellipse(h, w, 0.02).tobytes() == sampling._acs(h, w, 0.02).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        sampling.poisson2d_mask(16, 16, 4.0, seed=0)
+        arrays = [*sampling._center_offsets(16, 16), sampling._center_distance(16, 16),
+                  sampling._acs(16, 16, 0.02), sampling._acs(16, 16, 0.0),
+                  sampling._poisson_tails(16, 16, 0.02)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_changing_the_acs_ellipse_leaves_the_next_mask(self):
+        before = [make(64, 64, 4.0, seed=2) for make in (sampling.gaussian2d_mask,
+                                                         sampling.poisson2d_mask)]
+        acs = sampling.acs_ellipse(64, 64, 0.02)
+        assert acs.flags.writeable
+        acs[...] = ~acs
+        after = [make(64, 64, 4.0, seed=2) for make in (sampling.gaussian2d_mask,
+                                                        sampling.poisson2d_mask)]
+        for a, b in zip(before, after):
+            assert a.keep.tobytes() == b.keep.tobytes()
+        assert not np.array_equal(acs, sampling.acs_ellipse(64, 64, 0.02))
+
+    @pytest.mark.parametrize("h, w", GRIDS)
+    def test_the_one_distance_keeps_the_bits_of_its_copies(self, h, w):
+        for acs_frac in (0.0, 0.02, 0.3):
+            acs = sampling.acs_ellipse(h, w, acs_frac)
+            for offset in (sampling.POISSON_RADIUS_OFFSET, 0.2):
+                assert (sampling._packing_tails(h, w, offset, acs).tobytes()
+                        == _packing_tails_before(h, w, offset, acs).tobytes())
+            crit = sampling._critical_scales(h, w, 0.05, acs, 2.0, 4.0)
+            assert crit.size > 2
+            assert crit.tobytes() == _critical_scales_before(h, w, 0.05, acs, 2.0, 4.0).tobytes()
+        assert (sampling._poisson_tails(h, w, 0.02).tobytes()
+                == _packing_tails_before(h, w, 0.05, sampling.acs_ellipse(h, w, 0.02)).tobytes())
+
+
 class TestMaskReport:
     def test_full_mask_acceleration_one(self):
         report = sampling.MaskReport(sampling.full_mask(16, 16))
